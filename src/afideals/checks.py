@@ -6,6 +6,7 @@ yields a byte-identical transcript.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from .qi import (
     ZERO,
     ClosedSubsetQI,
     QIPoint,
-    _sup_cutoff,
     closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
@@ -148,6 +148,13 @@ def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fractio
     if a.contains_zero:
         best = max(best, point_distance(ZERO, b))
     return best
+
+
+def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
+    """Depth past which both membership words are jointly periodic, with margin."""
+    heads = max(len(s.word.head), len(t.word.head))
+    periods = math.lcm(max(1, len(s.word.period)), max(1, len(t.word.period)))
+    return heads + 2 * periods + 2
 
 
 def _suite_hausdorff_cutoff(rng: random.Random, scale: int):

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bratteli import level_set, qi_diagram, serialize_diagram
+from .bratteli import _format_set, level_set, qi_diagram, serialize_diagram
 from .checks import run_check
 from .exact import format_rational
 from .metrics import (
@@ -38,6 +38,10 @@ from .qi import (
     paper_table_descriptor,
     parse_closed_set,
 )
+
+# qi_diagram builds O(depth**2) edges and d_beta_truncated takes seconds at
+# this depth, so larger depths are refused rather than left to run.
+MAX_DEPTH = 1024
 
 _DOMAIN_ERRORS = (
     EmptySetError,
@@ -88,10 +92,6 @@ def _descriptors(a, b, convention: str):
             paper_table_descriptor(_pair_indices(b)),
         )
     return ideal_of_closed_set(a), ideal_of_closed_set(b)
-
-
-def _format_index_set(s) -> str:
-    return "{" + ",".join(str(k) for k in sorted(s)) + "}"
 
 
 def cmd_distance(args) -> int:
@@ -171,7 +171,7 @@ def cmd_descriptor(args) -> int:
             )
     else:
         e = ideal_of_closed_set(s)
-    levels = {p: _format_index_set(level_set(e, p)) for p in range(1, args.depth + 1)}
+    levels = {p: _format_set(level_set(e, p)) for p in range(1, args.depth + 1)}
     if args.json:
         print(json.dumps({str(p): v for p, v in levels.items()}))
     else:
@@ -249,8 +249,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.command != "check" and getattr(args, "depth", 1) < 1:
-            raise CliUsageError("depth must be at least 1")
+        if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
+            raise CliUsageError(f"depth must be between 1 and {MAX_DEPTH}, got {args.depth}")
+        if (getattr(args, "decimal", None) or 0) < 0:
+            raise CliUsageError(f"--decimal must be at least 0, got {args.decimal}")
         return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

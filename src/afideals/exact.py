@@ -7,10 +7,9 @@ nothing on the value path ever touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-
-ExactRational = Fraction
 
 
 class EmptyRangeError(ValueError):
@@ -116,6 +115,14 @@ class BinaryWord:
                 last = i
         return last
 
+    def next_one(self, i: int):
+        """Least position > i carrying a 1, or None; past the head the word
+        repeats, so the rest of the head and one period hold every later bit."""
+        for k in range(i + 1, max(i, len(self._head)) + len(self._period) + 1):
+            if self.bit(k):
+                return k
+        return None
+
     def ones(self, upto: int):
         """Positions <= upto carrying a 1."""
         return [k for k in range(1, upto + 1) if self.bit(k)]
@@ -145,16 +152,20 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     return BinaryWord(head, period)
 
 
-def first_diff_index(u: BinaryWord, v: BinaryWord):
-    """Least position where the two words differ, or None when equal."""
-    if u == v:
-        return None
+def first_index(u: BinaryWord, v: BinaryWord, pred):
+    """Least position k where pred(u.bit(k), v.bit(k)) holds, or None; past
+    both heads the pair repeats, so the heads and one joint period suffice."""
     h = max(len(u.head), len(v.head))
     length = math.lcm(len(u.period) or 1, len(v.period) or 1)
     for k in range(1, h + length + 1):
-        if u.bit(k) != v.bit(k):
+        if pred(u.bit(k), v.bit(k)):
             return k
-    raise AssertionError("canonically distinct words must differ within one common period")
+    return None
+
+
+def first_diff_index(u: BinaryWord, v: BinaryWord):
+    """Least position where the two words differ, or None when equal."""
+    return first_index(u, v, operator.ne)
 
 
 def word_weight(w: BinaryWord, from_index: int = 1) -> Fraction:
@@ -185,7 +196,7 @@ def format_rational(x: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
+    if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
 

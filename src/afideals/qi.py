@@ -9,12 +9,12 @@ set may carry 0 explicitly.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, level_set
-from .exact import BinaryWord, format_word, parse_rational, parse_word, pow2
+from .exact import BinaryWord, first_index, format_word, parse_rational, parse_word, pow2
 
 __all__ = [
     "ZERO",
@@ -151,65 +151,49 @@ def contains(s: ClosedSubsetQI, x: QIPoint) -> bool:
     return bool(s.word.bit(x.index))
 
 
-def _nearest_beyond(s: ClosedSubsetQI, i: int):
-    """Smallest member index > i, scanning at most one period past the head."""
-    limit = i + len(s.word.head) + 2 * max(1, len(s.word.period)) + 2
-    for k in range(i + 1, limit + 1):
-        if s.word.bit(k):
-            return k
-    return None
-
-
 def point_distance(x: QIPoint, s: ClosedSubsetQI) -> Fraction:
-    """Exact distance from a point to a nonempty closed subset."""
+    """Exact distance from a point to a nonempty closed subset.
+
+    Members below x_i lie less than x_i (the distance to 0) away, members
+    above it at least x_i: the nearest is the next member below, else 0,
+    else the smallest member.
+    """
     if s.is_empty():
         raise EmptySetError("distance to the empty set is undefined")
     if contains(s, x):
         return Fraction(0)
-    if x.is_zero:
-        # s is finite here (otherwise 0 would be a member); nearest is its
-        # smallest point.
-        return pow2(1 - s.word.last_one())
-    i = x.index
-    v = pow2(1 - i)
-    candidates = []
-    for k in range(i - 1, 0, -1):
-        if s.word.bit(k):
-            candidates.append(pow2(1 - k) - v)
-            break
-    k = _nearest_beyond(s, i)
-    if k is not None:
-        candidates.append(v - pow2(1 - k))
-    if s.contains_zero:
-        candidates.append(v)
-    return min(candidates)
-
-
-def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
-    heads = max(len(s.word.head), len(t.word.head))
-    periods = math.lcm(max(1, len(s.word.period)), max(1, len(t.word.period)))
-    return heads + 2 * periods + 2
+    if not x.is_zero:
+        j = s.word.next_one(x.index)
+        if j is not None:
+            return x.value - pow2(1 - j)
+        if s.contains_zero:
+            return x.value
+    return pow2(1 - s.word.last_one()) - x.value
 
 
 def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
     """Exact Hausdorff distance between two nonempty closed subsets.
 
-    The directed suprema are evaluated over member indices up to a common
-    cutoff plus the point 0.  Beyond the cutoff both membership words are
-    jointly periodic, so candidate distances either repeat scaled down by
-    a power of two or are dominated by the distance from 0, which is
-    always inspected when 0 is a member.
+    The directed distance from a to b needs no scan bound:
+
+    * 0 in b: d(x_k, b) <= x_k for every k.  The first x_k0 of a outside
+      b has d(x_k0, b) >= x_k0 / 2 >= x_k for all k > k0, so it attains
+      the supremum; with no such k0 the distance is 0.
+    * 0 not in b: b is finite with last point x_l.  Points x_k of a past
+      x_l have d(x_k, b) = x_l - x_k < x_l = d(0, b), an infinite a holds
+      0, and a finite a has its points in its head; so the points of a up
+      to max(head of a, l), plus 0 when a holds it, attain the supremum.
     """
     if s.is_empty() or t.is_empty():
         raise EmptySetError("Hausdorff distance to the empty set is undefined")
-    cut = _sup_cutoff(s, t)
 
     def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> Fraction:
-        best = Fraction(0)
-        for k in a.point_indices(cut):
+        if b.contains_zero:
+            k0 = first_index(a.word, b.word, operator.gt)
+            return Fraction(0) if k0 is None else point_distance(QIPoint(k0), b)
+        best = point_distance(ZERO, b) if a.contains_zero else Fraction(0)
+        for k in a.point_indices(max(len(a.word.head), b.word.last_one())):
             best = max(best, point_distance(QIPoint(k), b))
-        if a.contains_zero:
-            best = max(best, point_distance(ZERO, b))
         return best
 
     return max(directed(s, t), directed(t, s))
@@ -218,18 +202,11 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
 def _derived_level(s: ClosedSubsetQI, p: int) -> frozenset:
     """Summands of level p whose spanning function has support disjoint from s."""
     out = {k for k in range(1, p) if not s.word.bit(k)}
-    tail_meets = s.contains_zero or any(s.word.bit(k) for k in _tail_probe(s, p))
+    # An infinite set contains 0, so last_one() is reached only for finite sets.
+    tail_meets = s.contains_zero or s.word.last_one() >= p
     if not tail_meets:
         out.add(p)
     return frozenset(out)
-
-
-def _tail_probe(s: ClosedSubsetQI, p: int):
-    # members with index >= p; for eventually-zero words a finite scan suffices
-    last = s.word.last_one()
-    if last is None:
-        return range(p, p + len(s.word.head) + 2 * max(1, len(s.word.period)) + 2)
-    return range(p, last + 1)
 
 
 def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from afideals.bratteli import parse_diagram, qi_diagram
-from afideals.cli import main
+from afideals.cli import MAX_DEPTH, main
 
 
 def run(capsys, *argv):
@@ -47,9 +47,15 @@ class TestDistance:
         assert "error" in err
 
     def test_bad_point_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "distance", "1/3", "1")
-        assert code == 1
-        assert "error" in err
+        for bad in ("1/3", "1/0", "0/0", "1/2,1/0"):
+            code, _, err = run(capsys, "distance", bad, "1")
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_decimal_rejected(self, capsys):
+        code, out, err = run(capsys, "distance", "--decimal", "-2", "1/2", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--decimal" in err
 
 
 class TestPaperTable:
@@ -114,6 +120,16 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "--depth", "0")
         assert code == 1
         assert "error" in err
+
+    def test_rejects_depth_above_cap(self, capsys, monkeypatch):
+        # Rejected before any diagram is built, so this stays fast.
+        code, out, err = run(capsys, "diagram", "--depth", str(MAX_DEPTH + 1))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(MAX_DEPTH) in err
+        monkeypatch.setenv("AFIDEALS_DEPTH", "100000")
+        code, out, err = run(capsys, "diagram")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 class TestCheck:

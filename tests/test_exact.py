@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from afideals.exact import (
     BinaryWord,
     EmptyRangeError,
     first_diff_index,
+    first_index,
     format_rational,
     format_word,
     geom_block,
@@ -104,6 +106,27 @@ def test_first_diff_index():
     assert first_diff_index(BinaryWord((1,)), BinaryWord((1,))) is None
     assert first_diff_index(BinaryWord((1,)), BinaryWord((0, 1))) == 1
     assert first_diff_index(BinaryWord((), (1, 0)), BinaryWord((), (1,))) == 2
+    assert BinaryWord((0, 1)).next_one(2) is None
+    assert BinaryWord((1,), (0, 0, 1)).next_one(1) == 4
+    # The first hit lies past both periods (2 and 3) but inside the joint one.
+    u, v = BinaryWord((), (0, 1)), BinaryWord((), (1, 1, 0))
+    assert first_index(u, v, operator.gt) == 6
+    assert first_index(v, u, operator.gt) == 1
+    assert first_index(v, BinaryWord((), (1,)), operator.gt) is None
+
+    def scan(k, found):
+        return next((i for i in range(k, 400) if found(i)), None)
+
+    rng = random.Random(17)
+    for _ in range(300):
+        u, v = (BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                           [rng.randint(0, 1) for _ in range(rng.randint(0, 7))])
+                for _ in range(2))
+        for i in rng.sample(range(0, 30), 4):
+            assert u.next_one(i) == scan(i + 1, u.bit)
+        for pred in (operator.ne, operator.gt, operator.and_):
+            assert first_index(u, v, pred) == scan(1, lambda k: pred(u.bit(k), v.bit(k)))
+        assert first_diff_index(u, v) == scan(1, lambda k: u.bit(k) != v.bit(k))
 
 
 def test_word_weight_examples():
@@ -137,8 +160,9 @@ def test_rational_serialization():
     assert format_rational(Fraction(5)) == "5"
     assert parse_rational("37/128") == Fraction(37, 128)
     assert parse_rational("-3") == -3
-    with pytest.raises(ValueError):
-        parse_rational("0.5")
+    for bad in ("0.5", "1/0", "0/0"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 def test_word_serialization_round_trip():

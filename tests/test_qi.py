@@ -31,6 +31,14 @@ def enumerate_values(s: ClosedSubsetQI, depth: int):
     return vals
 
 
+def random_bits(rng, n: int, one: bool = False):
+    """n random bits; with `one`, at least one of them is 1."""
+    bits = [rng.randint(0, 1) for _ in range(n)]
+    if one and not any(bits):
+        bits[rng.randrange(n)] = 1
+    return bits
+
+
 class TestQIPoint:
     def test_values(self):
         assert QIPoint(1).value == 1
@@ -119,16 +127,33 @@ class TestHausdorff:
 
     def test_against_brute_force(self):
         rng = random.Random(13)
-        for _ in range(150):
-            s, t = random_closed_set(rng), random_closed_set(rng)
+        pairs = [(random_closed_set(rng), random_closed_set(rng)) for _ in range(150)]
+        for p, q in ((5, 3), (7, 5), (11, 9), (13, 11)):
+            for _ in range(4):
+                s = ClosedSubsetQI(BinaryWord(random_bits(rng, 2), random_bits(rng, p, one=True)))
+                # A period of q with a single 0: s may first leave t only after
+                # both periods, inside the joint one.
+                dense = [1] * q
+                dense[rng.randrange(q)] = 0
+                # t covers every point of s for more than one joint period
+                # (p*q positions) before its own words take over.
+                cover = [s.word.bit(k) | rng.randint(0, 1)
+                         for k in range(1, 3 + p * q + rng.randint(1, p * q))]
+                period = random_bits(rng, q, one=True) if rng.random() < 0.5 else ()
+                for t in (ClosedSubsetQI(BinaryWord((), dense)),
+                          ClosedSubsetQI(BinaryWord(cover, period), rng.random() < 0.5)):
+                    pairs += [(s, t), (t, s)]
+        for s, t in pairs:
             depth = (len(s.word.head) + len(t.word.head)
                      + 4 * max(1, len(s.word.period)) * max(1, len(t.word.period)) + 40)
-            sv, tv = enumerate_values(s, depth), enumerate_values(t, depth)
+            # Member values times 2**(depth-1), so the scan stays in integers.
+            sv = [1 << (depth - k) for k in s.point_indices(depth)] + [0] * s.contains_zero
+            tv = [1 << (depth - k) for k in t.point_indices(depth)] + [0] * t.contains_zero
             brute = max(
                 max(min(abs(x - y) for y in tv) for x in sv),
                 max(min(abs(x - y) for y in sv) for x in tv),
             )
-            assert hausdorff(s, t) == brute
+            assert hausdorff(s, t) == Fraction(brute, 1 << (depth - 1))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
