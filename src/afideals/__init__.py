@@ -13,7 +13,6 @@ from .bratteli import (
     qi_diagram,
     serialize_descriptor,
     serialize_diagram,
-    symdiff_level,
     to_finite,
     validate_diagram,
 )
@@ -35,7 +34,6 @@ from .metrics import (
     DepthMismatchError,
     EmptySpectrumError,
     MalformedComparisonError,
-    NonConstantDifferenceError,
     closed_form_dbeta,
     closed_form_dhausdorff,
     closed_form_dphi,

@@ -289,10 +289,6 @@ def level_set(e: EventualDescriptor, p: int) -> frozenset:
     return _eventual_rule(e.excluded, e.include_tail, p)
 
 
-def symdiff_level(i: EventualDescriptor, j: EventualDescriptor, p: int) -> frozenset:
-    return level_set(i, p) ^ level_set(j, p)
-
-
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
     return FiniteDescriptor([level_set(e, p) for p in range(1, depth + 1)])
 

@@ -52,7 +52,8 @@ def random_closed_set(rng: random.Random, nonempty: bool = True,
 
 
 def random_finite_or_zero_set(rng: random.Random) -> ClosedSubsetQI:
-    """Sets whose ideal descriptors admit the exact d_beta evaluation."""
+    """Finite sets, with or without 0: their ideals' excluded words are
+    eventually zero, so every pair's d_beta has a short exact value."""
     return random_closed_set(rng, nonempty=False, allow_infinite=False)
 
 

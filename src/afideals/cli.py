@@ -20,7 +20,6 @@ from .exact import format_rational
 from .metrics import (
     EmptySpectrumError,
     MalformedComparisonError,
-    NonConstantDifferenceError,
     _pair_indices,
     _singleton_index,
     closed_form_dbeta,
@@ -29,6 +28,8 @@ from .metrics import (
     d_beta,
     d_beta_truncated,
     d_phi,
+    descriptors,
+    settles,
 )
 from .qi import (
     DescriptorConventionError,
@@ -39,8 +40,8 @@ from .qi import (
     parse_closed_set,
 )
 
-# qi_diagram builds O(depth**2) edges and d_beta_truncated takes seconds at
-# this depth, so larger depths are refused rather than left to run.
+# qi_diagram builds O(depth**2) edges, about 0.9 s at this depth, so larger
+# depths are refused rather than left to run.
 MAX_DEPTH = 1024
 
 _DOMAIN_ERRORS = (
@@ -85,15 +86,6 @@ def _parse_set(text: str):
         raise CliUsageError(str(exc))
 
 
-def _descriptors(a, b, convention: str):
-    if convention == "paper":
-        return (
-            paper_table_descriptor(_singleton_index(a)),
-            paper_table_descriptor(_pair_indices(b)),
-        )
-    return ideal_of_closed_set(a), ideal_of_closed_set(b)
-
-
 def cmd_distance(args) -> int:
     a = _parse_set(args.set_a)
     b = _parse_set(args.set_b)
@@ -101,13 +93,16 @@ def cmd_distance(args) -> int:
     if args.metric in ("hausdorff", "all"):
         results["hausdorff"] = hausdorff(a, b)
     if args.metric in ("phi", "beta", "all"):
-        di, dj = _descriptors(a, b, args.convention)
+        di, dj = descriptors(a, b, args.convention)
         if args.metric in ("phi", "all"):
             results["phi"] = d_phi(di, dj)
         if args.metric in ("beta", "all"):
-            try:
+            # d_beta is exact for every pair, but when D never settles its
+            # numerator can pass the 4300 digits str() converts, so print the
+            # depth-N interval instead.
+            if settles(di, dj):
                 results["beta"] = d_beta(di, dj)
-            except NonConstantDifferenceError:
+            else:
                 results["beta"] = d_beta_truncated(di, dj, args.depth)
     out = {}
     for name, value in results.items():
@@ -209,13 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="afideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, convention_default="derived"):
+    def add_common(p, convention_default="derived", depth_help=None):
         p.add_argument("--convention", choices=("paper", "derived"), default=convention_default)
-        p.add_argument("--depth", type=int, default=default_depth)
+        p.add_argument("--depth", type=int, default=default_depth, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("distance", help="metric distances between two closed sets' ideals")
-    add_common(p)
+    add_common(p, depth_help="levels summed when beta is printed as an interval "
+                             "[S_N, S_N + 2^-N], because the excluded words never agree")
     p.add_argument("--metric", choices=("phi", "beta", "hausdorff", "all"), default="all")
     p.add_argument("--decimal", type=int, metavar="N",
                    help="add an approximate decimal column with N digits")

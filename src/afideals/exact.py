@@ -168,25 +168,20 @@ def first_diff_index(u: BinaryWord, v: BinaryWord):
     return first_index(u, v, operator.ne)
 
 
-def word_weight(w: BinaryWord, from_index: int = 1) -> Fraction:
-    """Sum of 2**-k over positions k >= from_index with bit 1, exactly."""
+def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
+    """Sum of base**-k over positions k >= from_index with bit 1, exactly:
+    the bits of the head, and of one period repeated, read as base-`base` digits."""
     if from_index < 1:
         raise ValueError(f"positions start at 1, got {from_index}")
-    total = Fraction(0)
-    h = len(w.head)
-    for k in range(from_index, h + 1):
-        if w.head[k - 1]:
-            total += pow2(-k)
-    length = len(w.period)
-    if length == 0:
-        return total
-    start = max(from_index, h + 1)
-    block = Fraction(0)
-    for i in range(length):
-        k = start + i
-        if w.bit(k):
-            block += pow2(-k)
-    return total + block / (1 - pow2(-length))
+    h, length = len(w.head), len(w.period)
+    head = "".join(map(str, w.head[from_index - 1:]))
+    total = Fraction(int(head or "0", base), base**h)
+    if length:
+        start = max(from_index, h + 1)
+        shift = (start - h - 1) % length
+        block = "".join(map(str, w.period[shift:] + w.period[:shift]))
+        total += Fraction(int(block, base), base ** (start - 1) * (base**length - 1))
+    return total
 
 
 def format_rational(x: Fraction) -> str:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .bratteli import EventualDescriptor, FiniteDescriptor, level_set, symdiff_level
+from .bratteli import EventualDescriptor, FiniteDescriptor, level_set
 from .exact import (
     first_diff_index,
     format_rational,
-    geom_block,
     pow2,
     quarter_tail,
     word_weight,
@@ -33,10 +32,6 @@ from .qi import (
 
 class DepthMismatchError(ValueError):
     """Truncated descriptors must share a depth."""
-
-
-class NonConstantDifferenceError(ValueError):
-    """Symmetric difference never settles; use d_beta_truncated."""
 
 
 class EmptySpectrumError(ValueError):
@@ -112,23 +107,36 @@ class CertifiedValue:
         return f"CertifiedValue({self})"
 
 
+def _level_of(desc, p: int) -> frozenset:
+    if isinstance(desc, EventualDescriptor):
+        return level_set(desc, p)
+    return desc.sets(p)
+
+
+def _level_sum(i, j, n: int) -> Fraction:
+    """Sum of 2**-(p+k) over levels p <= n and k in the level-p difference, as
+    one integer numerator over 2**(2n); level p of the diagram has width p."""
+    return Fraction(
+        sum(1 << (2 * n - p - k)
+            for p in range(1, n + 1) for k in _level_of(i, p) ^ _level_of(j, p)),
+        1 << 2 * n,
+    )
+
+
 def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
     """Least level where the two descriptors differ, or None when equal.
 
-    The scan is bounded: past both explicit heads, the level sets follow
-    the eventual rules, so any disagreement shows up by the level after the
-    first differing excluded bit (or at the head boundary for tail flags).
+    From level P = max(p0) on, level p differs in the tail index p when the
+    tail flags differ, and in every k < p where the excluded words differ.
     """
-    kstar = first_diff_index(i.excluded, j.excluded)
-    bound = max(i.p0, j.p0)
-    if kstar is not None:
-        bound = max(bound, kstar + 1)
-    for p in range(1, bound + 1):
+    top = max(i.p0, j.p0)
+    for p in range(1, top):
         if level_set(i, p) != level_set(j, p):
             return p
-    if kstar is None and i.include_tail == j.include_tail:
-        return None
-    raise AssertionError("distinct eventual rules must disagree within the scan bound")
+    if i.include_tail != j.include_tail:
+        return top
+    kstar = first_diff_index(i.excluded, j.excluded)
+    return None if kstar is None else max(top, kstar + 1)
 
 
 def d_phi(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
@@ -149,33 +157,29 @@ def d_phi_truncated(i: FiniteDescriptor, j: FiniteDescriptor) -> CertifiedValue:
     return CertifiedValue.interval(Fraction(0), pow2(-(i.depth + 1)))
 
 
+def settles(i: EventualDescriptor, j: EventualDescriptor) -> bool:
+    """Whether D, the XOR of the excluded words, is eventually zero."""
+    return word_xor(i.excluded, j.excluded).is_eventually_zero()
+
+
 def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     """Sum over levels p and disagreeing indices k of 2**-(p+k), exactly.
 
-    Requires the level-wise symmetric difference to settle to a fixed
-    finite set (plus possibly the moving tail index); the settled part is
-    summed as a geometric series.
+    Levels below P = max(p0) are summed directly.  From P on, level p
+    differs in each k < p where D, the XOR of the excluded words, has a 1,
+    and in p itself when the tail flags differ.  Summing over p first, a
+    D-bit at k < P weighs 2**(1-P) * 2**-k and one at k >= P weighs 4**-k.
     """
+    top = max(i.p0, j.p0)
     diff = word_xor(i.excluded, j.excluded)
-    if not diff.is_eventually_zero():
-        raise NonConstantDifferenceError(
-            "symmetric difference is not eventually constant; use d_beta_truncated"
-        )
-    p_star = max(i.p0, j.p0, diff.last_one() + 1)
-    total = Fraction(0)
-    for p in range(1, p_star):
-        for k in symdiff_level(i, j, p):
-            total += pow2(-(p + k))
-    total += geom_block(p_star) * word_weight(diff)
+    total = (
+        _level_sum(i, j, top - 1)
+        + pow2(1 - top) * (word_weight(diff) - word_weight(diff, top))
+        + word_weight(diff, top, 4)
+    )
     if i.include_tail != j.include_tail:
-        total += quarter_tail(p_star)
+        total += quarter_tail(top)
     return total
-
-
-def _level_of(desc, p: int) -> frozenset:
-    if isinstance(desc, EventualDescriptor):
-        return level_set(desc, p)
-    return desc.sets(p)
 
 
 def d_beta_truncated(i, j, depth: int) -> CertifiedValue:
@@ -185,10 +189,7 @@ def d_beta_truncated(i, j, depth: int) -> CertifiedValue:
     for desc in (i, j):
         if isinstance(desc, FiniteDescriptor) and desc.depth < depth:
             raise DepthMismatchError(f"descriptor depth {desc.depth} below {depth}")
-    partial = Fraction(0)
-    for p in range(1, depth + 1):
-        for k in _level_of(i, p) ^ _level_of(j, p):
-            partial += pow2(-(p + k))
+    partial = _level_sum(i, j, depth)
     return CertifiedValue.interval(partial, partial + pow2(-depth))
 
 
@@ -287,20 +288,28 @@ class ComparisonReport:
         return f"ComparisonReport({self.as_dict()!r})"
 
 
+def descriptors(a: ClosedSubsetQI, b: ClosedSubsetQI, convention: str):
+    """Ideal descriptors of two closed sets: "paper" uses the published table
+    (a singleton and a pair), "derived" the support-disjointness rule."""
+    if convention == "paper":
+        return (
+            paper_table_descriptor(_singleton_index(a)),
+            paper_table_descriptor(_pair_indices(b)),
+        )
+    if convention == "derived":
+        return ideal_of_closed_set(a), ideal_of_closed_set(b)
+    raise ValueError(f"unknown convention: {convention!r}")
+
+
 def compare(a: ClosedSubsetQI, b: ClosedSubsetQI, convention: str = "paper") -> ComparisonReport:
     """Compare the ideals of a singleton and a two-point set under a convention.
 
-    "paper" uses the published level-set table; "derived" uses the
-    support-disjointness rule.  The Hausdorff value is convention-free.
+    Both shapes are checked under either convention; the Hausdorff value is
+    convention-free.
     """
-    m = _singleton_index(a)
-    n, k = _pair_indices(b)
-    if convention == "paper":
-        di, dj = paper_table_descriptor(m), paper_table_descriptor((n, k))
-    elif convention == "derived":
-        di, dj = ideal_of_closed_set(a), ideal_of_closed_set(b)
-    else:
-        raise ValueError(f"unknown convention: {convention!r}")
+    _singleton_index(a)
+    _pair_indices(b)
+    di, dj = descriptors(a, b, convention)
     return ComparisonReport(
         convention,
         format_closed_set(a),

@@ -15,7 +15,6 @@ from afideals.bratteli import (
     qi_diagram,
     serialize_descriptor,
     serialize_diagram,
-    symdiff_level,
     to_finite,
     validate_diagram,
 )
@@ -166,14 +165,17 @@ class TestLevelSet:
 
 class TestSymdiffLevel:
     def test_identical(self):
+        # the same ideal with three eventual levels listed explicitly
         e = paper_table_descriptor(2)
-        assert all(symdiff_level(e, e, p) == frozenset() for p in range(1, 20))
+        padded = EventualDescriptor(e.p0 + 3, [level_set(e, p) for p in range(1, e.p0 + 3)],
+                                    e.excluded, e.include_tail)
+        assert all(level_set(e, p) ^ level_set(padded, p) == frozenset() for p in range(1, 20))
 
     def test_paper_patterns(self):
         a = paper_table_descriptor(1)
         b = paper_table_descriptor((2, 1))
-        assert symdiff_level(a, b, 2) == frozenset({2})
-        assert symdiff_level(a, b, 5) == frozenset({2, 3, 4})
+        assert level_set(a, 2) ^ level_set(b, 2) == frozenset({2})
+        assert level_set(a, 5) ^ level_set(b, 5) == frozenset({2, 3, 4})
 
     def test_width_bound(self):
         rng = random.Random(4)
@@ -182,7 +184,7 @@ class TestSymdiffLevel:
         for _ in range(100):
             i, j = random_ideal(rng), random_ideal(rng)
             for p in range(1, 20):
-                assert len(symdiff_level(i, j, p)) <= p
+                assert len(level_set(i, p) ^ level_set(j, p)) <= p
 
 
 def test_eventual_descriptor_prefix_ideal_extends():

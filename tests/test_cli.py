@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from afideals.bratteli import parse_diagram, qi_diagram
 from afideals.cli import MAX_DEPTH, main
+from afideals.metrics import d_beta
+from afideals.qi import ideal_of_closed_set, parse_closed_set
 
 
 def run(capsys, *argv):
@@ -39,6 +42,17 @@ class TestDistance:
         code, out, _ = run(capsys, "distance", "--metric", "beta", "--depth", "8",
                            "head=;period=10", "")
         assert code == 0
+        assert out.startswith("beta: [") and out.rstrip().endswith("]")
+        lo, hi = map(Fraction, out.strip()[len("beta: ["):-1].split(", "))
+        exact = d_beta(*(ideal_of_closed_set(parse_closed_set(s))
+                         for s in ("head=;period=10", "")))
+        assert lo <= exact <= hi == lo + Fraction(1, 256)
+
+    def test_long_periods_print_interval(self, capsys):
+        # the exact value's numerator has about 8600 digits, past str()'s limit
+        a, b = "head=;period=1" + "0" * 126, "head=;period=1" + "0" * 112
+        code, out, err = run(capsys, "distance", "--metric", "beta", a, b)
+        assert (code, err) == (0, "")
         assert out.startswith("beta: [") and out.rstrip().endswith("]")
 
     def test_hausdorff_of_empty_set_is_domain_error(self, capsys):

@@ -136,6 +136,11 @@ def test_word_weight_examples():
     assert word_weight(w) == Fraction(2, 3)
     partial = sum(pow2(-k) for k in range(1, 65) if w.bit(k))
     assert abs(word_weight(w) - partial) < pow2(-60)
+    assert word_weight(BinaryWord((), (1,)), 1, 4) == Fraction(1, 3)
+    assert word_weight(BinaryWord((1, 1)), 1, 4) == Fraction(5, 16)
+    assert word_weight(w, 2, 4) == Fraction(1, 60)
+    partial = sum(Fraction(4) ** -k for k in range(1, 65) if w.bit(k))
+    assert abs(word_weight(w, 1, 4) - partial) < pow2(-120)
 
 
 def test_word_weight_recurrence():
@@ -143,8 +148,11 @@ def test_word_weight_recurrence():
     for _ in range(20):
         w = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 5))],
                        [rng.randint(0, 1) for _ in range(rng.randint(0, 3))])
-        for i in range(1, 101):
-            assert word_weight(w, i) == w.bit(i) * pow2(-i) + word_weight(w, i + 1)
+        for base in (2, 4):
+            for i in range(1, 101):
+                assert word_weight(w, i, base) == (
+                    w.bit(i) * Fraction(base) ** -i + word_weight(w, i + 1, base)
+                )
 
 
 def test_exact_arithmetic_roundtrip():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import level_set, to_finite
-from afideals.checks import random_ideal
+from afideals.bratteli import EventualDescriptor, level_set, to_finite
+from afideals.checks import random_ideal, random_word
 from afideals.exact import BinaryWord, pow2
 from afideals.metrics import (
     CertifiedValue,
@@ -12,7 +12,6 @@ from afideals.metrics import (
     DepthMismatchError,
     EmptySpectrumError,
     MalformedComparisonError,
-    NonConstantDifferenceError,
     _pair_indices,
     _singleton_index,
     closed_form_dbeta,
@@ -25,6 +24,7 @@ from afideals.metrics import (
     d_phi,
     d_phi_truncated,
     first_disagreement,
+    settles,
 )
 from afideals.qi import (
     ClosedSubsetQI,
@@ -41,6 +41,39 @@ def truncation_oracle(i, j, depth: int) -> Fraction:
          for k in level_set(i, p) ^ level_set(j, p)),
         Fraction(0),
     )
+
+
+def random_eventual(rng: random.Random) -> EventualDescriptor:
+    """A derived descriptor of an infinite set, a paper-table descriptor, or
+    a descriptor with a random explicit head; periods up to 6."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        word = random_word(rng, max_head=6, max_period=6, periodic_prob=1.0)
+        return ideal_of_closed_set(ClosedSubsetQI(word))
+    if kind == 1:
+        n = rng.randint(1, 5)
+        return paper_table_descriptor(n if rng.random() < 0.5 else (n, rng.randint(1, 4)))
+    p0 = rng.randint(1, 7)
+    head = [frozenset(k for k in range(1, p + 1) if rng.random() < 0.5) for p in range(1, p0)]
+    word = random_word(rng, max_head=6, max_period=6, periodic_prob=0.7)
+    return EventualDescriptor(p0, head, word, rng.random() < 0.5)
+
+
+def eventual_pairs(seed: int, count: int) -> list:
+    """Seeded pairs of `random_eventual` descriptors.  Every fourth pair is
+    one ideal twice, the second time with more levels listed explicitly."""
+    rng = random.Random(seed)
+    pairs = []
+    for n in range(count):
+        i = random_eventual(rng)
+        if n % 4 == 3:
+            p0 = i.p0 + rng.randint(1, 4)
+            j = EventualDescriptor(p0, [level_set(i, p) for p in range(1, p0)],
+                                   i.excluded, i.include_tail)
+        else:
+            j = random_eventual(rng)
+        pairs.append((i, j))
+    return pairs
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -87,6 +120,15 @@ class TestFirstDisagreement:
     def test_tail_flag_only(self):
         assert first_disagreement(FULL, VANISH_AT_ZERO) == 1
 
+    def test_matches_level_scan(self):
+        # Excluded words here have heads <= 10 and joint periods <= 30, so any
+        # disagreement shows by level 41 and a scan to 80 sees it.
+        rng = random.Random(37)
+        pairs = [(random_ideal(rng), random_ideal(rng)) for _ in range(100)]
+        for i, j in pairs + eventual_pairs(37, 200):
+            scan = next((p for p in range(1, 81) if level_set(i, p) != level_set(j, p)), None)
+            assert first_disagreement(i, j) == scan
+
 
 class TestDPhi:
     def test_published_rows(self):
@@ -101,8 +143,8 @@ class TestDPhi:
 
     def test_zero_iff_equal_and_symmetry(self):
         rng = random.Random(19)
-        for _ in range(200):
-            i, j = random_ideal(rng), random_ideal(rng)
+        pairs = [(random_ideal(rng), random_ideal(rng)) for _ in range(200)]
+        for i, j in pairs + eventual_pairs(19, 200):
             assert d_phi(i, j) == d_phi(j, i)
             assert (d_phi(i, j) == 0) == (i == j)
 
@@ -141,10 +183,16 @@ class TestDBeta:
             assert d_beta(e, VANISH_AT_ZERO) == Fraction(4) ** (-r) / 3 + 0
             assert d_phi(e, VANISH_AT_ZERO) == pow2(-(r + 2))
 
-    def test_periodic_difference_rejected(self):
+    def test_periodic_difference_inside_truncation_brackets(self):
         i = ideal_of_closed_set(ClosedSubsetQI(BinaryWord((), (1, 0))))
-        with pytest.raises(NonConstantDifferenceError):
-            d_beta(i, FULL)
+        assert not settles(i, FULL)
+        # the tail flags differ and D has a 1 at every odd k
+        assert d_beta(i, FULL) == Fraction(4, 15) + Fraction(1, 3)
+        for n, (i, j) in enumerate([(i, FULL)] + eventual_pairs(31, 30)):
+            value = d_beta(i, j)
+            for depth in (8, 20, 40, 70, 200)[: 5 if n % 15 == 0 else 4]:
+                partial = truncation_oracle(i, j, depth)
+                assert partial <= value <= partial + pow2(-depth)
 
     def test_matches_truncation_oracle(self):
         rng = random.Random(23)
@@ -270,8 +318,8 @@ class TestComparisonScaffolding:
 
 def test_beta_at_most_twice_phi():
     rng = random.Random(29)
-    for _ in range(400):
-        i, j = random_ideal(rng), random_ideal(rng)
+    pairs = [(random_ideal(rng), random_ideal(rng)) for _ in range(400)]
+    for i, j in pairs + eventual_pairs(29, 200):
         assert d_beta(i, j) <= 2 * d_phi(i, j)
         assert d_beta(i, j) <= Fraction(2, 3)
         assert d_phi(i, j) <= Fraction(1, 2)
