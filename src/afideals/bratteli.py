@@ -9,7 +9,9 @@ and saturated backwards.
 
 from __future__ import annotations
 
+import operator
 import re
+from itertools import compress
 
 from .exact import BinaryWord, format_word, parse_word
 
@@ -30,44 +32,69 @@ class BratteliDiagram:
 
     def __init__(self, dims, edges):
         self._dims = tuple(tuple(int(d) for d in level) for level in dims)
-        self._edges = tuple(
-            {(int(k), int(j)): int(m) for (k, j), m in gap.items() if int(m) != 0}
-            for gap in edges
-        )
+        edges = tuple(edges)
         if not self._dims:
             raise ValueError("a diagram needs at least one level")
-        if len(self._edges) != len(self._dims) - 1:
+        if len(edges) != len(self._dims) - 1:
             raise ValueError("need exactly depth-1 edge maps")
         for n, level in enumerate(self._dims, 1):
             if any(d < 1 for d in level):
                 raise ValueError(f"nonpositive dimension at level {n}")
-        for n, gap in enumerate(self._edges, 1):
+        maps = []
+        for n, gap in enumerate(edges, 1):
+            width, below = len(self._dims[n - 1]), len(self._dims[n])
+            kept = {}
             for (k, j), m in gap.items():
-                if not (1 <= k <= self.width(n) and 1 <= j <= self.width(n + 1)):
+                k, j, m = int(k), int(j), int(m)
+                if m == 0:
+                    continue
+                if not (1 <= k <= width and 1 <= j <= below):
                     raise ValueError(f"edge ({k},{j}) out of range between levels {n} and {n + 1}")
                 if m < 0:
                     raise ValueError(f"negative multiplicity on edge ({k},{j}) at level {n}")
+                kept[(k, j)] = m
+            maps.append(kept)
+        self._edges = tuple(maps)
 
     @property
     def depth(self) -> int:
         return len(self._dims)
 
+    def _level(self, n: int) -> int:
+        if not 1 <= n <= len(self._dims):
+            raise ValueError(f"level {n} outside 1..{len(self._dims)}")
+        return n - 1
+
+    def _gap(self, n: int) -> int:
+        if not 1 <= n < len(self._dims):
+            raise ValueError(f"gap {n} outside 1..{len(self._dims) - 1}")
+        return n - 1
+
     def width(self, n: int) -> int:
-        return len(self._dims[n - 1])
+        return len(self._dims[self._level(n)])
 
     def dims(self, n: int) -> tuple:
-        return self._dims[n - 1]
+        return self._dims[self._level(n)]
 
     def edges(self, n: int) -> dict:
         """Multiplicity map between level n and level n+1."""
-        return dict(self._edges[n - 1])
+        return dict(self._edges[self._gap(n)])
 
     def multiplicity(self, n: int, k: int, j: int) -> int:
-        return self._edges[n - 1].get((k, j), 0)
+        return self._edges[self._gap(n)].get((k, j), 0)
 
     def successors(self, n: int, k: int) -> frozenset:
         """Indices at level n+1 reached from summand k with positive multiplicity."""
-        return frozenset(j for (kk, j), m in self._edges[n - 1].items() if kk == k and m > 0)
+        gap = self._edges[self._gap(n)]
+        if not 1 <= k <= self.width(n):
+            raise ValueError(f"summand {k} outside 1..{self.width(n)} at level {n}")
+        return frozenset(j for kk, j in gap if kk == k)
+
+    def _pullback(self, n: int, below) -> set:
+        """Summands of level n all of whose successors lie in `below` at level
+        n+1, from one pass over the gap's edges."""
+        leaving = {k for k, j in self._edges[self._gap(n)] if j not in below}
+        return set(range(1, self.width(n) + 1)).difference(leaving)
 
     def __eq__(self, other):
         if not isinstance(other, BratteliDiagram):
@@ -126,11 +153,11 @@ class FiniteDescriptor:
     __slots__ = ("_sets",)
 
     def __init__(self, sets):
-        self._sets = tuple(frozenset(int(k) for k in s) for s in sets)
+        self._sets = tuple(frozenset(map(int, s)) for s in sets)
         if not self._sets:
             raise ValueError("a descriptor needs at least one level")
         for n, s in enumerate(self._sets, 1):
-            if any(k < 1 for k in s):
+            if s and min(s) < 1:
                 raise ValueError(f"nonpositive index at level {n}")
 
     @property
@@ -138,6 +165,8 @@ class FiniteDescriptor:
         return len(self._sets)
 
     def sets(self, n: int) -> frozenset:
+        if not 1 <= n <= len(self._sets):
+            raise ValueError(f"level {n} outside 1..{len(self._sets)}")
         return self._sets[n - 1]
 
     @property
@@ -159,51 +188,47 @@ class FiniteDescriptor:
 def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
     if f.depth > d.depth:
         raise WidthMismatchError(f"descriptor depth {f.depth} exceeds diagram depth {d.depth}")
-    for n in range(1, f.depth + 1):
-        for k in f.sets(n):
-            if k > d.width(n):
-                raise WidthMismatchError(f"index {k} exceeds width {d.width(n)} at level {n}")
+    for n, s in enumerate(f.all_sets, 1):
+        width = d.width(n)
+        if s and max(s) > width:
+            k = next(k for k in s if k > width)
+            raise WidthMismatchError(f"index {k} exceeds width {width} at level {n}")
 
 
 def is_ideal(d: BratteliDiagram, f: FiniteDescriptor) -> bool:
-    """Forward closure and saturation at every level below the truncation depth.
+    """Forward closure and saturation at every level below the truncation depth:
+    level n is exactly the pullback of level n+1, the summands all of whose
+    successors lie in it.  One pass over the edges.
 
     The final level only needs to receive edges correctly, so it imposes no
     condition of its own; saturation there would need the next level.
     """
     _check_widths(d, f)
-    for n in range(1, f.depth):
-        for k in range(1, d.width(n) + 1):
-            succ = d.successors(n, k)
-            if k in f.sets(n):
-                if not succ <= f.sets(n + 1):
-                    return False
-            elif succ <= f.sets(n + 1):
-                return False
-    return True
+    sets = f.all_sets
+    return all(sets[n - 1] == d._pullback(n, sets[n]) for n in range(1, f.depth))
 
 
 def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescriptor:
     """Smallest descriptor containing the seed that satisfies both closure laws.
 
-    Alternates forward propagation along edges with backward saturation
-    until a fixpoint; both rules only ever add indices, so this terminates.
+    Two sweeps, following the correspondence between ideals and directed
+    hereditary vertex sets (Bratteli, Trans. AMS 171, 1972).  Forward
+    propagation runs from level 1 down; level n receives nothing after its
+    own step, so each level pushes its final set and the result is forward
+    closed.  Saturation then runs from the bottom level up and adds to
+    level n the pullback of level n+1, which is final by then, so each
+    level ends saturated.  Saturation adds only k whose successors are
+    already present, so forward closure still holds.  Both rules add only
+    indices that every ideal holding the seed contains, so the result is
+    the smallest.
     """
     _check_widths(d, seed)
-    sets = [set(seed.sets(n)) for n in range(1, seed.depth + 1)]
-    changed = True
-    while changed:
-        changed = False
-        for n in range(1, seed.depth):
-            for k in list(sets[n - 1]):
-                for j in d.successors(n, k):
-                    if j not in sets[n]:
-                        sets[n].add(j)
-                        changed = True
-            for k in range(1, d.width(n) + 1):
-                if k not in sets[n - 1] and d.successors(n, k) <= sets[n]:
-                    sets[n - 1].add(k)
-                    changed = True
+    sets = [set(s) for s in seed.all_sets]
+    for n in range(1, seed.depth):
+        here = sets[n - 1]
+        sets[n].update(j for k, j in d._edges[n - 1] if k in here)
+    for n in range(seed.depth - 1, 0, -1):
+        sets[n - 1] |= d._pullback(n, sets[n])
     return FiniteDescriptor(sets)
 
 
@@ -274,7 +299,9 @@ class EventualDescriptor:
 
 
 def _eventual_rule(excluded: BinaryWord, include_tail: bool, p: int) -> frozenset:
-    s = {k for k in range(1, p) if excluded.bit(k) == 0}
+    """Level p from the eventual rule: the indices k < p whose excluded bit
+    is 0, plus the tail index p when the tail flag is set."""
+    s = set(compress(range(1, p), map(operator.not_, excluded.prefix(p - 1))))
     if include_tail:
         s.add(p)
     return frozenset(s)

@@ -196,27 +196,29 @@ def _suite_ideal_metrics(rng: random.Random, scale: int):
 def _suite_correspondence(rng: random.Random, scale: int):
     failures = []
     cases = 0
+    diagram = qi_diagram(32)
     for _ in range(scale):
         s = random_closed_set(rng, nonempty=False)
         e = ideal_of_closed_set(s)
+        finite = to_finite(e, 32)
         cases += 1
         ok = all(
-            (k in level_set(e, p)) == support_disjoint_oracle(s, p, k)
-            for p in range(1, 13)
+            (k in level) == support_disjoint_oracle(s, p, k)
+            for p, level in enumerate(finite.all_sets[:12], 1)
             for k in range(1, p + 1)
         )
         if not ok:
             failures.append(f"support-disjointness oracle disagrees for {s!r}")
         if closed_set_of_ideal(e) != s:
             failures.append(f"round trip fails for {s!r}")
-        if not is_ideal(qi_diagram(32), to_finite(e, 32)):
+        if not is_ideal(diagram, finite):
             failures.append(f"derived descriptor not an ideal for {s!r}")
         h = len(s.word.head) + 2
         head = [s.word.bit(k) | rng.randint(0, 1) for k in range(1, h + 1)]
         period = tuple(s.word.bit(h + 1 + r) for r in range(len(s.word.period)))
         t = ClosedSubsetQI(BinaryWord(head, period), include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
-        if not all(level_set(f, p) <= level_set(e, p) for p in range(1, 33)):
+        if not all(level_set(f, p) <= level for p, level in enumerate(finite.all_sets, 1)):
             failures.append(f"antitone correspondence fails for {s!r} inside {t!r}")
     return cases, failures
 

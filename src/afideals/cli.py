@@ -40,7 +40,7 @@ from .qi import (
     parse_closed_set,
 )
 
-# qi_diagram builds O(depth**2) edges, about 0.9 s at this depth, so larger
+# qi_diagram builds O(depth**2) edges, about 0.7 s at this depth, so larger
 # depths are refused rather than left to run.
 MAX_DEPTH = 1024
 

@@ -10,6 +10,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import compress
 
 
 class EmptyRangeError(ValueError):
@@ -18,7 +19,7 @@ class EmptyRangeError(ValueError):
 
 def pow2(e: int) -> Fraction:
     """2**e as a reduced fraction, for any signed integer e."""
-    return Fraction(2) ** e
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 def geom_block(a: int, b=None) -> Fraction:
@@ -99,6 +100,18 @@ class BinaryWord:
             return 0
         return self._period[(k - len(self._head) - 1) % len(self._period)]
 
+    def prefix(self, n: int) -> tuple:
+        """Bits 1..n: the head, then the period repeated (zeros when empty)."""
+        if n < 0:
+            raise ValueError(f"prefix length must be at least 0, got {n}")
+        head, period = self._head, self._period
+        rest = n - len(head)
+        if rest <= 0:
+            return head[:n]
+        if not period:
+            return head + (0,) * rest
+        return head + (period * -(-rest // len(period)))[:rest]
+
     def is_eventually_zero(self) -> bool:
         return not self._period
 
@@ -125,7 +138,7 @@ class BinaryWord:
 
     def ones(self, upto: int):
         """Positions <= upto carrying a 1."""
-        return [k for k in range(1, upto + 1) if self.bit(k)]
+        return list(compress(range(1, upto + 1), self.prefix(max(upto, 0))))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryWord):

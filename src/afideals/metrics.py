@@ -158,8 +158,18 @@ def d_phi_truncated(i: FiniteDescriptor, j: FiniteDescriptor) -> CertifiedValue:
 
 
 def settles(i: EventualDescriptor, j: EventualDescriptor) -> bool:
-    """Whether D, the XOR of the excluded words, is eventually zero."""
-    return word_xor(i.excluded, j.excluded).is_eventually_zero()
+    """Whether D, the XOR of the excluded words, is eventually zero.
+
+    Canonical words agree eventually iff their primitive periods have equal
+    length and the words agree on one period after the longer head: past
+    that head both repeat with that length, and an eventually periodic word
+    has one primitive period.
+    """
+    u, v = i.excluded, j.excluded
+    if len(u.period) != len(v.period):
+        return False
+    h = max(len(u.head), len(v.head))
+    return u.prefix(h + len(u.period))[h:] == v.prefix(h + len(v.period))[h:]
 
 
 def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:

@@ -13,7 +13,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .bratteli import EventualDescriptor, level_set
+from .bratteli import EventualDescriptor, _eventual_rule, level_set
 from .exact import BinaryWord, first_index, format_word, parse_rational, parse_word, pow2
 
 __all__ = [
@@ -201,12 +201,9 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
 
 def _derived_level(s: ClosedSubsetQI, p: int) -> frozenset:
     """Summands of level p whose spanning function has support disjoint from s."""
-    out = {k for k in range(1, p) if not s.word.bit(k)}
     # An infinite set contains 0, so last_one() is reached only for finite sets.
     tail_meets = s.contains_zero or s.word.last_one() >= p
-    if not tail_meets:
-        out.add(p)
-    return frozenset(out)
+    return _eventual_rule(s.word, not tail_meets, p)
 
 
 def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:

@@ -38,6 +38,42 @@ def brute_closure(d, seed):
             return FiniteDescriptor(sets)
 
 
+def scan_successors(d, n, k):
+    return {j for (kk, j), m in d.edges(n).items() if kk == k and m > 0}
+
+
+def ideal_by_definition(d, f):
+    """Forward closed and saturated at every level below the last, from edges(n) alone."""
+    for n in range(1, f.depth):
+        for k in range(1, d.width(n) + 1):
+            inside = scan_successors(d, n, k) <= f.sets(n + 1)
+            if k in f.sets(n) and not inside:
+                return False
+            if k not in f.sets(n) and inside:
+                return False
+    return True
+
+
+def random_diagram(rng):
+    """Widths up to 5, dimensions up to 3, each edge present with multiplicity
+    0, 1 or 2: orphan summands and summands without successors both occur."""
+    widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+    dims = [[rng.randint(1, 3) for _ in range(w)] for w in widths]
+    edges = [
+        {(k, j): rng.randint(0, 2)
+         for k in range(1, w + 1) for j in range(1, w_next + 1) if rng.random() < 0.4}
+        for w, w_next in zip(widths, widths[1:])
+    ]
+    return BratteliDiagram(dims, edges)
+
+
+def random_levels(rng, d, depth, density):
+    return FiniteDescriptor([
+        frozenset(k for k in range(1, d.width(n) + 1) if rng.random() < density)
+        for n in range(1, depth + 1)
+    ])
+
+
 class TestQiDiagram:
     def test_level_three_shape(self):
         d = qi_diagram(3)
@@ -59,6 +95,34 @@ class TestQiDiagram:
                     for k in range(1, d.width(n) + 1)
                 )
                 assert embedded == d.dims(n + 1)[j - 1]
+
+
+class TestLevelAccessors:
+    @pytest.mark.parametrize("name, args", [
+        ("width", (0,)), ("width", (5,)),
+        ("dims", (0,)), ("dims", (5,)),
+        ("edges", (0,)), ("edges", (4,)),
+        ("multiplicity", (0, 1, 1)), ("multiplicity", (4, 1, 1)),
+        ("successors", (0, 3)), ("successors", (4, 1)),
+        ("successors", (2, 0)), ("successors", (2, 3)),
+    ])
+    def test_diagram_rejects_out_of_range(self, name, args):
+        with pytest.raises(ValueError):
+            getattr(qi_diagram(4), name)(*args)
+
+    def test_diagram_range_ends(self):
+        d = qi_diagram(4)
+        assert d.width(4) == 4 and d.dims(1) == (1,)
+        assert d.edges(3) == {(1, 1): 1, (2, 2): 1, (3, 3): 1, (3, 4): 1}
+        assert d.multiplicity(3, 3, 4) == 1
+        assert d.successors(1, 1) == {1, 2} and d.successors(3, 3) == {3, 4}
+
+    @pytest.mark.parametrize("n", [0, 4, -1])
+    def test_descriptor_sets_rejects_out_of_range(self, n):
+        f = FiniteDescriptor([(1,), (1, 2), ()])
+        assert f.sets(3) == frozenset()
+        with pytest.raises(ValueError):
+            f.sets(n)
 
 
 class TestValidateDiagram:
@@ -141,6 +205,44 @@ class TestIdealClosure:
             assert c_small == brute_closure(d, FiniteDescriptor(small))
 
 
+class TestGeneralDiagrams:
+    def test_random_diagrams_against_definition(self):
+        rng = random.Random(43)
+        orphans = sinks = 0
+        for _ in range(500):
+            d = random_diagram(rng)
+            for n in range(1, d.depth):
+                for k in range(1, d.width(n) + 1):
+                    assert d.successors(n, k) == scan_successors(d, n, k)
+                    sinks += not scan_successors(d, n, k)
+            orphans += any("orphan" in line for line in validate_diagram(d))
+            seed = random_levels(rng, d, rng.randint(1, d.depth), 0.3)
+            closed = ideal_closure(d, seed)
+            assert closed == brute_closure(d, seed)
+            assert is_ideal(d, closed)
+            n = rng.randint(1, closed.depth)
+            toggled = FiniteDescriptor(
+                [s ^ {rng.randint(1, d.width(n))} if p == n else s
+                 for p, s in enumerate(closed.all_sets, 1)]
+            )
+            for f in (seed, closed, toggled, random_levels(rng, d, d.depth, 0.6)):
+                assert is_ideal(d, f) == ideal_by_definition(d, f)
+        assert orphans > 50 and sinks > 50
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_qi_diagrams_against_definition(self, n):
+        rng = random.Random(n)
+        d = qi_diagram(n)
+        for p in range(1, n):
+            for k in range(1, p + 1):
+                assert d.successors(p, k) == scan_successors(d, p, k)
+        seed = random_levels(rng, d, n, 2 / n)
+        closed = ideal_closure(d, seed)
+        assert closed == brute_closure(d, seed)
+        for f in (seed, closed, random_levels(rng, d, n, 0.5)):
+            assert is_ideal(d, f) == ideal_by_definition(d, f)
+
+
 class TestLevelSet:
     def test_paper_singleton_pattern(self):
         for m in (1, 3, 5):
@@ -192,6 +294,7 @@ def test_eventual_descriptor_prefix_ideal_extends():
     from afideals.checks import random_word
 
     found = 0
+    d = qi_diagram(64)
     for _ in range(400):
         p0 = rng.randint(1, 4)
         word = random_word(rng)
@@ -200,7 +303,6 @@ def test_eventual_descriptor_prefix_ideal_extends():
                 for p in range(1, p0)]
         e = EventualDescriptor(p0, head, word, tail)
         check_depth = e.p0 + 2 * max(1, len(e.excluded.period)) + 4
-        d = qi_diagram(64)
         if is_ideal(d, to_finite(e, check_depth)):
             found += 1
             assert is_ideal(d, to_finite(e, 64))

@@ -25,6 +25,8 @@ def test_pow2_examples():
     assert pow2(-3) == Fraction(1, 8)
     assert pow2(0) == 1
     assert pow2(4) == 16
+    for e in range(-300, 301):
+        assert pow2(e) == Fraction(2) ** e
 
 
 def test_geom_block_examples():
@@ -80,6 +82,18 @@ class TestBinaryWord:
             )
             if w == padded:
                 assert hash(w) == hash(padded)
+
+    def test_prefix_and_ones_match_bit_scan(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            head = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
+            period = [rng.randint(0, 1) for _ in range(rng.randint(0, 5))]
+            w = BinaryWord(head, period)
+            for n in range(len(w.head) + 3 * max(1, len(w.period)) + 1):
+                assert w.prefix(n) == tuple(w.bit(k) for k in range(1, n + 1))
+                assert w.ones(n) == [k for k in range(1, n + 1) if w.bit(k)]
+        with pytest.raises(ValueError):
+            w.prefix(-1)
 
     def test_bit_rejects_nonpositive_positions(self):
         with pytest.raises(ValueError):

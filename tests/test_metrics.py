@@ -5,7 +5,7 @@ import pytest
 
 from afideals.bratteli import EventualDescriptor, level_set, to_finite
 from afideals.checks import random_ideal, random_word
-from afideals.exact import BinaryWord, pow2
+from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
     CertifiedValue,
     ComparisonReport,
@@ -28,6 +28,7 @@ from afideals.metrics import (
 )
 from afideals.qi import (
     ClosedSubsetQI,
+    _derived_level,
     ideal_of_closed_set,
     paper_table_descriptor,
     parse_closed_set,
@@ -323,3 +324,40 @@ def test_beta_at_most_twice_phi():
         assert d_beta(i, j) <= 2 * d_phi(i, j)
         assert d_beta(i, j) <= Fraction(2, 3)
         assert d_phi(i, j) <= Fraction(1, 2)
+
+
+def test_level_sets_match_set_builder():
+    rng = random.Random(37)
+    for _ in range(200):
+        e = random_eventual(rng)
+        s = ClosedSubsetQI(e.excluded, include_zero=rng.random() < 0.5)
+        for p in range(1, e.p0 + 12):
+            rule = {k for k in range(1, p) if e.excluded.bit(k) == 0}
+            expected = e.head[p - 1] if p < e.p0 else frozenset(rule | ({p} if e.include_tail else set()))
+            assert level_set(e, p) == expected
+            tail_meets = s.contains_zero or s.word.last_one() >= p
+            assert _derived_level(s, p) == frozenset(rule | (set() if tail_meets else {p}))
+
+
+def test_settles_matches_xor_word():
+    rng = random.Random(41)
+    words = []
+    for p, q in ((3, 2), (6, 6), (31, 29), (61, 61), (127, 113), (113, 113)):
+        u = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 9))],
+                       [rng.randint(0, 1) for _ in range(p)])
+        v = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 9))],
+                       [rng.randint(0, 1) for _ in range(q)])
+        # a word with u's tail from past u's head on, after a different head
+        h = len(u.head) + rng.randint(0, 4)
+        tail = BinaryWord([rng.randint(0, 1) for _ in range(h)],
+                          [u.bit(k) for k in range(h + 1, h + 1 + len(u.period))])
+        words += [(u, v), (u, tail), (tail, u)]
+    pairs = [(i.excluded, j.excluded) for i, j in eventual_pairs(41, 300)] + words
+    seen = set()
+    for u, v in pairs:
+        i = EventualDescriptor(1, [], u, False)
+        j = EventualDescriptor(1, [], v, True)
+        expected = word_xor(u, v).is_eventually_zero()
+        assert settles(i, j) == settles(j, i) == expected
+        seen.add(expected)
+    assert seen == {True, False}
