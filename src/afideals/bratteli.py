@@ -13,7 +13,7 @@ import operator
 import re
 from itertools import compress
 
-from .exact import BinaryWord, format_word, parse_word
+from .exact import BinaryWord, first_diff_index, format_word, parse_word
 
 
 class WidthMismatchError(ValueError):
@@ -160,6 +160,15 @@ class FiniteDescriptor:
             if s and min(s) < 1:
                 raise ValueError(f"nonpositive index at level {n}")
 
+    @classmethod
+    def _trusted(cls, sets) -> "FiniteDescriptor":
+        """Levels that are already frozensets of positive ints, kept as they are."""
+        f = cls.__new__(cls)
+        f._sets = tuple(sets)
+        if not f._sets:
+            raise ValueError("a descriptor needs at least one level")
+        return f
+
     @property
     def depth(self) -> int:
         return len(self._sets)
@@ -235,14 +244,20 @@ def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescripto
 class EventualDescriptor:
     """Finitely presented ideal over the quantized-interval diagram shape.
 
-    Levels below p0 are listed explicitly; from level p0 on, level p holds
-    the indices k <= p-1 whose excluded bit is 0, plus the tail index p
-    itself when the tail flag is set.  Construction trims explicit levels
-    that already follow the eventual rule, so structural equality is
-    semantic (level-wise) equality.
+    Two words carry the levels: level p holds the indices k < p whose
+    excluded bit E_k is 0, plus the tail index p itself when the tail bit
+    T_p is 1, where T is eventually constant.  A level that fits neither
+    value of T_p is kept explicitly; only head levels handed to the
+    constructor can be such.  E, T and the explicit levels are all read off
+    the level sets (T_p says whether p lies in level p), so structural
+    equality is semantic (level-wise) equality.
+
+    The constructor takes the file format's presentation: levels below p0
+    listed explicitly, then the rule with one tail flag; `from_words`
+    builds a descriptor from the two words alone.
     """
 
-    __slots__ = ("_p0", "_head", "_excluded", "_tail")
+    __slots__ = ("_excluded", "_tail", "_explicit", "_last_explicit")
 
     def __init__(self, p0: int, head, excluded: BinaryWord, include_tail: bool):
         head = tuple(frozenset(int(k) for k in s) for s in head)
@@ -253,54 +268,78 @@ class EventualDescriptor:
         for p, s in enumerate(head, 1):
             if any(not 1 <= k <= p for k in s):
                 raise ValueError(f"index out of range at explicit level {p}")
-        tail = bool(include_tail)
-        while p0 > 1 and head[-1] == _eventual_rule(excluded, tail, p0 - 1):
-            head = head[:-1]
-            p0 -= 1
-        self._p0 = p0
-        self._head = head
+        explicit = {p: s for p, s in enumerate(head, 1)
+                    if s - {p} != _eventual_rule(excluded, False, p)}
+        tail = BinaryWord([int(p in s) for p, s in enumerate(head, 1)],
+                          (1,) if include_tail else ())
+        self._set(excluded, tail, explicit)
+
+    @classmethod
+    def from_words(cls, excluded: BinaryWord, tail: BinaryWord) -> "EventualDescriptor":
+        """The descriptor whose every level follows the excluded and tail words."""
+        if tail.period not in ((), (1,)):
+            raise ValueError("the tail word must be eventually constant")
+        e = cls.__new__(cls)
+        e._set(excluded, tail, {})
+        return e
+
+    def _set(self, excluded, tail, explicit):
         self._excluded = excluded
         self._tail = tail
-
-    @property
-    def p0(self) -> int:
-        return self._p0
-
-    @property
-    def head(self) -> tuple:
-        return self._head
+        self._explicit = explicit
+        self._last_explicit = max(explicit, default=0)
 
     @property
     def excluded(self) -> BinaryWord:
         return self._excluded
 
     @property
-    def include_tail(self) -> bool:
+    def tail(self) -> BinaryWord:
         return self._tail
+
+    @property
+    def last_explicit(self) -> int:
+        """Highest level kept explicitly, 0 when every level follows the words."""
+        return self._last_explicit
+
+    @property
+    def include_tail(self) -> bool:
+        """The eventual value of the tail word."""
+        return bool(self._tail.period)
+
+    @property
+    def p0(self) -> int:
+        """First level from which every level follows the rule with the
+        eventual tail flag: past the tail word's head and the explicit levels."""
+        return max(self._last_explicit, len(self._tail.head)) + 1
+
+    @property
+    def head(self) -> tuple:
+        """The level sets below p0, as the file format lists them."""
+        return tuple(level_set(self, p) for p in range(1, self.p0))
 
     def __eq__(self, other):
         if not isinstance(other, EventualDescriptor):
             return NotImplemented
         return (
-            self._p0 == other._p0
-            and self._head == other._head
-            and self._excluded == other._excluded
+            self._excluded == other._excluded
             and self._tail == other._tail
+            and self._explicit == other._explicit
         )
 
     def __hash__(self):
-        return hash((self._p0, self._head, self._excluded, self._tail))
+        return hash((self._excluded, self._tail, frozenset(self._explicit.items())))
 
     def __repr__(self):
         return (
-            f"EventualDescriptor(p0={self._p0}, head={[sorted(s) for s in self._head]!r}, "
-            f"excluded={self._excluded!r}, include_tail={self._tail})"
+            f"EventualDescriptor(p0={self.p0}, head={[sorted(s) for s in self.head]!r}, "
+            f"excluded={self._excluded!r}, include_tail={self.include_tail})"
         )
 
 
 def _eventual_rule(excluded: BinaryWord, include_tail: bool, p: int) -> frozenset:
-    """Level p from the eventual rule: the indices k < p whose excluded bit
-    is 0, plus the tail index p when the tail flag is set."""
+    """Level p from the rule: the indices k < p whose excluded bit is 0,
+    plus the tail index p when the tail bit is set."""
     s = set(compress(range(1, p), map(operator.not_, excluded.prefix(p - 1))))
     if include_tail:
         s.add(p)
@@ -311,13 +350,34 @@ def level_set(e: EventualDescriptor, p: int) -> frozenset:
     """Index set at level p (width p on the quantized-interval diagram)."""
     if p < 1:
         raise ValueError("levels start at 1")
-    if p < e.p0:
-        return e.head[p - 1]
-    return _eventual_rule(e.excluded, e.include_tail, p)
+    s = e._explicit.get(p)
+    if s is None:
+        s = _eventual_rule(e.excluded, e.tail.bit(p), p)
+    return s
+
+
+def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
+    """Least level where the two descriptors differ, or None when equal.
+
+    Levels up to the last explicit level M of either are compared directly.
+    Past M, level p differs in the tail index p where the tail words differ,
+    and in every k < p where the excluded words differ.  The tail words
+    agree up to M when those levels do, since T_p says whether p is in
+    level p.
+    """
+    top = max(i.last_explicit, j.last_explicit)
+    for p in range(1, top + 1):
+        if level_set(i, p) != level_set(j, p):
+            return p
+    t = first_diff_index(i.tail, j.tail)
+    k = first_diff_index(i.excluded, j.excluded)
+    if k is not None:
+        k = max(top, k) + 1
+    return min((p for p in (t, k) if p is not None), default=None)
 
 
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
-    return FiniteDescriptor([level_set(e, p) for p in range(1, depth + 1)])
+    return FiniteDescriptor._trusted([level_set(e, p) for p in range(1, depth + 1)])
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

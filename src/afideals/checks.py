@@ -61,22 +61,28 @@ def random_ideal(rng: random.Random) -> EventualDescriptor:
     return ideal_of_closed_set(random_finite_or_zero_set(rng))
 
 
-def support_disjoint_oracle(s: ClosedSubsetQI, p: int, k: int) -> bool:
+def member_values(s: ClosedSubsetQI, upto: int) -> list:
+    """Values of the points of s with index <= upto, plus 0 when s holds it."""
+    members = [pow2(1 - i) for i in s.word.ones(upto)]
+    if s.contains_zero:
+        members.append(Fraction(0))
+    return members
+
+
+def support_disjoint_oracle(s: ClosedSubsetQI, members: list, p: int, k: int) -> bool:
     """Brute force: is the support of summand k at level p disjoint from s?
 
     Works with explicit point values rather than word bits: summand k < p
     spans the characteristic function of {2**(1-k)}, summand p spans that
-    of the tail interval [0, 2**(1-p)].
+    of the tail interval [0, 2**(1-p)].  `members` are s's point values
+    from `member_values`, listed past index p and past the head of s.
     """
-    probe = len(s.word.head) + 2 * max(1, len(s.word.period)) + p + 2
-    members = [pow2(1 - i) for i in s.word.ones(probe)]
-    if s.contains_zero:
-        members.append(Fraction(0))
     if k < p:
         return pow2(1 - k) not in members
     if s.contains_zero or not s.word.is_eventually_zero():
         return False
-    return all(x > pow2(1 - p) for x in members)
+    bound = pow2(1 - p)
+    return all(x > bound for x in members)
 
 
 def _suite_exact(rng: random.Random, scale: int):
@@ -202,8 +208,10 @@ def _suite_correspondence(rng: random.Random, scale: int):
         e = ideal_of_closed_set(s)
         finite = to_finite(e, 32)
         cases += 1
+        # Listed as far as the deepest probe of a per-level listing, at level 12.
+        members = member_values(s, len(s.word.head) + 2 * max(1, len(s.word.period)) + 14)
         ok = all(
-            (k in level) == support_disjoint_oracle(s, p, k)
+            (k in level) == support_disjoint_oracle(s, members, p, k)
             for p, level in enumerate(finite.all_sets[:12], 1)
             for k in range(1, p + 1)
         )

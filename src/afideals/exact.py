@@ -37,13 +37,6 @@ def geom_block(a: int, b=None) -> Fraction:
     return pow2(1 - a) - pow2(-b)
 
 
-def quarter_tail(a: int) -> Fraction:
-    """Sum of 4**-p for p >= a: the closed form 4**(1-a)/3."""
-    if a < 1:
-        raise ValueError(f"tail must start at a positive index, got a={a}")
-    return Fraction(4) ** (1 - a) / 3
-
-
 def _primitive(period: tuple) -> tuple:
     n = len(period)
     for d in range(1, n):
@@ -64,9 +57,9 @@ class BinaryWord:
     __slots__ = ("_head", "_period")
 
     def __init__(self, head=(), period=()):
-        head = tuple(int(b) for b in head)
-        period = tuple(int(b) for b in period)
-        if any(b not in (0, 1) for b in head + period):
+        head = tuple(map(int, head))
+        period = tuple(map(int, period))
+        if not {*head, *period} <= {0, 1}:
             raise ValueError("bits must be 0 or 1")
         if not any(period):
             period = ()
@@ -76,9 +69,10 @@ class BinaryWord:
             while head and head[-1] == period[-1]:
                 head = head[:-1]
                 period = period[-1:] + period[:-1]
+        elif 1 in head:
+            head = head[:len(head) - head[::-1].index(1)]
         else:
-            while head and head[-1] == 0:
-                head = head[:-1]
+            head = ()
         self._head = head
         self._period = period
 
@@ -120,13 +114,8 @@ class BinaryWord:
 
         Returns 0 for the all-zero word and None when ones recur forever.
         """
-        if self._period:
-            return None
-        last = 0
-        for i, b in enumerate(self._head, 1):
-            if b:
-                last = i
-        return last
+        # A canonical eventually-zero word's head ends with its last 1.
+        return None if self._period else len(self._head)
 
     def next_one(self, i: int):
         """Least position > i carrying a 1, or None; past the head the word
@@ -160,9 +149,8 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
         length = 0
     else:
         length = math.lcm(lu or 1, lv or 1)
-    head = [u.bit(k) ^ v.bit(k) for k in range(1, h + 1)]
-    period = [u.bit(k) ^ v.bit(k) for k in range(h + 1, h + length + 1)]
-    return BinaryWord(head, period)
+    bits = tuple(map(operator.xor, u.prefix(h + length), v.prefix(h + length)))
+    return BinaryWord(bits[:h], bits[h:])
 
 
 def first_index(u: BinaryWord, v: BinaryWord, pred):
@@ -187,14 +175,16 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     if from_index < 1:
         raise ValueError(f"positions start at 1, got {from_index}")
     h, length = len(w.head), len(w.period)
-    head = "".join(map(str, w.head[from_index - 1:]))
-    total = Fraction(int(head or "0", base), base**h)
-    if length:
-        start = max(from_index, h + 1)
-        shift = (start - h - 1) % length
-        block = "".join(map(str, w.period[shift:] + w.period[:shift]))
-        total += Fraction(int(block, base), base ** (start - 1) * (base**length - 1))
-    return total
+    head = int("".join(map(str, w.head[from_index - 1:])) or "0", base)
+    if not length:
+        return Fraction(head, base**h)
+    # The head over base**h plus the block of one period over
+    # base**(start-1) * (base**length - 1), as one fraction.
+    start = max(from_index, h + 1)
+    shift = (start - h - 1) % length
+    block = int("".join(map(str, w.period[shift:] + w.period[:shift])), base)
+    repunit = base**length - 1
+    return Fraction(head * base ** (start - 1 - h) * repunit + block, base ** (start - 1) * repunit)
 
 
 def format_rational(x: Fraction) -> str:

@@ -9,17 +9,11 @@ rationals, with certified intervals for truncated evaluation.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
-from .bratteli import EventualDescriptor, FiniteDescriptor, level_set
-from .exact import (
-    first_diff_index,
-    format_rational,
-    pow2,
-    quarter_tail,
-    word_weight,
-    word_xor,
-)
+from .bratteli import EventualDescriptor, FiniteDescriptor, first_disagreement, level_set
+from .exact import format_rational, pow2, word_weight, word_xor
 from .qi import (
     ClosedSubsetQI,
     closed_set_of_ideal,
@@ -113,30 +107,11 @@ def _level_of(desc, p: int) -> frozenset:
     return desc.sets(p)
 
 
-def _level_sum(i, j, n: int) -> Fraction:
-    """Sum of 2**-(p+k) over levels p <= n and k in the level-p difference, as
-    one integer numerator over 2**(2n); level p of the diagram has width p."""
-    return Fraction(
-        sum(1 << (2 * n - p - k)
-            for p in range(1, n + 1) for k in _level_of(i, p) ^ _level_of(j, p)),
-        1 << 2 * n,
-    )
-
-
-def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
-    """Least level where the two descriptors differ, or None when equal.
-
-    From level P = max(p0) on, level p differs in the tail index p when the
-    tail flags differ, and in every k < p where the excluded words differ.
-    """
-    top = max(i.p0, j.p0)
-    for p in range(1, top):
-        if level_set(i, p) != level_set(j, p):
-            return p
-    if i.include_tail != j.include_tail:
-        return top
-    kstar = first_diff_index(i.excluded, j.excluded)
-    return None if kstar is None else max(top, kstar + 1)
+def _level_sum(i, j, n: int) -> int:
+    """The numerator over 2**(2n) of the sum of 2**-(p+k) over levels p <= n
+    and k in the level-p difference; level p of the diagram has width p."""
+    return sum(1 << (2 * n - p - k)
+               for p in range(1, n + 1) for k in _level_of(i, p) ^ _level_of(j, p))
 
 
 def d_phi(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
@@ -172,24 +147,47 @@ def settles(i: EventualDescriptor, j: EventualDescriptor) -> bool:
     return u.prefix(h + len(u.period))[h:] == v.prefix(h + len(v.period))[h:]
 
 
+def _digits(bits) -> str:
+    return "".join(map(str, bits)) or "0"
+
+
 def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     """Sum over levels p and disagreeing indices k of 2**-(p+k), exactly.
 
-    Levels below P = max(p0) are summed directly.  From P on, level p
-    differs in each k < p where D, the XOR of the excluded words, has a 1,
-    and in p itself when the tail flags differ.  Summing over p first, a
-    D-bit at k < P weighs 2**(1-P) * 2**-k and one at k >= P weighs 4**-k.
+    Levels up to the last explicit level M of either are summed directly.
+    Past M, level p differs in each k < p where D, the XOR of the excluded
+    words, has a 1, and in p itself where the tail words differ.  Summing
+    over p first, a D-bit at k <= M weighs 2**-M * 2**-k, one at k > M
+    weighs 4**-k, and a tail difference at p > M weighs 4**-p.
     """
-    top = max(i.p0, j.p0)
+    top = max(i.last_explicit, j.last_explicit)
     diff = word_xor(i.excluded, j.excluded)
-    total = (
-        _level_sum(i, j, top - 1)
-        + pow2(1 - top) * (word_weight(diff) - word_weight(diff, top))
-        + word_weight(diff, top, 4)
-    )
-    if i.include_tail != j.include_tail:
-        total += quarter_tail(top)
+    total = word_weight(diff, top + 1, 4) + word_weight(word_xor(i.tail, j.tail), top + 1, 4)
+    if top:
+        head = _level_sum(i, j, top) + int(_digits(diff.prefix(top)), 2)
+        total += Fraction(head, 1 << 2 * top)
     return total
+
+
+def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> Fraction:
+    """The partial sum S_n from the first n bits of the two XOR words.
+
+    Levels up to M = min(last explicit level, n) go through _level_sum.
+    Levels M < p <= n weigh a D-bit at k < n by 2**-k (2**-max(M,k) - 2**-n)
+    and a tail difference at p by 4**-p; the sum is one integer numerator
+    over 2**(2n).
+    """
+    top = min(max(i.last_explicit, j.last_explicit), n)
+    diff = _digits(map(operator.xor, i.excluded.prefix(n - 1), j.excluded.prefix(n - 1)))
+    tails = _digits(map(operator.xor, i.tail.prefix(n)[top:], j.tail.prefix(n)[top:]))
+    low = diff[top:] or "0"
+    numerator = (
+        (_level_sum(i, j, top) << 2 * (n - top))
+        + int(diff[:top] or "0", 2) * ((1 << 2 * (n - top)) - (1 << (n - top)))
+        + 4 * int(low, 4) - 2 * int(low, 2)
+        + int(tails, 4)
+    )
+    return Fraction(numerator, 1 << 2 * n)
 
 
 def d_beta_truncated(i, j, depth: int) -> CertifiedValue:
@@ -199,7 +197,10 @@ def d_beta_truncated(i, j, depth: int) -> CertifiedValue:
     for desc in (i, j):
         if isinstance(desc, FiniteDescriptor) and desc.depth < depth:
             raise DepthMismatchError(f"descriptor depth {desc.depth} below {depth}")
-    partial = _level_sum(i, j, depth)
+    if isinstance(i, EventualDescriptor) and isinstance(j, EventualDescriptor):
+        partial = _word_sum(i, j, depth)
+    else:
+        partial = Fraction(_level_sum(i, j, depth), 1 << 2 * depth)
     return CertifiedValue.interval(partial, partial + pow2(-depth))
 
 

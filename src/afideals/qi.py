@@ -13,7 +13,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .bratteli import EventualDescriptor, _eventual_rule, level_set
+from .bratteli import EventualDescriptor, first_disagreement, level_set
 from .exact import BinaryWord, first_index, format_word, parse_rational, parse_word, pow2
 
 __all__ = [
@@ -199,28 +199,20 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
     return max(directed(s, t), directed(t, s))
 
 
-def _derived_level(s: ClosedSubsetQI, p: int) -> frozenset:
-    """Summands of level p whose spanning function has support disjoint from s."""
-    # An infinite set contains 0, so last_one() is reached only for finite sets.
-    tail_meets = s.contains_zero or s.word.last_one() >= p
-    return _eventual_rule(s.word, not tail_meets, p)
-
-
 def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:
     """Descriptor of the ideal of functions vanishing on s.
 
     Summand k < p corresponds to the isolated point x_k and belongs to the
-    ideal iff x_k is outside s; the tail summand p belongs iff s misses
-    [0, 2**(1-p)] entirely.
+    ideal iff x_k is outside s, so the excluded word is s's own word.  The
+    tail summand p belongs iff s misses [0, 2**(1-p)] entirely: s is finite
+    and its last point comes before x_p.  So the tail word is 0 up to the
+    last point of a finite set and 1 after it, and 0 throughout otherwise.
     """
     if s.is_finite:
-        p0 = s.word.last_one() + 2
-        tail = True
+        tail = BinaryWord((0,) * s.word.last_one(), (1,))
     else:
-        p0 = 1
-        tail = False
-    head = [_derived_level(s, p) for p in range(1, p0)]
-    return EventualDescriptor(p0, head, s.word, tail)
+        tail = BinaryWord()
+    return EventualDescriptor.from_words(s.word, tail)
 
 
 def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
@@ -234,13 +226,12 @@ def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
     else:
         s = ClosedSubsetQI(e.excluded, include_zero=True)
     check = ideal_of_closed_set(s)
-    depth = max(e.p0, check.p0) + 1
-    for p in range(1, depth + 1):
-        if level_set(e, p) != level_set(check, p):
-            raise DescriptorConventionError(
-                f"level {p} is {sorted(level_set(e, p))}, support rule gives "
-                f"{sorted(level_set(check, p))}"
-            )
+    if e != check:
+        p = first_disagreement(e, check)
+        raise DescriptorConventionError(
+            f"level {p} is {sorted(level_set(e, p))}, support rule gives "
+            f"{sorted(level_set(check, p))}"
+        )
     return s
 
 
@@ -250,45 +241,27 @@ def paper_table_descriptor(selector) -> EventualDescriptor:
     `selector` is either an integer m (the singleton {2**-m}) or a pair
     (n, k) (the two-point set {2**-n, 2**-(n+k)}).  These patterns differ
     from the support-disjointness convention at levels up to m (resp. n):
-    there the table keeps the tail summand inside the ideal.
+    there the table keeps the tail summand inside the ideal.  The excluded
+    word marks the set's points x_(m+1) (resp. x_(n+1), x_(n+k+1)), and the
+    table's tail summand is missing just at those levels: the tail word is
+    1^m 0 1 1 ... (resp. 1^n 0 1^(k-1) 0 1 1 ...).
     """
     if isinstance(selector, int):
         m = selector
         if m < 1:
             raise ValueError("m must be positive")
-
-        def lvl(p):
-            if p <= m:
-                return range(1, p + 1)
-            if p == m + 1:
-                return range(1, m + 1)
-            return [*range(1, m + 1), *range(m + 2, p + 1)]
-
         excluded = BinaryWord([0] * m + [1])
-        p0 = m + 2
+        tail = BinaryWord([1] * m + [0], [1])
     else:
         n, k = selector
         if n < 1 or k < 1:
             raise ValueError("n and k must be positive")
-
-        def lvl(p):
-            if p <= n:
-                return range(1, p + 1)
-            if p == n + 1:
-                return range(1, n + 1)
-            if p <= n + k:
-                return [*range(1, n + 1), *range(n + 2, p + 1)]
-            if p == n + k + 1:
-                return [*range(1, n + 1), *range(n + 2, p)]
-            return [*range(1, n + 1), *range(n + 2, n + k + 1), *range(n + k + 2, p + 1)]
-
         bits = [0] * (n + k + 1)
         bits[n] = 1
         bits[n + k] = 1
         excluded = BinaryWord(bits)
-        p0 = n + k + 2
-    head = [frozenset(lvl(p)) for p in range(1, p0)]
-    return EventualDescriptor(p0, head, excluded, True)
+        tail = BinaryWord([1] * n + [0] + [1] * (k - 1) + [0], [1])
+    return EventualDescriptor.from_words(excluded, tail)
 
 
 def parse_closed_set(text: str) -> ClosedSubsetQI:

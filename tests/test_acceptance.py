@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from afideals.bratteli import level_set
 from afideals.checks import random_closed_set, random_ideal
-from afideals.exact import geom_block, pow2, quarter_tail
+from afideals.exact import BinaryWord, geom_block, pow2, word_weight
 from afideals.metrics import d_beta, d_beta_truncated, d_phi
 from afideals.qi import (
     ClosedSubsetQI,
@@ -162,7 +162,7 @@ class TestCriterion4GlobalBound:
             for _ in range(1000)
         )
         # sum over n >= 1, k = 1..n of 2**-(n+k), assembled exactly
-        series = geom_block(1) - quarter_tail(1)
+        series = geom_block(1) - word_weight(BinaryWord((), (1,)), 1, 4)
         ok = ok and series == Fraction(2, 3)
         report(4, "d_beta <= 2/3 and double series equals 2/3 exactly", ok)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,19 @@ class TestDistance:
         code, out, err = run(capsys, "distance", "--metric", "beta", a, b)
         assert (code, err) == (0, "")
         assert out.startswith("beta: [") and out.rstrip().endswith("]")
+
+    def test_long_head_literal_memory(self, capsys):
+        # Level sets built level by level once took O(head**2) memory here.
+        literal = "head=" + "0" * 1999 + "1;period="
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "distance", literal, "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert [line.split(":")[0] for line in out.splitlines()] == ["hausdorff", "phi", "beta"]
+        assert peak < 8_000_000
 
     def test_hausdorff_of_empty_set_is_domain_error(self, capsys):
         code, out, err = run(capsys, "distance", "--metric", "hausdorff", "", "1")

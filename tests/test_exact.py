@@ -15,7 +15,6 @@ from afideals.exact import (
     parse_rational,
     parse_word,
     pow2,
-    quarter_tail,
     word_weight,
     word_xor,
 )
@@ -46,17 +45,20 @@ def test_geom_block_against_loop_sum():
 
 def test_double_dyadic_series_is_two_thirds():
     # sum over n >= 1 of 2**-n * (sum of 2**-k for k = 1..n)
-    assert geom_block(1) - quarter_tail(1) == Fraction(2, 3)
+    assert geom_block(1) - word_weight(BinaryWord((), (1,)), 1, 4) == Fraction(2, 3)
     # truncated double-loop oracle
     depth = 64
     partial = sum(pow2(-(n + k)) for n in range(1, depth + 1) for k in range(1, n + 1))
     assert abs(partial - Fraction(2, 3)) < pow2(-60)
 
 
-def test_quarter_tail_matches_truncation():
+def test_quarter_weight_matches_truncation():
+    # the sum of 4**-p for p >= a, as the base-4 weight of the all-ones word
+    ones = BinaryWord((), (1,))
     for a in range(1, 6):
         partial = sum(Fraction(4) ** (-p) for p in range(a, a + 64))
-        assert abs(quarter_tail(a) - partial) < pow2(-120)
+        assert word_weight(ones, a, 4) == Fraction(4) ** (1 - a) / 3
+        assert abs(word_weight(ones, a, 4) - partial) < pow2(-120)
 
 
 class TestBinaryWord:

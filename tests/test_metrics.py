@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from afideals.metrics import (
 )
 from afideals.qi import (
     ClosedSubsetQI,
-    _derived_level,
     ideal_of_closed_set,
     paper_table_descriptor,
     parse_closed_set,
@@ -331,12 +331,13 @@ def test_level_sets_match_set_builder():
     for _ in range(200):
         e = random_eventual(rng)
         s = ClosedSubsetQI(e.excluded, include_zero=rng.random() < 0.5)
+        derived = ideal_of_closed_set(s)
         for p in range(1, e.p0 + 12):
             rule = {k for k in range(1, p) if e.excluded.bit(k) == 0}
             expected = e.head[p - 1] if p < e.p0 else frozenset(rule | ({p} if e.include_tail else set()))
             assert level_set(e, p) == expected
             tail_meets = s.contains_zero or s.word.last_one() >= p
-            assert _derived_level(s, p) == frozenset(rule | (set() if tail_meets else {p}))
+            assert level_set(derived, p) == frozenset(rule | (set() if tail_meets else {p}))
 
 
 def test_settles_matches_xor_word():
@@ -361,3 +362,72 @@ def test_settles_matches_xor_word():
         assert settles(i, j) == settles(j, i) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+def small_closed_sets() -> list:
+    """Every nonempty closed set whose word has a head of at most 4 bits and
+    a period of at most 3."""
+    words = {BinaryWord(head, period)
+             for h in range(5) for head in product((0, 1), repeat=h)
+             for q in range(4) for period in product((0, 1), repeat=q)}
+    sets = {ClosedSubsetQI(w, zero) for w in words for zero in (False, True)}
+    return sorted((s for s in sets if not s.is_empty()), key=repr)
+
+
+def level_masks(e: EventualDescriptor, depth: int) -> list:
+    """Levels 1..depth of e, each as the integer sum of 2**(depth-k) over its indices k."""
+    return [sum(1 << (depth - k) for k in level_set(e, p)) for p in range(1, depth + 1)]
+
+
+def check_against_levels(i, j, mi, mj, depth, truncations):
+    """d_beta inside the depth-N brackets of the level-set double sum,
+    first_disagreement equal to a level scan, and d_beta_truncated equal to
+    the double sum at each depth in `truncations`.  The scan must reach
+    every disagreement: `depth` lies past the last one either pair can have.
+    Values are compared as integer numerators over 2**(2n)."""
+    sums, total = [], 0
+    for p, (a, b) in enumerate(zip(mi, mj), 1):
+        total += (a ^ b) << (depth - p)  # the level-p summands, over 2**(2*depth)
+        sums.append(total)
+    value = d_beta(i, j)
+
+    def bracketed(x: Fraction, n: int) -> bool:
+        lo = sums[n - 1] >> 2 * (depth - n)
+        return lo * x.denominator <= x.numerator << 2 * n <= (lo + (1 << n)) * x.denominator
+
+    def equals(x: Fraction, n: int, offset: int) -> bool:
+        lo = sums[n - 1] >> 2 * (depth - n)
+        return x.numerator << 2 * n == (lo + offset) * x.denominator
+
+    assert bracketed(value, depth)
+    scan = next((p for p, (a, b) in enumerate(zip(mi, mj), 1) if a != b), None)
+    assert first_disagreement(i, j) == scan
+    for n in truncations:
+        iv = d_beta_truncated(i, j, n)
+        assert equals(iv.lo, n, 0) and equals(iv.hi, n, 1 << n) and bracketed(value, n)
+
+
+def test_exhaustive_small_sets_against_level_sets():
+    # Excluded words with heads <= 4 and joint periods <= 6 differ first by
+    # position 10, and tail words (0 up to a last point <= 4, then 1) by 5,
+    # so every disagreement shows by level 11.
+    sets = small_closed_sets()
+    assert len(sets) == 175
+    ideals = [ideal_of_closed_set(s) for s in sets]
+    masks = [level_masks(e, 16) for e in ideals]
+    n = 0
+    for i, mi in zip(ideals, masks):
+        for j, mj in zip(ideals, masks):
+            check_against_levels(i, j, mi, mj, 16, (1 + n % 16,))
+            n += 1
+    assert n == 30625
+
+
+def test_explicit_levels_against_level_sets():
+    # Explicit heads reach level 10 and excluded words have heads <= 6 and
+    # joint periods <= 30, so every disagreement shows by level 41.
+    pairs = eventual_pairs(43, 240)
+    assert sum(bool(i.last_explicit) for i, _ in pairs) > 40
+    for n, (i, j) in enumerate(pairs):
+        mi, mj = level_masks(i, 80), level_masks(j, 80)
+        check_against_levels(i, j, mi, mj, 80, (1 + n % 16, 17 + n % 24, 80))
