@@ -424,8 +424,9 @@ def test_exhaustive_small_sets_against_level_sets():
 
 
 def test_explicit_levels_against_level_sets():
-    # Explicit heads reach level 10 and excluded words have heads <= 6 and
-    # joint periods <= 30, so every disagreement shows by level 41.
+    # Explicit levels and tail-word heads end by level 10, and excluded words
+    # have heads <= 10 and joint periods <= 30, so every disagreement shows
+    # by level 41.
     pairs = eventual_pairs(43, 240)
     assert sum(bool(i.last_explicit) for i, _ in pairs) > 40
     for n, (i, j) in enumerate(pairs):
