@@ -19,7 +19,6 @@ from .bratteli import (
 from .exact import (
     BinaryWord,
     EmptyRangeError,
-    format_rational,
     format_word,
     geom_block,
     parse_rational,
@@ -30,19 +29,13 @@ from .exact import (
 )
 from .metrics import (
     CertifiedValue,
-    ComparisonReport,
-    DepthMismatchError,
-    EmptySpectrumError,
     MalformedComparisonError,
     closed_form_dbeta,
     closed_form_dhausdorff,
     closed_form_dphi,
-    compare,
     d_beta,
     d_beta_truncated,
-    d_hausdorff_ideal,
     d_phi,
-    d_phi_truncated,
     first_disagreement,
 )
 from .qi import (

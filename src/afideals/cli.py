@@ -16,41 +16,30 @@ from fractions import Fraction
 
 from .bratteli import _format_set, level_set, qi_diagram, serialize_diagram
 from .checks import run_check
-from .exact import format_rational
 from .metrics import (
-    EmptySpectrumError,
     MalformedComparisonError,
-    _pair_indices,
-    _singleton_index,
     closed_form_dbeta,
     closed_form_dhausdorff,
     closed_form_dphi,
     d_beta,
     d_beta_truncated,
     d_phi,
+    descriptor,
     descriptors,
     settles,
 )
-from .qi import (
-    DescriptorConventionError,
-    EmptySetError,
-    hausdorff,
-    ideal_of_closed_set,
-    paper_table_descriptor,
-    parse_closed_set,
-)
+from .qi import DescriptorConventionError, EmptySetError, hausdorff, parse_closed_set
 
 # qi_diagram builds O(depth**2) edges, about 0.6 s at this depth, so larger
 # depths are refused rather than left to run; a truncated d_beta at this
 # depth takes about 0.6 ms.
 MAX_DEPTH = 1024
 
-_DOMAIN_ERRORS = (
-    EmptySetError,
-    EmptySpectrumError,
-    MalformedComparisonError,
-    DescriptorConventionError,
-)
+# The decimal column goes through str(), which converts at most 4300 digits
+# of an int, so larger digit counts are refused.
+MAX_DECIMAL = 1000
+
+_DOMAIN_ERRORS = (EmptySetError, MalformedComparisonError, DescriptorConventionError)
 
 
 class CliUsageError(Exception):
@@ -107,7 +96,7 @@ def cmd_distance(args) -> int:
                 results["beta"] = d_beta_truncated(di, dj, args.depth)
     out = {}
     for name, value in results.items():
-        out[name] = str(value) if not isinstance(value, Fraction) else format_rational(value)
+        out[name] = str(value)
         if args.decimal is not None and isinstance(value, Fraction):
             out[f"{name}_decimal"] = _decimal(value, args.decimal)
     if args.json:
@@ -135,9 +124,9 @@ def cmd_paper_table(args) -> int:
                 "m": m,
                 "n": n,
                 "k": k,
-                "d_hausdorff": format_rational(closed_form_dhausdorff(m, n, k)),
-                "d_phi": format_rational(closed_form_dphi(m, n, k)),
-                "d_beta": format_rational(closed_form_dbeta(m, n, k)),
+                "d_hausdorff": str(closed_form_dhausdorff(m, n, k)),
+                "d_phi": str(closed_form_dphi(m, n, k)),
+                "d_beta": str(closed_form_dbeta(m, n, k)),
             }
         )
     if args.json:
@@ -150,23 +139,7 @@ def cmd_paper_table(args) -> int:
 
 
 def cmd_descriptor(args) -> int:
-    s = _parse_set(args.set)
-    if args.convention == "paper":
-        ones = s.word.ones(len(s.word.head))
-        if s.contains_zero or not s.word.is_eventually_zero():
-            raise MalformedComparisonError(
-                "paper convention covers only singletons and pairs of isolated points"
-            )
-        if len(ones) == 1:
-            e = paper_table_descriptor(_singleton_index(s))
-        elif len(ones) == 2:
-            e = paper_table_descriptor(_pair_indices(s))
-        else:
-            raise MalformedComparisonError(
-                "paper convention covers only singletons and pairs of isolated points"
-            )
-    else:
-        e = ideal_of_closed_set(s)
+    e = descriptor(_parse_set(args.set), args.convention)
     levels = {p: _format_set(level_set(e, p)) for p in range(1, args.depth + 1)}
     if args.json:
         print(json.dumps({str(p): v for p, v in levels.items()}))
@@ -200,14 +173,14 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_depth = _env_int("AFIDEALS_DEPTH", 32)
-    default_seed = _env_int("AFIDEALS_SEED", 0)
+    # --depth and --seed default to None; main fills them in from the
+    # environment, so a variable is read only by the commands it configures.
     parser = _Parser(prog="afideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, convention_default="derived", depth_help=None):
         p.add_argument("--convention", choices=("paper", "derived"), default=convention_default)
-        p.add_argument("--depth", type=int, default=default_depth, help=depth_help)
+        p.add_argument("--depth", type=int, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("distance", help="metric distances between two closed sets' ideals")
@@ -230,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_descriptor)
 
     p = sub.add_parser("diagram", help="emit the quantized-interval diagram")
-    p.add_argument("--depth", type=int, default=default_depth)
+    p.add_argument("--depth", type=int)
     p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("check", help="run the seeded randomized invariant suites")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
@@ -244,12 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "depth", 1) is None:
+            args.depth = _env_int("AFIDEALS_DEPTH", 32)
+        if getattr(args, "seed", 0) is None:
+            args.seed = _env_int("AFIDEALS_SEED", 0)
         if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
             raise CliUsageError(f"depth must be between 1 and {MAX_DEPTH}, got {args.depth}")
-        if (getattr(args, "decimal", None) or 0) < 0:
-            raise CliUsageError(f"--decimal must be at least 0, got {args.decimal}")
+        decimal = getattr(args, "decimal", None)
+        if decimal is not None and not 0 <= decimal <= MAX_DECIMAL:
+            bound = "at least 0" if decimal < 0 else f"at most {MAX_DECIMAL}"
+            raise CliUsageError(f"--decimal must be {bound}, got {decimal}")
         return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -187,11 +187,6 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     return Fraction(head * base ** (start - 1 - h) * repunit + block, base ** (start - 1) * repunit)
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize as "p/q", or plain "p" for integers."""
-    return str(x)
-
-
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text):

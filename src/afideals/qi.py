@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement, level_set
-from .exact import BinaryWord, first_index, format_word, parse_rational, parse_word, pow2
+from .exact import BinaryWord, first_index, format_word, parse_rational, pow2
 
 __all__ = [
     "ZERO",
@@ -31,6 +31,12 @@ __all__ = [
     "parse_closed_set",
     "format_closed_set",
 ]
+
+# Largest closed-set literal parse_closed_set accepts, in bits: head plus
+# period of a word, or the largest point index of a point list.  At this
+# size an exact d_beta's denominator has at most about 1,234 digits, under
+# the 4300 digits str() converts from an int.
+MAX_LITERAL_BITS = 2048
 
 
 class EmptySetError(ValueError):
@@ -269,14 +275,16 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
 
     Either a comma list of dyadic points ("1,1/2,1/8", optionally with "0",
     empty for the empty set) or an explicit word "head=BITS;period=BITS"
-    with an optional ";zero=1" suffix for finite sets containing 0.
+    with an optional ";zero=1" suffix for finite sets containing 0.  A
+    literal over MAX_LITERAL_BITS is refused.
     """
     text = text.strip()
     if text.startswith("head="):
-        m = re.fullmatch(r"(head=[01]*;period=[01]*)(;zero=1)?", text)
+        m = re.fullmatch(r"head=([01]*);period=([01]*)(;zero=1)?", text)
         if m is None:
             raise ValueError(f"bad closed-set literal: {text!r}")
-        return ClosedSubsetQI(parse_word(m.group(1)), include_zero=bool(m.group(2)))
+        _check_size(len(m.group(1)) + len(m.group(2)))
+        return ClosedSubsetQI(BinaryWord(m.group(1), m.group(2)), include_zero=bool(m.group(3)))
     if not text:
         return ClosedSubsetQI()
     points = []
@@ -294,7 +302,15 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
                 points.append(QIPoint.from_value(v))
             except ValueError:
                 raise ValueError(f"bad point token: {token!r}") from None
+    _check_size(max((q.index for q in points), default=0))
     return ClosedSubsetQI.from_points(points, include_zero=zero)
+
+
+def _check_size(bits: int):
+    if bits > MAX_LITERAL_BITS:
+        raise ValueError(
+            f"closed-set literal needs {bits} bits, more than the {MAX_LITERAL_BITS} allowed"
+        )
 
 
 def format_closed_set(s: ClosedSubsetQI) -> str:

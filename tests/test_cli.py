@@ -7,7 +7,13 @@ import pytest
 from afideals.bratteli import parse_diagram, qi_diagram
 from afideals.cli import MAX_DEPTH, main
 from afideals.metrics import d_beta
-from afideals.qi import ideal_of_closed_set, parse_closed_set
+from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
+
+COVERS = "error: paper convention covers only singletons and pairs of isolated points\n"
+SINGLETON = "error: first set must be a singleton {2**-m}\n"
+SINGLETON_M = "error: first set must be a singleton {2**-m} with m >= 1\n"
+PAIR = "error: second set must be a pair {2**-n, 2**-(n+k)}\n"
+PAIR_NK = "error: second set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n"
 
 
 def run(capsys, *argv):
@@ -85,6 +91,53 @@ class TestDistance:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "--decimal" in err
 
+    def test_decimal_above_cap_rejected(self, capsys):
+        # 5000 digits would pass the 4300 digits str() converts from an int
+        code, out, err = run(capsys, "distance", "--decimal", "5000", "1/2", "1/4")
+        assert (code, out) == (1, "")
+        assert err == "error: --decimal must be at most 1000, got 5000\n"
+        code, out, err = run(capsys, "distance", "--json", "--decimal", "1000",
+                             "--metric", "phi", "1/2", "1/4,1/8")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["phi_decimal"] == "0.125" + "0" * 997
+
+    @pytest.mark.parametrize("a, b, err", [
+        ("1/2,0", "1/4,1/8", SINGLETON),
+        ("1/2", "1/4,0", PAIR),
+        ("head=;period=01", "1/4,1/8", SINGLETON),
+        ("1/2", "head=;period=01", PAIR),
+        ("1/2,1/4,1/8", "1/4,1/8", SINGLETON_M),
+        ("1/2", "1/2,1/4,1/8", PAIR_NK),
+        ("1", "1/4,1/8", SINGLETON_M),
+        ("1/2", "1,1/4", PAIR_NK),
+    ])
+    def test_paper_convention_shapes(self, capsys, a, b, err):
+        assert run(capsys, "distance", "--convention", "paper", a, b) == (3, "", err)
+
+
+class TestLiteralCap:
+    AT_CAP = (
+        "head=" + "0" * (MAX_LITERAL_BITS - 1) + "1;period=",
+        "head=" + "0" * 1000 + ";period=1" + "0" * (MAX_LITERAL_BITS - 1001),
+        "1/" + str(2 ** (MAX_LITERAL_BITS - 1)),
+    )
+
+    def test_at_cap_gives_all_metrics(self, capsys):
+        for literal in self.AT_CAP:
+            code, out, err = run(capsys, "distance", literal, "0")
+            assert (code, err) == (0, "")
+            assert [line.split(":")[0] for line in out.splitlines()] == ["hausdorff", "phi", "beta"]
+
+    def test_over_cap_is_usage_error(self, capsys):
+        over = MAX_LITERAL_BITS + 1
+        for literal in ("head=" + "0" * (over - 1) + "1;period=",
+                        "head=0;period=1" + "0" * (over - 2),
+                        "1/2,1/" + str(2 ** (over - 1))):
+            code, out, err = run(capsys, "distance", "1/2", literal)
+            assert (code, out) == (1, "")
+            assert err == (f"error: closed-set literal needs {over} bits, "
+                           f"more than the {MAX_LITERAL_BITS} allowed\n")
+
 
 class TestPaperTable:
     def test_text(self, capsys):
@@ -126,6 +179,17 @@ class TestDescriptor:
                            "1/2,1/4,1/8")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("literal, err", [
+        ("0", COVERS),
+        ("1/2,0", COVERS),
+        ("head=;period=01", COVERS),
+        ("1/2,1/4,1/8", COVERS),
+        ("1", SINGLETON_M),
+        ("1,1/4", PAIR_NK),
+    ])
+    def test_paper_convention_shapes(self, capsys, literal, err):
+        assert run(capsys, "descriptor", "--convention", "paper", literal) == (3, "", err)
 
 
 class TestDiagram:
@@ -197,3 +261,22 @@ class TestUsage:
         code, _, err = run(capsys, "diagram")
         assert code == 1
         assert "AFIDEALS_DEPTH" in err
+
+    def test_env_seed_must_be_int(self, capsys, monkeypatch):
+        monkeypatch.setenv("AFIDEALS_SEED", "x")
+        assert run(capsys, "check") == (
+            1, "", "error: environment variable AFIDEALS_SEED must be an integer, got 'x'\n")
+
+    def test_unused_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("AFIDEALS_DEPTH", "x")
+        code, out, err = run(capsys, "paper-table")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "1 2 1 3/8 1/4 37/128"
+        # an explicit flag leaves the variable unread as well
+        code, out, err = run(capsys, "descriptor", "--depth", "2", "0")
+        assert (code, out, err) == (0, "u_1 = {}\nu_2 = {1}\n", "")
+        monkeypatch.delenv("AFIDEALS_DEPTH")
+        monkeypatch.setenv("AFIDEALS_SEED", "x")
+        code, out, err = run(capsys, "distance", "1/2", "1/4,1/8")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["hausdorff: 3/8", "phi: 1/8", "beta: 13/128"]

@@ -4,31 +4,30 @@ from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import EventualDescriptor, level_set, to_finite
+from afideals.bratteli import EventualDescriptor, level_set
 from afideals.checks import random_ideal, random_word
 from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
     CertifiedValue,
-    ComparisonReport,
-    DepthMismatchError,
-    EmptySpectrumError,
     MalformedComparisonError,
     _pair_indices,
     _singleton_index,
     closed_form_dbeta,
     closed_form_dhausdorff,
     closed_form_dphi,
-    compare,
     d_beta,
     d_beta_truncated,
-    d_hausdorff_ideal,
     d_phi,
-    d_phi_truncated,
+    descriptor,
+    descriptors,
     first_disagreement,
     settles,
 )
 from afideals.qi import (
     ClosedSubsetQI,
+    EmptySetError,
+    closed_set_of_ideal,
+    hausdorff,
     ideal_of_closed_set,
     paper_table_descriptor,
     parse_closed_set,
@@ -82,21 +81,15 @@ VANISH_AT_ZERO = ideal_of_closed_set(parse_closed_set("0"))
 
 
 class TestCertifiedValue:
-    def test_exact(self):
-        v = CertifiedValue.exact(Fraction(37, 128))
-        assert v.kind == "exact" and v.value == Fraction(37, 128)
-        assert str(v) == "37/128"
-
     def test_interval(self):
-        v = CertifiedValue.interval(0, Fraction(1, 2))
-        assert v.kind == "interval" and v.width == Fraction(1, 2)
+        v = CertifiedValue(0, Fraction(1, 2))
+        assert (v.lo, v.hi, v.width) == (0, Fraction(1, 2), Fraction(1, 2))
         assert str(v) == "[0, 1/2]"
-        with pytest.raises(ValueError):
-            v.value
+        assert v == CertifiedValue(Fraction(0), Fraction(1, 2)) != CertifiedValue(0, 1)
 
     def test_containment(self):
-        outer = CertifiedValue.interval(0, 1)
-        inner = CertifiedValue.interval(Fraction(1, 4), Fraction(1, 2))
+        outer = CertifiedValue(0, 1)
+        inner = CertifiedValue(Fraction(1, 4), Fraction(1, 2))
         assert outer.encloses(inner) and not inner.encloses(outer)
         assert inner.contains(Fraction(1, 3))
         with pytest.raises(ValueError):
@@ -148,16 +141,6 @@ class TestDPhi:
         for i, j in pairs + eventual_pairs(19, 200):
             assert d_phi(i, j) == d_phi(j, i)
             assert (d_phi(i, j) == 0) == (i == j)
-
-    def test_truncated(self):
-        a = to_finite(paper_table_descriptor(1), 6)
-        b = to_finite(paper_table_descriptor((2, 1)), 6)
-        assert d_phi_truncated(a, b) == CertifiedValue.exact(Fraction(1, 4))
-        same = d_phi_truncated(a, a)
-        assert same == CertifiedValue.interval(0, pow2(-7))
-        with pytest.raises(DepthMismatchError):
-            d_phi_truncated(a, to_finite(paper_table_descriptor(1), 5))
-
 
 class TestDBeta:
     def test_published_rows_definition_level(self):
@@ -219,35 +202,34 @@ class TestDBetaTruncated:
         iv = d_beta_truncated(i, FULL, 40)
         assert iv.width == pow2(-40)
 
-    def test_accepts_finite_descriptors(self):
-        a = to_finite(paper_table_descriptor(1), 10)
-        b = to_finite(paper_table_descriptor((2, 1)), 10)
-        assert d_beta_truncated(a, b, 10).contains(Fraction(21, 128))
-        with pytest.raises(DepthMismatchError):
-            d_beta_truncated(a, b, 11)
-
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             d_beta_truncated(FULL, VANISH_AT_ZERO, 0)
 
 
+def d_hausdorff_of_ideals(i, j):
+    """d_H between two ideals: the Hausdorff distance of their vanishing sets."""
+    return hausdorff(closed_set_of_ideal(i), closed_set_of_ideal(j))
+
+
 class TestDHausdorffIdeal:
     def test_published_rows(self):
         a = ideal_of_closed_set(parse_closed_set("1/2"))
-        assert d_hausdorff_ideal(
+        assert d_hausdorff_of_ideals(
             a, ideal_of_closed_set(parse_closed_set("1/4,1/8"))
         ) == Fraction(3, 8)
-        assert d_hausdorff_ideal(
+        assert d_hausdorff_of_ideals(
             a, ideal_of_closed_set(parse_closed_set("1/4,1/16"))
         ) == Fraction(7, 16)
 
     def test_singleton_vs_zero(self):
         e = ideal_of_closed_set(parse_closed_set("1"))
-        assert d_hausdorff_ideal(e, VANISH_AT_ZERO) == 1
+        assert d_hausdorff_of_ideals(e, VANISH_AT_ZERO) == 1
 
     def test_empty_spectrum(self):
-        with pytest.raises(EmptySpectrumError):
-            d_hausdorff_ideal(FULL, VANISH_AT_ZERO)
+        # the full algebra vanishes nowhere, so d_H to it is undefined
+        with pytest.raises(EmptySetError):
+            d_hausdorff_of_ideals(FULL, VANISH_AT_ZERO)
 
 
 class TestClosedForms:
@@ -290,31 +272,28 @@ class TestComparisonScaffolding:
                 _pair_indices(parse_closed_set(bad))
 
     def test_compare_paper(self):
-        r = compare(parse_closed_set("1/2"), parse_closed_set("1/4,1/8"), "paper")
-        assert r.d_hausdorff == Fraction(3, 8)
-        assert r.d_phi == Fraction(1, 4)
-        assert r.d_beta == Fraction(21, 128)
-        assert list(r.as_dict()) == [
-            "convention", "set_a", "set_b", "d_hausdorff", "d_phi", "d_beta",
-        ]
-        assert '"convention": "paper"' in r.to_json()
-        assert r.to_text().splitlines()[3] == "d_hausdorff: 3/8"
+        a, b = parse_closed_set("1/2"), parse_closed_set("1/4,1/8")
+        di, dj = descriptors(a, b, "paper")
+        assert (di, dj) == (paper_table_descriptor(1), paper_table_descriptor((2, 1)))
+        assert (di, dj) == (descriptor(a, "paper"), descriptor(b, "paper"))
+        assert hausdorff(a, b) == Fraction(3, 8)
+        assert d_phi(di, dj) == Fraction(1, 4)
+        assert d_beta(di, dj) == Fraction(21, 128)
 
     def test_compare_derived(self):
-        r = compare(parse_closed_set("1/2"), parse_closed_set("1/4,1/8"), "derived")
-        assert r.d_hausdorff == Fraction(3, 8)
-        assert r.d_phi == Fraction(1, 8)
-        assert r.d_beta == Fraction(13, 128)
+        a, b = parse_closed_set("1/2"), parse_closed_set("1/4,1/8")
+        di, dj = descriptors(a, b, "derived")
+        assert (di, dj) == (descriptor(a, "derived"), descriptor(b, "derived"))
+        assert hausdorff(a, b) == Fraction(3, 8)
+        assert d_phi(di, dj) == Fraction(1, 8)
+        assert d_beta(di, dj) == Fraction(13, 128)
 
     def test_compare_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            compare(parse_closed_set("1/2"), parse_closed_set("1/4,1/8"), "other")
-
-    def test_report_rejects_inconsistent_values(self):
-        with pytest.raises(ValueError):
-            ComparisonReport("derived", "a", "b", Fraction(0), Fraction(1, 8), Fraction(1, 2))
-        with pytest.raises(ValueError):
-            ComparisonReport("derived", "a", "b", Fraction(0), Fraction(3, 4), Fraction(2, 3))
+        a, b = parse_closed_set("1/2"), parse_closed_set("1/4,1/8")
+        with pytest.raises(ValueError, match="unknown convention"):
+            descriptors(a, b, "other")
+        with pytest.raises(ValueError, match="unknown convention"):
+            descriptor(a, "other")
 
 
 def test_beta_at_most_twice_phi():
