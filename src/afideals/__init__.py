@@ -8,10 +8,8 @@ from .bratteli import (
     ideal_closure,
     is_ideal,
     level_set,
-    parse_descriptor,
     parse_diagram,
     qi_diagram,
-    serialize_descriptor,
     serialize_diagram,
     to_finite,
     validate_diagram,
@@ -22,7 +20,6 @@ from .exact import (
     format_word,
     geom_block,
     parse_rational,
-    parse_word,
     pow2,
     word_weight,
     word_xor,

@@ -13,7 +13,7 @@ import operator
 import re
 from itertools import compress
 
-from .exact import BinaryWord, first_diff_index, format_word, parse_word
+from .exact import BinaryWord, first_diff_index
 
 
 class WidthMismatchError(ValueError):
@@ -246,48 +246,18 @@ class EventualDescriptor:
 
     Two words carry the levels: level p holds the indices k < p whose
     excluded bit E_k is 0, plus the tail index p itself when the tail bit
-    T_p is 1, where T is eventually constant.  A level that fits neither
-    value of T_p is kept explicitly; only head levels handed to the
-    constructor can be such.  E, T and the explicit levels are all read off
-    the level sets (T_p says whether p lies in level p), so structural
-    equality is semantic (level-wise) equality.
-
-    The constructor takes the file format's presentation: levels below p0
-    listed explicitly, then the rule with one tail flag; `from_words`
-    builds a descriptor from the two words alone.
+    T_p is 1, where T is eventually constant.  Both words are read off the
+    level sets (E_k from level k+1, T_p from whether p lies in level p), so
+    structural equality is semantic (level-wise) equality.
     """
 
-    __slots__ = ("_excluded", "_tail", "_explicit", "_last_explicit")
+    __slots__ = ("_excluded", "_tail")
 
-    def __init__(self, p0: int, head, excluded: BinaryWord, include_tail: bool):
-        head = tuple(frozenset(int(k) for k in s) for s in head)
-        if p0 < 1:
-            raise ValueError("p0 must be positive")
-        if len(head) != p0 - 1:
-            raise ValueError(f"need {p0 - 1} explicit levels, got {len(head)}")
-        for p, s in enumerate(head, 1):
-            if any(not 1 <= k <= p for k in s):
-                raise ValueError(f"index out of range at explicit level {p}")
-        explicit = {p: s for p, s in enumerate(head, 1)
-                    if s - {p} != _eventual_rule(excluded, False, p)}
-        tail = BinaryWord([int(p in s) for p, s in enumerate(head, 1)],
-                          (1,) if include_tail else ())
-        self._set(excluded, tail, explicit)
-
-    @classmethod
-    def from_words(cls, excluded: BinaryWord, tail: BinaryWord) -> "EventualDescriptor":
-        """The descriptor whose every level follows the excluded and tail words."""
+    def __init__(self, excluded: BinaryWord, tail: BinaryWord):
         if tail.period not in ((), (1,)):
             raise ValueError("the tail word must be eventually constant")
-        e = cls.__new__(cls)
-        e._set(excluded, tail, {})
-        return e
-
-    def _set(self, excluded, tail, explicit):
         self._excluded = excluded
         self._tail = tail
-        self._explicit = explicit
-        self._last_explicit = max(explicit, default=0)
 
     @property
     def excluded(self) -> BinaryWord:
@@ -297,82 +267,39 @@ class EventualDescriptor:
     def tail(self) -> BinaryWord:
         return self._tail
 
-    @property
-    def last_explicit(self) -> int:
-        """Highest level kept explicitly, 0 when every level follows the words."""
-        return self._last_explicit
-
-    @property
-    def include_tail(self) -> bool:
-        """The eventual value of the tail word."""
-        return bool(self._tail.period)
-
-    @property
-    def p0(self) -> int:
-        """First level from which every level follows the rule with the
-        eventual tail flag: past the tail word's head and the explicit levels."""
-        return max(self._last_explicit, len(self._tail.head)) + 1
-
-    @property
-    def head(self) -> tuple:
-        """The level sets below p0, as the file format lists them."""
-        return tuple(level_set(self, p) for p in range(1, self.p0))
-
     def __eq__(self, other):
         if not isinstance(other, EventualDescriptor):
             return NotImplemented
-        return (
-            self._excluded == other._excluded
-            and self._tail == other._tail
-            and self._explicit == other._explicit
-        )
+        return self._excluded == other._excluded and self._tail == other._tail
 
     def __hash__(self):
-        return hash((self._excluded, self._tail, frozenset(self._explicit.items())))
+        return hash((self._excluded, self._tail))
 
     def __repr__(self):
-        return (
-            f"EventualDescriptor(p0={self.p0}, head={[sorted(s) for s in self.head]!r}, "
-            f"excluded={self._excluded!r}, include_tail={self.include_tail})"
-        )
-
-
-def _eventual_rule(excluded: BinaryWord, include_tail: bool, p: int) -> frozenset:
-    """Level p from the rule: the indices k < p whose excluded bit is 0,
-    plus the tail index p when the tail bit is set."""
-    s = set(compress(range(1, p), map(operator.not_, excluded.prefix(p - 1))))
-    if include_tail:
-        s.add(p)
-    return frozenset(s)
+        return f"EventualDescriptor(excluded={self._excluded!r}, tail={self._tail!r})"
 
 
 def level_set(e: EventualDescriptor, p: int) -> frozenset:
-    """Index set at level p (width p on the quantized-interval diagram)."""
+    """Index set at level p (width p on the quantized-interval diagram): the
+    indices k < p whose excluded bit is 0, plus p when the tail bit is set."""
     if p < 1:
         raise ValueError("levels start at 1")
-    s = e._explicit.get(p)
-    if s is None:
-        s = _eventual_rule(e.excluded, e.tail.bit(p), p)
-    return s
+    s = set(compress(range(1, p), map(operator.not_, e.excluded.prefix(p - 1))))
+    if e.tail.bit(p):
+        s.add(p)
+    return frozenset(s)
 
 
 def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
     """Least level where the two descriptors differ, or None when equal.
 
-    Levels up to the last explicit level M of either are compared directly.
-    Past M, level p differs in the tail index p where the tail words differ,
-    and in every k < p where the excluded words differ.  The tail words
-    agree up to M when those levels do, since T_p says whether p is in
-    level p.
+    Level p differs in the tail index p where the tail words differ, and in
+    every k < p where the excluded words differ, so from level k+1 on.
     """
-    top = max(i.last_explicit, j.last_explicit)
-    for p in range(1, top + 1):
-        if level_set(i, p) != level_set(j, p):
-            return p
     t = first_diff_index(i.tail, j.tail)
     k = first_diff_index(i.excluded, j.excluded)
     if k is not None:
-        k = max(top, k) + 1
+        k += 1
     return min((p for p in (t, k) if p is not None), default=None)
 
 
@@ -407,33 +334,3 @@ def parse_diagram(text: str) -> BratteliDiagram:
         else:
             raise ValueError(f"bad diagram line: {ln!r}")
     return BratteliDiagram(dims, edges)
-
-
-def _format_set(s) -> str:
-    return "{" + ",".join(str(k) for k in sorted(s)) + "}"
-
-
-def serialize_descriptor(e: EventualDescriptor) -> str:
-    levels = ",".join(_format_set(s) for s in e.head)
-    return (
-        f"p0={e.p0}; exclude={format_word(e.excluded)}; "
-        f"tail={1 if e.include_tail else 0}; head_levels=[{levels}]"
-    )
-
-
-def parse_descriptor(text: str) -> EventualDescriptor:
-    m = re.fullmatch(
-        r"p0=(\d+); exclude=(head=[01]*;period=[01]*); tail=([01]); head_levels=\[(.*)\]",
-        text.strip(),
-    )
-    if m is None:
-        raise ValueError(f"bad descriptor literal: {text!r}")
-    word = parse_word(m.group(2))
-    raw = m.group(4)
-    head = []
-    if raw:
-        for item in re.findall(r"\{([0-9,]*)\}", raw):
-            head.append(frozenset(int(x) for x in item.split(",") if x))
-        if len(re.findall(r"\{[0-9,]*\}", raw)) != raw.count("{"):
-            raise ValueError(f"bad head levels: {raw!r}")
-    return EventualDescriptor(int(m.group(1)), head, word, m.group(3) == "1")

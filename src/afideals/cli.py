@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bratteli import _format_set, level_set, qi_diagram, serialize_diagram
+from .bratteli import level_set, qi_diagram, serialize_diagram
 from .checks import run_check
 from .metrics import (
     MalformedComparisonError,
@@ -136,6 +136,10 @@ def cmd_paper_table(args) -> int:
         for r in rows:
             print(f"{r['m']} {r['n']} {r['k']} {r['d_hausdorff']} {r['d_phi']} {r['d_beta']}")
     return 0
+
+
+def _format_set(s) -> str:
+    return "{" + ",".join(str(k) for k in sorted(s)) + "}"
 
 
 def cmd_descriptor(args) -> int:

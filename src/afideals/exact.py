@@ -199,9 +199,3 @@ def format_word(w: BinaryWord) -> str:
     period = "".join(map(str, w.period))
     return f"head={head};period={period}"
 
-
-def parse_word(text: str) -> BinaryWord:
-    m = re.fullmatch(r"head=([01]*);period=([01]*)", text.strip())
-    if m is None:
-        raise ValueError(f"not a binary word literal: {text!r}")
-    return BinaryWord(tuple(map(int, m.group(1))), tuple(map(int, m.group(2))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .bratteli import EventualDescriptor, first_disagreement, level_set
+from .bratteli import EventualDescriptor, first_disagreement
 from .exact import pow2, word_weight, word_xor
 from .qi import ClosedSubsetQI, ideal_of_closed_set, paper_table_descriptor
 
@@ -65,13 +65,6 @@ class CertifiedValue:
         return f"CertifiedValue({self})"
 
 
-def _level_sum(i, j, n: int) -> int:
-    """The numerator over 2**(2n) of the sum of 2**-(p+k) over levels p <= n
-    and k in the level-p difference; level p of the diagram has width p."""
-    return sum(1 << (2 * n - p - k)
-               for p in range(1, n + 1) for k in level_set(i, p) ^ level_set(j, p))
-
-
 def d_phi(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     """2**-(first level of disagreement), or 0 for equal ideals."""
     m = first_disagreement(i, j)
@@ -102,40 +95,23 @@ def _digits(bits) -> str:
 def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     """Sum over levels p and disagreeing indices k of 2**-(p+k), exactly.
 
-    Levels up to the last explicit level M of either are summed directly.
-    Past M, level p differs in each k < p where D, the XOR of the excluded
-    words, has a 1, and in p itself where the tail words differ.  Summing
-    over p first, a D-bit at k <= M weighs 2**-M * 2**-k, one at k > M
-    weighs 4**-k, and a tail difference at p > M weighs 4**-p.
+    Level p differs in each k < p where D, the XOR of the excluded words,
+    has a 1, and in p itself where the tail words differ.  Summing over p
+    first, a D-bit at k weighs 4**-k and a tail difference at p weighs 4**-p.
     """
-    top = max(i.last_explicit, j.last_explicit)
-    diff = word_xor(i.excluded, j.excluded)
-    total = word_weight(diff, top + 1, 4) + word_weight(word_xor(i.tail, j.tail), top + 1, 4)
-    if top:
-        head = _level_sum(i, j, top) + int(_digits(diff.prefix(top)), 2)
-        total += Fraction(head, 1 << 2 * top)
-    return total
+    return (word_weight(word_xor(i.excluded, j.excluded), 1, 4)
+            + word_weight(word_xor(i.tail, j.tail), 1, 4))
 
 
 def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> Fraction:
     """The partial sum S_n from the first n bits of the two XOR words.
 
-    Levels up to M = min(last explicit level, n) go through _level_sum.
-    Levels M < p <= n weigh a D-bit at k < n by 2**-k (2**-max(M,k) - 2**-n)
-    and a tail difference at p by 4**-p; the sum is one integer numerator
-    over 2**(2n).
+    Levels p <= n weigh a D-bit at k < n by 2**-k (2**-k - 2**-n) and a tail
+    difference at p by 4**-p; the sum is one integer numerator over 2**(2n).
     """
-    top = min(max(i.last_explicit, j.last_explicit), n)
     diff = _digits(map(operator.xor, i.excluded.prefix(n - 1), j.excluded.prefix(n - 1)))
-    tails = _digits(map(operator.xor, i.tail.prefix(n)[top:], j.tail.prefix(n)[top:]))
-    low = diff[top:] or "0"
-    numerator = (
-        (_level_sum(i, j, top) << 2 * (n - top))
-        + int(diff[:top] or "0", 2) * ((1 << 2 * (n - top)) - (1 << (n - top)))
-        + 4 * int(low, 4) - 2 * int(low, 2)
-        + int(tails, 4)
-    )
-    return Fraction(numerator, 1 << 2 * n)
+    tails = _digits(map(operator.xor, i.tail.prefix(n), j.tail.prefix(n)))
+    return Fraction(4 * int(diff, 4) - 2 * int(diff, 2) + int(tails, 4), 1 << 2 * n)
 
 
 def d_beta_truncated(i: EventualDescriptor, j: EventualDescriptor, depth: int) -> CertifiedValue:

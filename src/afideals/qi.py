@@ -180,27 +180,25 @@ def point_distance(x: QIPoint, s: ClosedSubsetQI) -> Fraction:
 def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
     """Exact Hausdorff distance between two nonempty closed subsets.
 
-    The directed distance from a to b needs no scan bound:
+    The directed distance from a to b is attained at the first point x_k0
+    of a outside b or at the least point of a (0 when a holds it, else its
+    last point); no scan bound is needed:
 
-    * 0 in b: d(x_k, b) <= x_k for every k.  The first x_k0 of a outside
-      b has d(x_k0, b) >= x_k0 / 2 >= x_k for all k > k0, so it attains
-      the supremum; with no such k0 the distance is 0.
-    * 0 not in b: b is finite with last point x_l.  Points x_k of a past
-      x_l have d(x_k, b) = x_l - x_k < x_l = d(0, b), an infinite a holds
-      0, and a finite a has its points in its head; so the points of a up
-      to max(head of a, l), plus 0 when a holds it, attain the supremum.
+    * Points x_k of a past k0 with a member of b below them have
+      d(x_k, b) < x_k <= x_k0 / 2, while d(x_k0, b) >= x_k0 / 2: members
+      of b below x_k0 lie at most at x_k0 / 2, members above at least at
+      2 x_k0.
+    * The other points of a outside b lie below every point of b, so b
+      holds no 0, and their distance is the least point of b minus
+      themselves: largest at the least point of a.
     """
     if s.is_empty() or t.is_empty():
         raise EmptySetError("Hausdorff distance to the empty set is undefined")
 
     def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> Fraction:
-        if b.contains_zero:
-            k0 = first_index(a.word, b.word, operator.gt)
-            return Fraction(0) if k0 is None else point_distance(QIPoint(k0), b)
-        best = point_distance(ZERO, b) if a.contains_zero else Fraction(0)
-        for k in a.point_indices(max(len(a.word.head), b.word.last_one())):
-            best = max(best, point_distance(QIPoint(k), b))
-        return best
+        k0 = first_index(a.word, b.word, operator.gt)
+        far = point_distance(ZERO if a.contains_zero else QIPoint(a.word.last_one()), b)
+        return far if k0 is None else max(point_distance(QIPoint(k0), b), far)
 
     return max(directed(s, t), directed(t, s))
 
@@ -218,19 +216,17 @@ def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:
         tail = BinaryWord((0,) * s.word.last_one(), (1,))
     else:
         tail = BinaryWord()
-    return EventualDescriptor.from_words(s.word, tail)
+    return EventualDescriptor(s.word, tail)
 
 
 def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
     """Inverse of ideal_of_closed_set; rejects descriptors of any other shape."""
-    if e.include_tail:
-        if not e.excluded.is_eventually_zero():
-            raise DescriptorConventionError(
-                "tail flag set but excluded points recur forever"
-            )
-        s = ClosedSubsetQI(e.excluded, include_zero=False)
-    else:
-        s = ClosedSubsetQI(e.excluded, include_zero=True)
+    zero = e.tail.is_eventually_zero()
+    if not (zero or e.excluded.is_eventually_zero()):
+        raise DescriptorConventionError(
+            "tail word eventually 1 but excluded points recur forever"
+        )
+    s = ClosedSubsetQI(e.excluded, include_zero=zero)
     check = ideal_of_closed_set(s)
     if e != check:
         p = first_disagreement(e, check)
@@ -267,7 +263,7 @@ def paper_table_descriptor(selector) -> EventualDescriptor:
         bits[n + k] = 1
         excluded = BinaryWord(bits)
         tail = BinaryWord([1] * n + [0] + [1] * (k - 1) + [0], [1])
-    return EventualDescriptor.from_words(excluded, tail)
+    return EventualDescriptor(excluded, tail)
 
 
 def parse_closed_set(text: str) -> ClosedSubsetQI:

@@ -10,10 +10,8 @@ from afideals.bratteli import (
     ideal_closure,
     is_ideal,
     level_set,
-    parse_descriptor,
     parse_diagram,
     qi_diagram,
-    serialize_descriptor,
     serialize_diagram,
     to_finite,
     validate_diagram,
@@ -256,7 +254,7 @@ class TestLevelSet:
                 )
 
     def test_full_algebra(self):
-        e = EventualDescriptor(1, [], BinaryWord(), True)
+        e = EventualDescriptor(BinaryWord(), BinaryWord((), (1,)))
         for p in (1, 2, 7, 30):
             assert level_set(e, p) == frozenset(range(1, p + 1))
 
@@ -265,14 +263,22 @@ class TestLevelSet:
         assert level_set(e, 3) == frozenset({1, 3})
 
 
-class TestSymdiffLevel:
-    def test_identical(self):
-        # the same ideal with three eventual levels listed explicitly
-        e = paper_table_descriptor(2)
-        padded = EventualDescriptor(e.p0 + 3, [level_set(e, p) for p in range(1, e.p0 + 3)],
-                                    e.excluded, e.include_tail)
-        assert all(level_set(e, p) ^ level_set(padded, p) == frozenset() for p in range(1, 20))
+class TestEventualDescriptor:
+    def test_rejects_tail_word_that_never_settles(self):
+        with pytest.raises(ValueError, match="eventually constant"):
+            EventualDescriptor(BinaryWord(), BinaryWord((), (1, 0)))
 
+    def test_repr_names_both_words(self):
+        e = paper_table_descriptor((2, 1))
+        text = repr(e)
+        assert text == (
+            "EventualDescriptor(excluded=BinaryWord(head=(0, 0, 1, 1), period=()), "
+            "tail=BinaryWord(head=(1, 1, 0, 0), period=(1,)))"
+        )
+        assert eval(text) == e
+
+
+class TestSymdiffLevel:
     def test_paper_patterns(self):
         a = paper_table_descriptor(1)
         b = paper_table_descriptor((2, 1))
@@ -296,13 +302,12 @@ def test_eventual_descriptor_prefix_ideal_extends():
     found = 0
     d = qi_diagram(64)
     for _ in range(400):
-        p0 = rng.randint(1, 4)
         word = random_word(rng)
-        tail = rng.random() < 0.5
-        head = [frozenset(k for k in range(1, p + 1) if rng.random() < 0.5)
-                for p in range(1, p0)]
-        e = EventualDescriptor(p0, head, word, tail)
-        check_depth = e.p0 + 2 * max(1, len(e.excluded.period)) + 4
+        tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 3))],
+                          (1,) if rng.random() < 0.5 else ())
+        e = EventualDescriptor(word, tail)
+        check_depth = (len(e.tail.head) + len(e.excluded.head)
+                       + 2 * max(1, len(e.excluded.period)) + 4)
         if is_ideal(d, to_finite(e, check_depth)):
             found += 1
             assert is_ideal(d, to_finite(e, 64))
@@ -319,20 +324,3 @@ class TestSerialization:
     def test_diagram_format_shape(self):
         text = serialize_diagram(qi_diagram(2))
         assert text == "dims: 1\nedges: 1>1:1 1>2:1\ndims: 1 1\n"
-
-    def test_descriptor_round_trip(self):
-        for e in (
-            paper_table_descriptor(2),
-            paper_table_descriptor((2, 3)),
-            ideal_of_closed_set(parse_closed_set("1/2,0")),
-            EventualDescriptor(1, [], BinaryWord((), (1, 0)), False),
-        ):
-            text = serialize_descriptor(e)
-            assert parse_descriptor(text) == e
-            assert serialize_descriptor(parse_descriptor(text)) == text
-
-    def test_descriptor_format_shape(self):
-        e = ideal_of_closed_set(parse_closed_set("1/2"))
-        assert serialize_descriptor(e) == (
-            "p0=3; exclude=head=01;period=; tail=1; head_levels=[{},{1}]"
-        )

@@ -12,11 +12,11 @@ from afideals.exact import (
     format_word,
     geom_block,
     parse_rational,
-    parse_word,
     pow2,
     word_weight,
     word_xor,
 )
+from afideals.qi import ClosedSubsetQI, format_closed_set, parse_closed_set
 
 
 def test_pow2_examples():
@@ -191,7 +191,9 @@ def test_rational_serialization():
 def test_word_serialization_round_trip():
     w = BinaryWord((0, 1), (1, 0))
     assert format_word(w) == "head=01;period=10"
-    assert parse_word(format_word(w)) == w
-    assert parse_word("head=;period=") == BinaryWord()
+    s = ClosedSubsetQI(w)
+    assert format_closed_set(s) == "head=01;period=10"
+    assert parse_closed_set(format_closed_set(s)) == s
+    assert parse_closed_set("head=;period=") == ClosedSubsetQI()
     with pytest.raises(ValueError):
-        parse_word("head=2;period=")
+        parse_closed_set("head=2;period=")

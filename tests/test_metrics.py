@@ -45,7 +45,8 @@ def truncation_oracle(i, j, depth: int) -> Fraction:
 
 def random_eventual(rng: random.Random) -> EventualDescriptor:
     """A derived descriptor of an infinite set, a paper-table descriptor, or
-    a descriptor with a random explicit head; periods up to 6."""
+    a random excluded word with a random eventually constant tail word
+    (heads up to 6); periods up to 6."""
     kind = rng.randrange(3)
     if kind == 0:
         word = random_word(rng, max_head=6, max_period=6, periodic_prob=1.0)
@@ -53,27 +54,16 @@ def random_eventual(rng: random.Random) -> EventualDescriptor:
     if kind == 1:
         n = rng.randint(1, 5)
         return paper_table_descriptor(n if rng.random() < 0.5 else (n, rng.randint(1, 4)))
-    p0 = rng.randint(1, 7)
-    head = [frozenset(k for k in range(1, p + 1) if rng.random() < 0.5) for p in range(1, p0)]
     word = random_word(rng, max_head=6, max_period=6, periodic_prob=0.7)
-    return EventualDescriptor(p0, head, word, rng.random() < 0.5)
+    tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                      (1,) if rng.random() < 0.5 else ())
+    return EventualDescriptor(word, tail)
 
 
 def eventual_pairs(seed: int, count: int) -> list:
-    """Seeded pairs of `random_eventual` descriptors.  Every fourth pair is
-    one ideal twice, the second time with more levels listed explicitly."""
+    """Seeded pairs of `random_eventual` descriptors."""
     rng = random.Random(seed)
-    pairs = []
-    for n in range(count):
-        i = random_eventual(rng)
-        if n % 4 == 3:
-            p0 = i.p0 + rng.randint(1, 4)
-            j = EventualDescriptor(p0, [level_set(i, p) for p in range(1, p0)],
-                                   i.excluded, i.include_tail)
-        else:
-            j = random_eventual(rng)
-        pairs.append((i, j))
-    return pairs
+    return [(random_eventual(rng), random_eventual(rng)) for _ in range(count)]
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -311,10 +301,9 @@ def test_level_sets_match_set_builder():
         e = random_eventual(rng)
         s = ClosedSubsetQI(e.excluded, include_zero=rng.random() < 0.5)
         derived = ideal_of_closed_set(s)
-        for p in range(1, e.p0 + 12):
+        for p in range(1, len(e.tail.head) + 12):
             rule = {k for k in range(1, p) if e.excluded.bit(k) == 0}
-            expected = e.head[p - 1] if p < e.p0 else frozenset(rule | ({p} if e.include_tail else set()))
-            assert level_set(e, p) == expected
+            assert level_set(e, p) == frozenset(rule | ({p} if e.tail.bit(p) else set()))
             tail_meets = s.contains_zero or s.word.last_one() >= p
             assert level_set(derived, p) == frozenset(rule | (set() if tail_meets else {p}))
 
@@ -335,8 +324,8 @@ def test_settles_matches_xor_word():
     pairs = [(i.excluded, j.excluded) for i, j in eventual_pairs(41, 300)] + words
     seen = set()
     for u, v in pairs:
-        i = EventualDescriptor(1, [], u, False)
-        j = EventualDescriptor(1, [], v, True)
+        i = EventualDescriptor(u, BinaryWord())
+        j = EventualDescriptor(v, BinaryWord((), (1,)))
         expected = word_xor(u, v).is_eventually_zero()
         assert settles(i, j) == settles(j, i) == expected
         seen.add(expected)
@@ -402,12 +391,13 @@ def test_exhaustive_small_sets_against_level_sets():
     assert n == 30625
 
 
-def test_explicit_levels_against_level_sets():
-    # Explicit levels and tail-word heads end by level 10, and excluded words
-    # have heads <= 10 and joint periods <= 30, so every disagreement shows
-    # by level 41.
+def test_two_word_descriptors_against_level_sets():
+    # Tail-word heads end by level 10, and excluded words have heads <= 10
+    # and joint periods <= 30, so every disagreement shows by level 41.
     pairs = eventual_pairs(43, 240)
-    assert sum(bool(i.last_explicit) for i, _ in pairs) > 40
+    # A tail word that is 1 somewhere but eventually 0 comes from neither
+    # convention.
+    assert sum(1 in e.tail.head and not e.tail.period for pair in pairs for e in pair) > 40
     for n, (i, j) in enumerate(pairs):
         mi, mj = level_masks(i, 80), level_masks(j, 80)
         check_against_levels(i, j, mi, mj, 80, (1 + n % 16, 17 + n % 24, 80))

@@ -200,7 +200,7 @@ class TestClosedSetOfIdeal:
             closed_set_of_ideal(paper_table_descriptor(1))
 
     def test_rejects_inconsistent_tail_flag(self):
-        e = EventualDescriptor(1, [], BinaryWord((), (1, 0)), True)
+        e = EventualDescriptor(BinaryWord((), (1, 0)), BinaryWord((), (1,)))
         with pytest.raises(DescriptorConventionError):
             closed_set_of_ideal(e)
 
