@@ -19,7 +19,6 @@ from .exact import (
     EmptyRangeError,
     format_word,
     geom_block,
-    parse_rational,
     pow2,
     word_weight,
     word_xor,

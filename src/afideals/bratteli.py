@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import compress
+from itertools import chain, compress
 
 from .exact import BinaryWord, first_diff_index
 
@@ -94,7 +94,7 @@ class BratteliDiagram:
         """Summands of level n all of whose successors lie in `below` at level
         n+1, from one pass over the gap's edges."""
         leaving = {k for k, j in self._edges[self._gap(n)] if j not in below}
-        return set(range(1, self.width(n) + 1)).difference(leaving)
+        return set(range(1, len(self._dims[n - 1]) + 1)).difference(leaving)
 
     def __eq__(self, other):
         if not isinstance(other, BratteliDiagram):
@@ -198,7 +198,7 @@ def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
     if f.depth > d.depth:
         raise WidthMismatchError(f"descriptor depth {f.depth} exceeds diagram depth {d.depth}")
     for n, s in enumerate(f.all_sets, 1):
-        width = d.width(n)
+        width = len(d._dims[n - 1])
         if s and max(s) > width:
             k = next(k for k in s if k > width)
             raise WidthMismatchError(f"index {k} exceeds width {width} at level {n}")
@@ -284,10 +284,8 @@ def level_set(e: EventualDescriptor, p: int) -> frozenset:
     indices k < p whose excluded bit is 0, plus p when the tail bit is set."""
     if p < 1:
         raise ValueError("levels start at 1")
-    s = set(compress(range(1, p), map(operator.not_, e.excluded.prefix(p - 1))))
-    if e.tail.bit(p):
-        s.add(p)
-    return frozenset(s)
+    keep = chain(map(operator.not_, e.excluded.prefix(p - 1)), (e.tail.bit(p),))
+    return frozenset(compress(range(1, p + 1), keep))
 
 
 def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
@@ -304,7 +302,15 @@ def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
 
 
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
-    return FiniteDescriptor._trusted([level_set(e, p) for p in range(1, depth + 1)])
+    """Levels 1..depth, as level_set gives them, from one prefix of each word:
+    level p holds the indices k < p kept so far, plus p when T_p is set."""
+    excluded, tail = e.excluded.prefix(depth), e.tail.prefix(depth)
+    kept, levels = frozenset(), []
+    for p in range(1, depth + 1):
+        levels.append(kept | {p} if tail[p - 1] else kept)
+        if not excluded[p - 1]:
+            kept = kept | {p}
+    return FiniteDescriptor._trusted(levels)
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

@@ -15,7 +15,6 @@ from .bratteli import (
     FiniteDescriptor,
     ideal_closure,
     is_ideal,
-    level_set,
     qi_diagram,
     to_finite,
 )
@@ -61,15 +60,15 @@ def random_ideal(rng: random.Random) -> EventualDescriptor:
     return ideal_of_closed_set(random_finite_or_zero_set(rng))
 
 
-def member_values(s: ClosedSubsetQI, upto: int) -> list:
+def member_values(s: ClosedSubsetQI, upto: int) -> frozenset:
     """Values of the points of s with index <= upto, plus 0 when s holds it."""
-    members = [pow2(1 - i) for i in s.word.ones(upto)]
+    members = {pow2(1 - i) for i in s.word.ones(upto)}
     if s.contains_zero:
-        members.append(Fraction(0))
-    return members
+        members.add(Fraction(0))
+    return frozenset(members)
 
 
-def support_disjoint_oracle(s: ClosedSubsetQI, members: list, p: int, k: int) -> bool:
+def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, p: int, k: int) -> bool:
     """Brute force: is the support of summand k at level p disjoint from s?
 
     Works with explicit point values rather than word bits: summand k < p
@@ -226,7 +225,7 @@ def _suite_correspondence(rng: random.Random, scale: int):
         period = tuple(s.word.bit(h + 1 + r) for r in range(len(s.word.period)))
         t = ClosedSubsetQI(BinaryWord(head, period), include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
-        if not all(level_set(f, p) <= level for p, level in enumerate(finite.all_sets, 1)):
+        if not all(map(frozenset.__le__, to_finite(f, 32).all_sets, finite.all_sets)):
             failures.append(f"antitone correspondence fails for {s!r} inside {t!r}")
     return cases, failures
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
 from itertools import compress
 
@@ -185,13 +184,6 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     block = int("".join(map(str, w.period[shift:] + w.period[:shift])), base)
     repunit = base**length - 1
     return Fraction(head * base ** (start - 1 - h) * repunit + block, base ** (start - 1) * repunit)
-
-
-def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
 
 
 def format_word(w: BinaryWord) -> str:

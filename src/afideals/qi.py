@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement, level_set
-from .exact import BinaryWord, first_index, format_word, parse_rational, pow2
+from .exact import BinaryWord, first_index, format_word, pow2
 
 __all__ = [
     "ZERO",
@@ -37,6 +38,8 @@ __all__ = [
 # size an exact d_beta's denominator has at most about 1,234 digits, under
 # the 4300 digits str() converts from an int.
 MAX_LITERAL_BITS = 2048
+
+_POINT_TOKEN = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?")
 
 
 class EmptySetError(ValueError):
@@ -122,7 +125,8 @@ class ClosedSubsetQI:
         return self._word.is_eventually_zero() and not self._zero
 
     def is_empty(self) -> bool:
-        return self._word == BinaryWord() and not self._zero
+        # Only the all-zero word is canonically empty in head and period.
+        return not (self._zero or self._word.head or self._word.period)
 
     def point_indices(self, upto: int):
         return self._word.ones(upto)
@@ -162,19 +166,30 @@ def point_distance(x: QIPoint, s: ClosedSubsetQI) -> Fraction:
 
     Members below x_i lie less than x_i (the distance to 0) away, members
     above it at least x_i: the nearest is the next member below, else 0,
-    else the smallest member.
+    else the smallest member.  With j the next member below x_i and m the
+    last point of s, a point outside s is at distance
+
+    * (2**(j-i) - 1) / 2**(j-1) = x_i - x_j from x_i when j exists,
+    * 2**(1-i) = x_i from x_i when s holds 0 but no j,
+    * (2**(i-m) - 1) / 2**(i-1) = x_m - x_i from x_i otherwise (m < i),
+    * 2**(1-m) = x_m from the point 0.
+
+    The first and third numerators are odd, so each fraction is reduced.
     """
     if s.is_empty():
         raise EmptySetError("distance to the empty set is undefined")
     if contains(s, x):
         return Fraction(0)
-    if not x.is_zero:
-        j = s.word.next_one(x.index)
-        if j is not None:
-            return x.value - pow2(1 - j)
-        if s.contains_zero:
-            return x.value
-    return pow2(1 - s.word.last_one()) - x.value
+    if x.is_zero:
+        return pow2(1 - s.word.last_one())
+    i = x.index
+    j = s.word.next_one(i)
+    if j is not None:
+        return Fraction((1 << (j - i)) - 1, 1 << (j - 1))
+    if s.contains_zero:
+        return pow2(1 - i)
+    m = s.word.last_one()
+    return Fraction((1 << (i - m)) - 1, 1 << (i - 1))
 
 
 def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
@@ -283,23 +298,37 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
         return ClosedSubsetQI(BinaryWord(m.group(1), m.group(2)), include_zero=bool(m.group(3)))
     if not text:
         return ClosedSubsetQI()
-    points = []
+    indices = set()
     zero = False
     for token in text.split(","):
         token = token.strip()
-        try:
-            v = parse_rational(token)
-        except ValueError:
-            raise ValueError(f"bad point token: {token!r}") from None
-        if v == 0:
+        n, d = _point_token(token)
+        if n == 0:
             zero = True
+        # n/d is x_m = 2**(1-m) exactly when d/n is a power of two 2**(m-1).
+        elif n < 0 or d % n or (d // n) & (d // n - 1):
+            raise ValueError(f"bad point token: {token!r}")
         else:
-            try:
-                points.append(QIPoint.from_value(v))
-            except ValueError:
-                raise ValueError(f"bad point token: {token!r}") from None
-    _check_size(max((q.index for q in points), default=0))
-    return ClosedSubsetQI.from_points(points, include_zero=zero)
+            indices.add((d // n).bit_length())
+    last = max(indices, default=0)
+    _check_size(last)
+    return ClosedSubsetQI(BinaryWord([k in indices for k in range(1, last + 1)]), zero)
+
+
+def _point_token(token: str) -> tuple:
+    """Numerator and denominator of an "n" or "n/d" token, as ints."""
+    m = _POINT_TOKEN.fullmatch(token)
+    if m is None:
+        raise ValueError(f"bad point token: {token!r}")
+    try:
+        return int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:
+        # int() refuses strings past its digit limit; echoing such a token
+        # whole would make an error line thousands of characters long.
+        raise ValueError(
+            f"bad point token: {token[:24]!r}... ({len(token)} characters) has an "
+            f"integer over the {sys.get_int_max_str_digits()} digits int() reads"
+        ) from None
 
 
 def _check_size(bits: int):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -261,6 +262,38 @@ class TestLevelSet:
     def test_derived_singleton_level(self):
         e = ideal_of_closed_set(parse_closed_set("1/2"))
         assert level_set(e, 3) == frozenset({1, 3})
+
+
+def all_words(max_head: int, max_period: int) -> set:
+    """Every canonical word with head and period at most these lengths."""
+    return {BinaryWord(head, period)
+            for h in range(max_head + 1) for head in product((0, 1), repeat=h)
+            for p in range(max_period + 1) for period in product((0, 1), repeat=p)}
+
+
+class TestToFinite:
+    DEPTHS = (1, 2, 7, 32)
+
+    def assert_levels_match(self, e):
+        levels = tuple(level_set(e, p) for p in range(1, max(self.DEPTHS) + 1))
+        for n in self.DEPTHS:
+            assert to_finite(e, n).all_sets == levels[:n]
+
+    def test_exhaustive_short_descriptors(self):
+        tails = [w for w in all_words(4, 1) if w.period in ((), (1,))]
+        for excluded in all_words(4, 3):
+            for tail in tails:
+                self.assert_levels_match(EventualDescriptor(excluded, tail))
+
+    def test_random_general_tails(self):
+        rng = random.Random(23)
+        from afideals.checks import random_word
+
+        for _ in range(300):
+            excluded = random_word(rng, max_head=40, max_period=9)
+            tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 40))],
+                              (1,) if rng.random() < 0.5 else ())
+            self.assert_levels_match(EventualDescriptor(excluded, tail))
 
 
 class TestEventualDescriptor:

@@ -138,6 +138,18 @@ class TestLiteralCap:
             assert err == (f"error: closed-set literal needs {over} bits, "
                            f"more than the {MAX_LITERAL_BITS} allowed\n")
 
+    def test_token_past_int_digit_limit_is_short_usage_error(self, capsys):
+        # int() reads at most 4300 digits; such a token is not echoed whole.
+        for literal in ("1/1" + "0" * 4300, "1" * 4301 + "/2", "1/2," + "8" * 6000):
+            code, out, err = run(capsys, "distance", literal, "0")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: bad point token: '") and err.count("\n") == 1
+            assert len(err) < 200
+
+    def test_token_within_int_digit_limit_is_echoed(self, capsys):
+        literal = "1/" + "3" * 4300
+        assert run(capsys, "distance", literal, "0") == (1, "", f"error: bad point token: {literal!r}\n")
+
 
 class TestPaperTable:
     def test_text(self, capsys):

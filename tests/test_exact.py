@@ -11,7 +11,6 @@ from afideals.exact import (
     first_index,
     format_word,
     geom_block,
-    parse_rational,
     pow2,
     word_weight,
     word_xor,
@@ -181,11 +180,6 @@ def test_exact_arithmetic_roundtrip():
 def test_rational_serialization():
     assert str(Fraction(37, 128)) == "37/128"
     assert str(Fraction(5)) == "5"
-    assert parse_rational("37/128") == Fraction(37, 128)
-    assert parse_rational("-3") == -3
-    for bad in ("0.5", "1/0", "0/0"):
-        with pytest.raises(ValueError):
-            parse_rational(bad)
 
 
 def test_word_serialization_round_trip():

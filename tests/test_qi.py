@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,13 @@ def random_bits(rng, n: int, one: bool = False):
     return bits
 
 
+def all_words(max_head: int, max_period: int) -> set:
+    """Every canonical word with head and period at most these lengths."""
+    return {BinaryWord(head, period)
+            for h in range(max_head + 1) for head in product((0, 1), repeat=h)
+            for p in range(max_period + 1) for period in product((0, 1), repeat=p)}
+
+
 class TestQIPoint:
     def test_values(self):
         assert QIPoint(1).value == 1
@@ -71,6 +79,11 @@ class TestClosedSubset:
     def test_empty(self):
         assert parse_closed_set("").is_empty()
         assert not parse_closed_set("0").is_empty()
+        assert ClosedSubsetQI().is_empty()
+        assert ClosedSubsetQI(BinaryWord((0, 0), (0,))).is_empty()
+        assert not ClosedSubsetQI(BinaryWord(), include_zero=True).is_empty()
+        assert not ClosedSubsetQI(BinaryWord((), (1,))).is_empty()
+        assert not ClosedSubsetQI(BinaryWord((0, 1))).is_empty()
 
     def test_from_points_order_independent(self):
         assert parse_closed_set("1/8,1,1/2") == parse_closed_set("1,1/2,1/8")
@@ -91,6 +104,16 @@ class TestPointDistance:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
             point_distance(ZERO, parse_closed_set(""))
+
+    def test_exhaustive_against_enumeration(self):
+        for word in all_words(5, 3):
+            for zero in {False, word.is_eventually_zero()}:
+                s = ClosedSubsetQI(word, include_zero=zero)
+                if s.is_empty():
+                    continue
+                vals = enumerate_values(s, len(word.head) + 2 * max(1, len(word.period)) + 12)
+                for x in [QIPoint(i) for i in range(1, 13)] + [ZERO]:
+                    assert point_distance(x, s) == min(abs(x.value - v) for v in vals)
 
     def test_against_enumeration_oracle(self):
         rng = random.Random(31)
@@ -253,3 +276,14 @@ class TestSerialization:
         for bad in ("1/3", "2", "head=21;period=", "1,,1/2"):
             with pytest.raises(ValueError):
                 parse_closed_set(bad)
+
+    def test_point_tokens(self):
+        assert parse_closed_set("0") == parse_closed_set("0/5") == ClosedSubsetQI(include_zero=True)
+        assert parse_closed_set("2/4") == parse_closed_set("01/2") == parse_closed_set("1/2")
+        assert parse_closed_set("1,3/24") == ClosedSubsetQI(BinaryWord((1, 0, 0, 1)))
+
+    @pytest.mark.parametrize("token", ["1/3", "2", "5/8", "-1/2", "1/0", "0/0", "0.5", "+1/2", ""])
+    def test_bad_point_token_message(self, token):
+        with pytest.raises(ValueError) as info:
+            parse_closed_set("1/2," + token)
+        assert str(info.value) == f"bad point token: {token!r}"
