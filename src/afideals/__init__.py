@@ -8,17 +8,13 @@ from .bratteli import (
     ideal_closure,
     is_ideal,
     level_set,
-    parse_diagram,
     qi_diagram,
     serialize_diagram,
     to_finite,
-    validate_diagram,
 )
 from .exact import (
     BinaryWord,
-    EmptyRangeError,
     format_word,
-    geom_block,
     pow2,
     word_weight,
     word_xor,

@@ -10,7 +10,6 @@ and saturated backwards.
 from __future__ import annotations
 
 import operator
-import re
 from itertools import chain, compress
 
 from .exact import BinaryWord, first_diff_index
@@ -24,8 +23,8 @@ class BratteliDiagram:
     """Per-level summand dimensions plus edge multiplicities between levels.
 
     Levels are numbered from 1, summand indices within a level from 1.
-    Zero-multiplicity edges are dropped on construction so equal diagrams
-    compare equal structurally.
+    Zero entries of an edge map are dropped on construction, so every edge
+    listed exists.
     """
 
     __slots__ = ("_dims", "_edges")
@@ -51,7 +50,7 @@ class BratteliDiagram:
                 if not (1 <= k <= width and 1 <= j <= below):
                     raise ValueError(f"edge ({k},{j}) out of range between levels {n} and {n + 1}")
                 if m < 0:
-                    raise ValueError(f"negative multiplicity on edge ({k},{j}) at level {n}")
+                    raise ValueError(f"negative number of edges ({k},{j}) at level {n}")
                 kept[(k, j)] = m
             maps.append(kept)
         self._edges = tuple(maps)
@@ -77,14 +76,11 @@ class BratteliDiagram:
         return self._dims[self._level(n)]
 
     def edges(self, n: int) -> dict:
-        """Multiplicity map between level n and level n+1."""
+        """Edge counts between level n and level n+1, keyed by (k, j)."""
         return dict(self._edges[self._gap(n)])
 
-    def multiplicity(self, n: int, k: int, j: int) -> int:
-        return self._edges[self._gap(n)].get((k, j), 0)
-
     def successors(self, n: int, k: int) -> frozenset:
-        """Indices at level n+1 reached from summand k with positive multiplicity."""
+        """Indices at level n+1 reached from summand k by at least one edge."""
         gap = self._edges[self._gap(n)]
         if not 1 <= k <= self.width(n):
             raise ValueError(f"summand {k} outside 1..{self.width(n)} at level {n}")
@@ -96,37 +92,8 @@ class BratteliDiagram:
         leaving = {k for k, j in self._edges[self._gap(n)] if j not in below}
         return set(range(1, len(self._dims[n - 1]) + 1)).difference(leaving)
 
-    def __eq__(self, other):
-        if not isinstance(other, BratteliDiagram):
-            return NotImplemented
-        return self._dims == other._dims and self._edges == other._edges
-
-    def __hash__(self):
-        return hash((self._dims, tuple(frozenset(g.items()) for g in self._edges)))
-
     def __repr__(self):
         return f"BratteliDiagram(depth={self.depth})"
-
-
-def validate_diagram(d: BratteliDiagram) -> list:
-    """All invariant violations, as human-readable strings; empty iff valid.
-
-    Checks the unital-embedding dimension law and that every summand past
-    the first level receives at least one positive-multiplicity edge.
-    """
-    report = []
-    for n in range(1, d.depth):
-        gap = d.edges(n)
-        for j in range(1, d.width(n + 1) + 1):
-            total = sum(m * d.dims(n)[k - 1] for (k, jj), m in gap.items() if jj == j)
-            if total != d.dims(n + 1)[j - 1]:
-                report.append(
-                    f"unitality violated at level {n + 1}, summand {j}: "
-                    f"dim {d.dims(n + 1)[j - 1]} != embedded sum {total}"
-                )
-            if not any(jj == j and m > 0 for (k, jj), m in gap.items()):
-                report.append(f"orphan summand at level {n + 1}, index {j}: no incoming edge")
-    return report
 
 
 def qi_diagram(depth: int) -> BratteliDiagram:
@@ -321,22 +288,3 @@ def serialize_diagram(d: BratteliDiagram) -> str:
             parts = [f"{k}>{j}:{m}" for (k, j), m in sorted(d.edges(n).items())]
             lines.append("edges: " + " ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def parse_diagram(text: str) -> BratteliDiagram:
-    dims, edges = [], []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    for ln in lines:
-        if ln.startswith("dims:"):
-            dims.append(tuple(int(x) for x in ln[len("dims:"):].split()))
-        elif ln.startswith("edges:"):
-            gap = {}
-            for part in ln[len("edges:"):].split():
-                m = re.fullmatch(r"(\d+)>(\d+):(\d+)", part)
-                if m is None:
-                    raise ValueError(f"bad edge entry: {part!r}")
-                gap[(int(m.group(1)), int(m.group(2)))] = int(m.group(3))
-            edges.append(gap)
-        else:
-            raise ValueError(f"bad diagram line: {ln!r}")
-    return BratteliDiagram(dims, edges)

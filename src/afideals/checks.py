@@ -18,7 +18,7 @@ from .bratteli import (
     qi_diagram,
     to_finite,
 )
-from .exact import BinaryWord, geom_block, pow2, word_weight
+from .exact import BinaryWord, pow2, word_weight
 from .metrics import d_beta, d_beta_truncated, d_phi
 from .qi import (
     ZERO,
@@ -87,12 +87,6 @@ def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, p: int, k: in
 def _suite_exact(rng: random.Random, scale: int):
     failures = []
     cases = 0
-    for _ in range(scale):
-        a = rng.randint(1, 40)
-        b = rng.randint(a, 40)
-        cases += 1
-        if geom_block(a, b) != sum(pow2(-p) for p in range(a, b + 1)):
-            failures.append(f"geom_block({a},{b}) disagrees with loop sum")
     for _ in range(scale // 4):
         w = random_word(rng)
         for i in rng.sample(range(1, 101), 5):
@@ -149,7 +143,7 @@ def _suite_hausdorff_metric(rng: random.Random, scale: int):
 
 def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fraction:
     best = Fraction(0)
-    for k in a.point_indices(depth):
+    for k in a.word.ones(depth):
         best = max(best, point_distance(QIPoint(k), b))
     if a.contains_zero:
         best = max(best, point_distance(ZERO, b))

@@ -28,7 +28,7 @@ from .metrics import (
     descriptors,
     settles,
 )
-from .qi import DescriptorConventionError, EmptySetError, hausdorff, parse_closed_set
+from .qi import DescriptorConventionError, EmptySetError, clip, hausdorff, parse_closed_set
 
 # qi_diagram builds O(depth**2) edges, about 0.6 s at this depth, so larger
 # depths are refused rather than left to run; a truncated d_beta at this
@@ -39,6 +39,10 @@ MAX_DEPTH = 1024
 # of an int, so larger digit counts are refused.
 MAX_DECIMAL = 1000
 
+# argparse messages that echo an argument whole (an unrecognized or ambiguous
+# option) are clipped past this length, so no error line passes 200 characters.
+MAX_MESSAGE = 192
+
 _DOMAIN_ERRORS = (EmptySetError, MalformedComparisonError, DescriptorConventionError)
 
 
@@ -48,7 +52,22 @@ class CliUsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliUsageError(message)
+        raise CliUsageError(message if len(message) <= MAX_MESSAGE else clip(message, str))
+
+    def _check_value(self, action, value):
+        # argparse's check, echoing a long rejected choice clipped
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {clip(value)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
+def _int(text: str) -> int:
+    """int() for argparse, echoing a long rejected value clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)}") from None
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -58,7 +77,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliUsageError(f"environment variable {name} must be an integer, got {raw!r}")
+        raise CliUsageError(f"environment variable {name} must be an integer, got {clip(raw)}")
 
 
 def _decimal(x: Fraction, digits: int) -> str:
@@ -184,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, convention_default="derived", depth_help=None):
         p.add_argument("--convention", choices=("paper", "derived"), default=convention_default)
-        p.add_argument("--depth", type=int, help=depth_help)
+        p.add_argument("--depth", type=_int, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("distance", help="metric distances between two closed sets' ideals")
     add_common(p, depth_help="levels summed when beta is printed as an interval "
                              "[S_N, S_N + 2^-N], because the excluded words never agree")
     p.add_argument("--metric", choices=("phi", "beta", "hausdorff", "all"), default="all")
-    p.add_argument("--decimal", type=int, metavar="N",
+    p.add_argument("--decimal", type=_int, metavar="N",
                    help="add an approximate decimal column with N digits")
     p.add_argument("set_a")
     p.add_argument("set_b")
@@ -207,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_descriptor)
 
     p = sub.add_parser("diagram", help="emit the quantized-interval diagram")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_int)
     p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("check", help="run the seeded randomized invariant suites")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int)
     p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
@@ -227,11 +246,12 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _env_int("AFIDEALS_SEED", 0)
         if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
-            raise CliUsageError(f"depth must be between 1 and {MAX_DEPTH}, got {args.depth}")
+            raise CliUsageError(
+                f"depth must be between 1 and {MAX_DEPTH}, got {clip(str(args.depth), str)}")
         decimal = getattr(args, "decimal", None)
         if decimal is not None and not 0 <= decimal <= MAX_DECIMAL:
             bound = "at least 0" if decimal < 0 else f"at most {MAX_DECIMAL}"
-            raise CliUsageError(f"--decimal must be {bound}, got {decimal}")
+            raise CliUsageError(f"--decimal must be {bound}, got {clip(str(decimal), str)}")
         return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

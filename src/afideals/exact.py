@@ -12,28 +12,9 @@ from fractions import Fraction
 from itertools import compress
 
 
-class EmptyRangeError(ValueError):
-    """Raised when a geometric block is requested over an empty range."""
-
-
 def pow2(e: int) -> Fraction:
     """2**e as a reduced fraction, for any signed integer e."""
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-
-
-def geom_block(a: int, b=None) -> Fraction:
-    """Sum of 2**-p for p = a..b, exactly.
-
-    `b` may be None (or math.inf) for the infinite tail, which sums to
-    2**(1-a).  An empty range (a > b) is an error, not zero.
-    """
-    if a < 1:
-        raise ValueError(f"block must start at a positive index, got a={a}")
-    if b is None or b == math.inf:
-        return pow2(1 - a)
-    if a > b:
-        raise EmptyRangeError(f"empty block: a={a} > b={b}")
-    return pow2(1 - a) - pow2(-b)
 
 
 def _primitive(period: tuple) -> tuple:

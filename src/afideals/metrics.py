@@ -147,22 +147,22 @@ def closed_form_dhausdorff(m: int, n: int, k: int) -> Fraction:
     return abs(pow2(-m) - pow2(-n))
 
 
-def _singleton_index(s: ClosedSubsetQI) -> int:
+def _singleton_index(s: ClosedSubsetQI, role: str = "first set") -> int:
     if not s.is_finite:
-        raise MalformedComparisonError("first set must be a singleton {2**-m}")
+        raise MalformedComparisonError(f"{role} must be a singleton {{2**-m}}")
     ones = s.word.ones(len(s.word.head))
     if len(ones) != 1 or ones[0] < 2:
-        raise MalformedComparisonError("first set must be a singleton {2**-m} with m >= 1")
+        raise MalformedComparisonError(f"{role} must be a singleton {{2**-m}} with m >= 1")
     return ones[0] - 1
 
 
-def _pair_indices(s: ClosedSubsetQI):
+def _pair_indices(s: ClosedSubsetQI, role: str = "second set"):
     if not s.is_finite:
-        raise MalformedComparisonError("second set must be a pair {2**-n, 2**-(n+k)}")
+        raise MalformedComparisonError(f"{role} must be a pair {{2**-n, 2**-(n+k)}}")
     ones = s.word.ones(len(s.word.head))
     if len(ones) != 2 or ones[0] < 2:
         raise MalformedComparisonError(
-            "second set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1"
+            f"{role} must be a pair {{2**-n, 2**-(n+k)}} with n, k >= 1"
         )
     return ones[0] - 1, ones[1] - ones[0]
 
@@ -177,9 +177,9 @@ def descriptor(s: ClosedSubsetQI, convention: str) -> EventualDescriptor:
     if s.is_finite:
         ones = s.word.ones(len(s.word.head))
         if len(ones) == 1:
-            return paper_table_descriptor(_singleton_index(s))
+            return paper_table_descriptor(_singleton_index(s, "set"))
         if len(ones) == 2:
-            return paper_table_descriptor(_pair_indices(s))
+            return paper_table_descriptor(_pair_indices(s, "set"))
     raise MalformedComparisonError(
         "paper convention covers only singletons and pairs of isolated points"
     )

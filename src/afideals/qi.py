@@ -31,6 +31,7 @@ __all__ = [
     "paper_table_descriptor",
     "parse_closed_set",
     "format_closed_set",
+    "clip",
 ]
 
 # Largest closed-set literal parse_closed_set accepts, in bits: head plus
@@ -38,6 +39,9 @@ __all__ = [
 # size an exact d_beta's denominator has at most about 1,234 digits, under
 # the 4300 digits str() converts from an int.
 MAX_LITERAL_BITS = 2048
+
+# Longest rendering of a user's value that an error message echoes whole.
+CLIP_LIMIT = 64
 
 _POINT_TOKEN = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?")
 
@@ -73,15 +77,6 @@ class QIPoint:
         if self._index is None:
             return Fraction(0)
         return pow2(1 - self._index)
-
-    @classmethod
-    def from_value(cls, v: Fraction) -> "QIPoint":
-        v = Fraction(v)
-        if v == 0:
-            return cls(None)
-        if v < 0 or v > 1 or v.numerator != 1 or v.denominator & (v.denominator - 1):
-            raise ValueError(f"{v} is not a point of the quantized interval")
-        return cls(1 + v.denominator.bit_length() - 1)
 
     def __eq__(self, other):
         if not isinstance(other, QIPoint):
@@ -127,21 +122,6 @@ class ClosedSubsetQI:
     def is_empty(self) -> bool:
         # Only the all-zero word is canonically empty in head and period.
         return not (self._zero or self._word.head or self._word.period)
-
-    def point_indices(self, upto: int):
-        return self._word.ones(upto)
-
-    @classmethod
-    def from_points(cls, points, include_zero: bool = False) -> "ClosedSubsetQI":
-        indices = set()
-        for p in points:
-            q = p if isinstance(p, QIPoint) else QIPoint.from_value(p)
-            if q.is_zero:
-                include_zero = True
-            else:
-                indices.add(q.index)
-        head = [1 if k in indices else 0 for k in range(1, max(indices, default=0) + 1)]
-        return cls(BinaryWord(head), include_zero)
 
     def __eq__(self, other):
         if not isinstance(other, ClosedSubsetQI):
@@ -293,7 +273,7 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
     if text.startswith("head="):
         m = re.fullmatch(r"head=([01]*);period=([01]*)(;zero=1)?", text)
         if m is None:
-            raise ValueError(f"bad closed-set literal: {text!r}")
+            raise ValueError(f"bad closed-set literal: {clip(text)}")
         _check_size(len(m.group(1)) + len(m.group(2)))
         return ClosedSubsetQI(BinaryWord(m.group(1), m.group(2)), include_zero=bool(m.group(3)))
     if not text:
@@ -307,7 +287,7 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
             zero = True
         # n/d is x_m = 2**(1-m) exactly when d/n is a power of two 2**(m-1).
         elif n < 0 or d % n or (d // n) & (d // n - 1):
-            raise ValueError(f"bad point token: {token!r}")
+            raise ValueError(f"bad point token: {clip(token)}")
         else:
             indices.add((d // n).bit_length())
     last = max(indices, default=0)
@@ -319,16 +299,24 @@ def _point_token(token: str) -> tuple:
     """Numerator and denominator of an "n" or "n/d" token, as ints."""
     m = _POINT_TOKEN.fullmatch(token)
     if m is None:
-        raise ValueError(f"bad point token: {token!r}")
+        raise ValueError(f"bad point token: {clip(token)}")
     try:
         return int(m.group(1)), int(m.group(2) or 1)
-    except ValueError:
-        # int() refuses strings past its digit limit; echoing such a token
-        # whole would make an error line thousands of characters long.
-        raise ValueError(
-            f"bad point token: {token[:24]!r}... ({len(token)} characters) has an "
-            f"integer over the {sys.get_int_max_str_digits()} digits int() reads"
-        ) from None
+    except ValueError:  # int() refuses strings past its digit limit
+        raise ValueError(f"bad point token: {clip(token)} has an integer over the "
+                         f"{sys.get_int_max_str_digits()} digits int() reads") from None
+
+
+def clip(text: str, show=repr) -> str:
+    """show(text), or when that passes CLIP_LIMIT characters, show() of the
+    text's start followed by its length, so an error line stays short."""
+    shown = show(text)
+    if len(shown) <= CLIP_LIMIT:
+        return shown
+    start = text[:24]
+    while len(show(start)) > 26:  # escapes such as \x01 lengthen a repr
+        start = start[:-1]
+    return f"{show(start)}... ({len(text)} characters)"
 
 
 def _check_size(bits: int):

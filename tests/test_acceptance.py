@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from afideals.bratteli import level_set
 from afideals.checks import random_closed_set, random_ideal
-from afideals.exact import BinaryWord, geom_block, pow2, word_weight
+from afideals.exact import BinaryWord, pow2, word_weight
 from afideals.metrics import d_beta, d_beta_truncated, d_phi
 from afideals.qi import (
     ClosedSubsetQI,
@@ -40,8 +40,8 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 
 def table_pair(m, n, k):
-    a = ClosedSubsetQI.from_points([pow2(-m)])
-    b = ClosedSubsetQI.from_points([pow2(-n), pow2(-(n + k))])
+    a = parse_closed_set(f"1/{2**m}")
+    b = parse_closed_set(f"1/{2**n},1/{2**(n + k)}")
     return (a, b), (paper_table_descriptor(m), paper_table_descriptor((n, k)))
 
 
@@ -162,7 +162,8 @@ class TestCriterion4GlobalBound:
             for _ in range(1000)
         )
         # sum over n >= 1, k = 1..n of 2**-(n+k), assembled exactly
-        series = geom_block(1) - word_weight(BinaryWord((), (1,)), 1, 4)
+        ones = BinaryWord((), (1,))
+        series = word_weight(ones) - word_weight(ones, 1, 4)
         ok = ok and series == Fraction(2, 3)
         report(4, "d_beta <= 2/3 and double series equals 2/3 exactly", ok)
 
@@ -251,7 +252,7 @@ class TestCriterion8Convergence:
         ok = True
         prev = None
         for r in range(1, 13):
-            s = ClosedSubsetQI.from_points([pow2(-r)])
+            s = parse_closed_set(f"1/{2**r}")
             e = ideal_of_closed_set(s)
             db = d_beta(e, VANISH_AT_ZERO)
             dp = d_phi(e, VANISH_AT_ZERO)

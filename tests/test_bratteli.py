@@ -11,11 +11,9 @@ from afideals.bratteli import (
     ideal_closure,
     is_ideal,
     level_set,
-    parse_diagram,
     qi_diagram,
     serialize_diagram,
     to_finite,
-    validate_diagram,
 )
 from afideals.exact import BinaryWord
 from afideals.qi import ideal_of_closed_set, paper_table_descriptor, parse_closed_set
@@ -54,8 +52,8 @@ def ideal_by_definition(d, f):
 
 
 def random_diagram(rng):
-    """Widths up to 5, dimensions up to 3, each edge present with multiplicity
-    0, 1 or 2: orphan summands and summands without successors both occur."""
+    """Widths up to 5, dimensions up to 3, each pair of summands joined by
+    0, 1 or 2 edges: orphan summands and summands without successors both occur."""
     widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
     dims = [[rng.randint(1, 3) for _ in range(w)] for w in widths]
     edges = [
@@ -86,14 +84,11 @@ class TestQiDiagram:
 
     def test_valid_by_direct_unitality_sums(self):
         d = qi_diagram(8)
-        assert validate_diagram(d) == []
         for n in range(1, 8):
-            for j in range(1, d.width(n + 1) + 1):
-                embedded = sum(
-                    d.multiplicity(n, k, j) * d.dims(n)[k - 1]
-                    for k in range(1, d.width(n) + 1)
-                )
-                assert embedded == d.dims(n + 1)[j - 1]
+            embedded = [0] * d.width(n + 1)
+            for (k, j), m in d.edges(n).items():
+                embedded[j - 1] += m * d.dims(n)[k - 1]
+            assert embedded == list(d.dims(n + 1))
 
 
 class TestLevelAccessors:
@@ -101,7 +96,7 @@ class TestLevelAccessors:
         ("width", (0,)), ("width", (5,)),
         ("dims", (0,)), ("dims", (5,)),
         ("edges", (0,)), ("edges", (4,)),
-        ("multiplicity", (0, 1, 1)), ("multiplicity", (4, 1, 1)),
+        ("width", (-1,)), ("edges", (-1,)),
         ("successors", (0, 3)), ("successors", (4, 1)),
         ("successors", (2, 0)), ("successors", (2, 3)),
     ])
@@ -113,7 +108,6 @@ class TestLevelAccessors:
         d = qi_diagram(4)
         assert d.width(4) == 4 and d.dims(1) == (1,)
         assert d.edges(3) == {(1, 1): 1, (2, 2): 1, (3, 3): 1, (3, 4): 1}
-        assert d.multiplicity(3, 3, 4) == 1
         assert d.successors(1, 1) == {1, 2} and d.successors(3, 3) == {3, 4}
 
     @pytest.mark.parametrize("n", [0, 4, -1])
@@ -122,21 +116,6 @@ class TestLevelAccessors:
         assert f.sets(3) == frozenset()
         with pytest.raises(ValueError):
             f.sets(n)
-
-
-class TestValidateDiagram:
-    def test_unitality_violation(self):
-        d = qi_diagram(5)
-        dims = [list(d.dims(n)) for n in range(1, 6)]
-        dims[3][0] = 2
-        bad = BratteliDiagram(dims, [d.edges(n) for n in range(1, 5)])
-        report = validate_diagram(bad)
-        assert any("unitality" in line and "level 4" in line for line in report)
-
-    def test_orphan_summand(self):
-        bad = BratteliDiagram([(1,), (1, 1)], [{(1, 1): 1}])
-        report = validate_diagram(bad)
-        assert any("orphan" in line for line in report)
 
 
 class TestIsIdeal:
@@ -214,7 +193,8 @@ class TestGeneralDiagrams:
                 for k in range(1, d.width(n) + 1):
                     assert d.successors(n, k) == scan_successors(d, n, k)
                     sinks += not scan_successors(d, n, k)
-            orphans += any("orphan" in line for line in validate_diagram(d))
+            orphans += any(len({j for _, j in d.edges(n)}) < d.width(n + 1)
+                           for n in range(1, d.depth))
             seed = random_levels(rng, d, rng.randint(1, d.depth), 0.3)
             closed = ideal_closure(d, seed)
             assert closed == brute_closure(d, seed)
@@ -348,12 +328,6 @@ def test_eventual_descriptor_prefix_ideal_extends():
 
 
 class TestSerialization:
-    def test_diagram_round_trip(self):
-        d = qi_diagram(5)
-        text = serialize_diagram(d)
-        assert parse_diagram(text) == d
-        assert serialize_diagram(parse_diagram(text)) == text
-
     def test_diagram_format_shape(self):
         text = serialize_diagram(qi_diagram(2))
         assert text == "dims: 1\nedges: 1>1:1 1>2:1\ndims: 1 1\n"

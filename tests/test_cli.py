@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import parse_diagram, qi_diagram
 from afideals.cli import MAX_DEPTH, main
 from afideals.metrics import d_beta
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
@@ -14,6 +13,10 @@ SINGLETON = "error: first set must be a singleton {2**-m}\n"
 SINGLETON_M = "error: first set must be a singleton {2**-m} with m >= 1\n"
 PAIR = "error: second set must be a pair {2**-n, 2**-(n+k)}\n"
 PAIR_NK = "error: second set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n"
+ONE_SINGLETON_M = "error: set must be a singleton {2**-m} with m >= 1\n"
+ONE_PAIR_NK = "error: set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n"
+NINES = "9" * 5000  # past the 4300 digits int() reads
+BIG = "9" * 4000  # an int, far out of range
 
 
 def run(capsys, *argv):
@@ -147,8 +150,15 @@ class TestLiteralCap:
             assert len(err) < 200
 
     def test_token_within_int_digit_limit_is_echoed(self, capsys):
+        # echoed by its start and length, like a token past the limit
         literal = "1/" + "3" * 4300
-        assert run(capsys, "distance", literal, "0") == (1, "", f"error: bad point token: {literal!r}\n")
+        assert run(capsys, "distance", literal, "0") == (
+            1, "", "error: bad point token: '1/3333333333333333333333'... (4302 characters)\n")
+
+    def test_long_bad_literal_is_clipped(self, capsys):
+        literal = "head=" + "2" * 4300 + ";period="
+        assert run(capsys, "distance", "1/2", literal) == (
+            1, "", "error: bad closed-set literal: 'head=2222222222222222222'... (4313 characters)\n")
 
 
 class TestPaperTable:
@@ -197,19 +207,14 @@ class TestDescriptor:
         ("1/2,0", COVERS),
         ("head=;period=01", COVERS),
         ("1/2,1/4,1/8", COVERS),
-        ("1", SINGLETON_M),
-        ("1,1/4", PAIR_NK),
+        ("1", ONE_SINGLETON_M),
+        ("1,1/4", ONE_PAIR_NK),
     ])
     def test_paper_convention_shapes(self, capsys, literal, err):
         assert run(capsys, "descriptor", "--convention", "paper", literal) == (3, "", err)
 
 
 class TestDiagram:
-    def test_round_trip(self, capsys):
-        code, out, _ = run(capsys, "diagram", "--depth", "4")
-        assert code == 0
-        assert parse_diagram(out) == qi_diagram(4)
-
     def test_depth_two_text(self, capsys):
         code, out, _ = run(capsys, "diagram", "--depth", "2")
         assert code == 0
@@ -292,3 +297,81 @@ class TestUsage:
         code, out, err = run(capsys, "distance", "1/2", "1/4,1/8")
         assert (code, err) == (0, "")
         assert out.splitlines() == ["hausdorff: 3/8", "phi: 1/8", "beta: 13/128"]
+
+
+class TestLongValues:
+    """An option or environment value is echoed whole only while short; a long
+    one is shown by its start and length, so no error line passes 200 characters."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (("distance", "--depth", "abc", "1/2", "1/4"),
+         "argument --depth: invalid int value: 'abc'"),
+        (("distance", "--decimal", "1.5", "1/2", "1/4"),
+         "argument --decimal: invalid int value: '1.5'"),
+        (("check", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+        (("distance", "--metric", "xx", "1/2", "1/4"),
+         "argument --metric: invalid choice: 'xx' (choose from 'phi', 'beta', 'hausdorff', 'all')"),
+        (("distance", "--convention", "xx", "1/2", "1/4"),
+         "argument --convention: invalid choice: 'xx' (choose from 'paper', 'derived')"),
+        (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'distance', "
+                     "'paper-table', 'descriptor', 'diagram', 'check')"),
+        (("distance", "1/2", "1/4", "extra"), "unrecognized arguments: extra"),
+        (("distance", "--de=3", "1/2", "1/4"), "ambiguous option: --de=3 could match --depth, --decimal"),
+        (("distance", "--json=1", "1/2", "1/4"), "argument --json: ignored explicit argument '1'"),
+    ])
+    def test_short_values_echoed_whole(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("distance", "--depth", NINES, "1/2", "1/4"),
+         "argument --depth: invalid int value: '999999999999999999999999'... (5000 characters)"),
+        (("distance", "--decimal", NINES, "1/2", "1/4"),
+         "argument --decimal: invalid int value: '999999999999999999999999'... (5000 characters)"),
+        (("check", "--seed", NINES),
+         "argument --seed: invalid int value: '999999999999999999999999'... (5000 characters)"),
+        (("distance", "--depth", BIG, "1/2", "1/4"),
+         "depth must be between 1 and 1024, got 999999999999999999999999... (4000 characters)"),
+        (("diagram", "--depth", "-" + BIG),
+         "depth must be between 1 and 1024, got -99999999999999999999999... (4001 characters)"),
+        (("distance", "--decimal", BIG, "1/2", "1/4"),
+         "--decimal must be at most 1000, got 999999999999999999999999... (4000 characters)"),
+        (("distance", "--metric", "x" * 5000, "1/2", "1/4"),
+         "argument --metric: invalid choice: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters) "
+         "(choose from 'phi', 'beta', 'hausdorff', 'all')"),
+        (("descriptor", "--convention", "x" * 5000, "1/2"),
+         "argument --convention: invalid choice: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters) "
+         "(choose from 'paper', 'derived')"),
+    ], ids=["depth-int", "decimal-int", "seed-int", "depth-range", "depth-negative",
+            "decimal-range", "metric-choice", "convention-choice"])
+    def test_long_values_clipped(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("name, value, err", [
+        ("AFIDEALS_DEPTH", "x", "environment variable AFIDEALS_DEPTH must be an integer, got 'x'"),
+        ("AFIDEALS_DEPTH", "x" * 5000, "environment variable AFIDEALS_DEPTH must be an integer, "
+                                       "got 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ("AFIDEALS_DEPTH", BIG,
+         "depth must be between 1 and 1024, got 999999999999999999999999... (4000 characters)"),
+        ("AFIDEALS_SEED", NINES, "environment variable AFIDEALS_SEED must be an integer, "
+                                 "got '999999999999999999999999'... (5000 characters)"),
+    ], ids=["depth-short", "depth-int", "depth-range", "seed-int"])
+    def test_environment_values(self, capsys, monkeypatch, name, value, err):
+        monkeypatch.setenv(name, value)
+        command = "check" if name == "AFIDEALS_SEED" else "diagram"
+        assert run(capsys, command) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("x" * 5000,),
+        ("distance", "1/2", "1/4") + ("extra",) * 2000,
+        ("distance", "--de=" + "3" * 5000, "1/2", "1/4"),
+        ("distance", "--json=" + "1" * 5000, "1/2", "1/4"),
+        ("distance", "--metric", "\x01" * 5000, "1/2", "1/4"),
+        ("distance", "--convention", "\udcff" * 5000, "1/2", "1/4"),
+        ("distance", "head=;period=" + "\x01" * 5000, "1/2"),
+        ("distance", "1/2," + "\U0010ffff" * 5000, "1/2"),
+    ], ids=["command", "unrecognized", "ambiguous", "explicit-flag", "control-choice",
+            "surrogate-choice", "control-literal", "astral-token"])
+    def test_every_error_line_is_short(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201

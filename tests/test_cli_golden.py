@@ -73,6 +73,8 @@ CASES = (
     ("descriptor", "--depth", "6", "1/2,0"),
     ("descriptor", "--depth", "5", ""),
     ("descriptor", "--convention", "paper", "head=;period=1"),
+    ("descriptor", "--convention", "paper", "1"),
+    ("descriptor", "--convention", "paper", "1,1/4"),
     ("diagram", "--depth", "4"),
     ("diagram", "--depth", "3", "--dot"),
     ("diagram", "--depth", "0"),

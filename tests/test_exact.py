@@ -6,11 +6,9 @@ import pytest
 
 from afideals.exact import (
     BinaryWord,
-    EmptyRangeError,
     first_diff_index,
     first_index,
     format_word,
-    geom_block,
     pow2,
     word_weight,
     word_xor,
@@ -26,24 +24,10 @@ def test_pow2_examples():
         assert pow2(e) == Fraction(2) ** e
 
 
-def test_geom_block_examples():
-    assert geom_block(1) == 1
-    assert geom_block(1, 2) == Fraction(3, 4)
-    with pytest.raises(EmptyRangeError):
-        geom_block(3, 2)
-
-
-def test_geom_block_against_loop_sum():
-    rng = random.Random(11)
-    for _ in range(300):
-        a = rng.randint(1, 40)
-        b = rng.randint(a, 40)
-        assert geom_block(a, b) == sum(pow2(-p) for p in range(a, b + 1))
-
-
 def test_double_dyadic_series_is_two_thirds():
     # sum over n >= 1 of 2**-n * (sum of 2**-k for k = 1..n)
-    assert geom_block(1) - word_weight(BinaryWord((), (1,)), 1, 4) == Fraction(2, 3)
+    ones = BinaryWord((), (1,))
+    assert word_weight(ones) - word_weight(ones, 1, 4) == Fraction(2, 3)
     # truncated double-loop oracle
     depth = 64
     partial = sum(pow2(-(n + k)) for n in range(1, depth + 1) for k in range(1, n + 1))

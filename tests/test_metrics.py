@@ -153,7 +153,7 @@ class TestDBeta:
 
     def test_singleton_vs_zero(self):
         for r in (1, 2, 5):
-            e = ideal_of_closed_set(ClosedSubsetQI.from_points([pow2(-r)]))
+            e = ideal_of_closed_set(parse_closed_set(f"1/{2**r}"))
             assert d_beta(e, VANISH_AT_ZERO) == Fraction(4) ** (-r) / 3 + 0
             assert d_phi(e, VANISH_AT_ZERO) == pow2(-(r + 2))
 

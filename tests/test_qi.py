@@ -26,7 +26,7 @@ from afideals.qi import (
 
 def enumerate_values(s: ClosedSubsetQI, depth: int):
     """Member values of s with index <= depth, plus 0 when present."""
-    vals = [pow2(1 - k) for k in s.point_indices(depth)]
+    vals = [pow2(1 - k) for k in s.word.ones(depth)]
     if s.contains_zero:
         vals.append(Fraction(0))
     return vals
@@ -53,16 +53,11 @@ class TestQIPoint:
         assert QIPoint(4).value == Fraction(1, 8)
         assert ZERO.value == 0 and ZERO.is_zero
 
-    def test_from_value(self):
-        assert QIPoint.from_value(Fraction(1, 8)) == QIPoint(4)
-        assert QIPoint.from_value(0) == ZERO
-        for bad in (Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(-1, 2)):
-            with pytest.raises(ValueError):
-                QIPoint.from_value(bad)
-
     def test_round_trip(self):
+        # a point's value, written as a literal, parses back to its index
         for k in range(1, 40):
-            assert QIPoint.from_value(QIPoint(k).value) == QIPoint(k)
+            s = parse_closed_set(str(QIPoint(k).value))
+            assert s.word.ones(40) == [k] and contains(s, QIPoint(k))
 
 
 class TestClosedSubset:
@@ -85,7 +80,7 @@ class TestClosedSubset:
         assert not ClosedSubsetQI(BinaryWord((), (1,))).is_empty()
         assert not ClosedSubsetQI(BinaryWord((0, 1))).is_empty()
 
-    def test_from_points_order_independent(self):
+    def test_point_list_order_independent(self):
         assert parse_closed_set("1/8,1,1/2") == parse_closed_set("1,1/2,1/8")
 
 
@@ -139,10 +134,10 @@ class TestHausdorff:
 
     def test_singleton_vs_pair_sweep(self):
         for m in range(1, 9):
-            a = ClosedSubsetQI.from_points([pow2(-m)])
+            a = parse_closed_set(f"1/{2**m}")
             for n in range(1, 9):
                 for k in range(1, 9):
-                    b = ClosedSubsetQI.from_points([pow2(-n), pow2(-(n + k))])
+                    b = parse_closed_set(f"1/{2**n},1/{2**(n + k)}")
                     expected = max(
                         abs(pow2(-m) - pow2(-n)), abs(pow2(-m) - pow2(-(n + k)))
                     )
@@ -170,8 +165,8 @@ class TestHausdorff:
             depth = (len(s.word.head) + len(t.word.head)
                      + 4 * max(1, len(s.word.period)) * max(1, len(t.word.period)) + 40)
             # Member values times 2**(depth-1), so the scan stays in integers.
-            sv = [1 << (depth - k) for k in s.point_indices(depth)] + [0] * s.contains_zero
-            tv = [1 << (depth - k) for k in t.point_indices(depth)] + [0] * t.contains_zero
+            sv = [1 << (depth - k) for k in s.word.ones(depth)] + [0] * s.contains_zero
+            tv = [1 << (depth - k) for k in t.word.ones(depth)] + [0] * t.contains_zero
             brute = max(
                 max(min(abs(x - y) for y in tv) for x in sv),
                 max(min(abs(x - y) for y in sv) for x in tv),
