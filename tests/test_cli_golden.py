@@ -1,7 +1,8 @@
 """Byte-identity of the CLI on a fixed set of requests.
 
 `cli_golden.json` holds the exit code, stdout and stderr of every argv
-list in CASES.  The cases cover every subcommand, both conventions,
+list in CASES.  The cases cover every subcommand, both conventions (the paper's
+singletons and pairs also as word literals, with points past index 1,000),
 `--json`/`--decimal`, the interval fallback of beta, a 127/113 period
 pair, a 2,048-bit head, each error exit (1 and 3), `check --seed 1` and
 `--inject-failure`.  A change that alters any of these bytes fails here.
@@ -29,6 +30,9 @@ PERIOD_127 = "head=;period=1" + "0" * 126
 PERIOD_113 = "head=;period=1" + "0" * 112
 HEAD_2048 = "head=" + "0" * 2047 + "1;period="
 HEAD_2049 = "head=" + "0" * 2048 + "1;period="
+# The paper's {2**-m} at m = 1,200 and {2**-n, 2**-(n+k)} at n = 1,100, k = 400.
+FAR_SINGLETON = "head=" + "0" * 1200 + "1;period="
+FAR_PAIR = "head=" + "0" * 1100 + "1" + "0" * 399 + "1;period="
 
 CASES = (
     ("distance", "1/2", "1/4,1/8"),
@@ -36,6 +40,10 @@ CASES = (
     ("distance", "--convention", "paper", "--json", "1/2", "1/4,1/16"),
     ("distance", "--convention", "paper", "--metric", "beta", "--decimal", "8", "1/2", "1/4,1/8"),
     ("distance", "--convention", "paper", "--metric", "phi", "1/2", "1/4,1/16"),
+    ("distance", "--convention", "paper", "head=001;period=", "head=01001;period="),
+    ("distance", "--convention", "paper", "--json", "head=0010;period=0", "head=0101;period="),
+    ("distance", "--convention", "paper", FAR_SINGLETON, FAR_PAIR),
+    ("distance", "--convention", "paper", "--decimal", "20", "head=" + "0" * 1100 + "1;period=", FAR_PAIR),
     ("distance", "--json", "--decimal", "6", "1/2", "0"),
     ("distance", "--decimal", "0", "--metric", "phi", "1", "1/2"),
     ("distance", "--decimal", "10", "--metric", "beta", "1/2,1/8,0", "head=1;period=01"),
@@ -69,6 +77,8 @@ CASES = (
     ("descriptor", "1/2"),
     ("descriptor", "--depth", "8", "--convention", "paper", "1/2"),
     ("descriptor", "--json", "--depth", "6", "--convention", "paper", "1/4,1/8"),
+    ("descriptor", "--depth", "8", "--convention", "paper", "head=0001;period="),
+    ("descriptor", "--depth", "9", "--convention", "paper", "head=010001;period="),
     ("descriptor", "--depth", "10", "head=01;period=011"),
     ("descriptor", "--depth", "6", "1/2,0"),
     ("descriptor", "--depth", "5", ""),
