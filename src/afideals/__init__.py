@@ -31,13 +31,10 @@ from .metrics import (
     first_disagreement,
 )
 from .qi import (
-    ZERO,
     ClosedSubsetQI,
     DescriptorConventionError,
     EmptySetError,
-    QIPoint,
     closed_set_of_ideal,
-    contains,
     format_closed_set,
     hausdorff,
     ideal_of_closed_set,

@@ -120,21 +120,13 @@ class FiniteDescriptor:
     __slots__ = ("_sets",)
 
     def __init__(self, sets):
-        self._sets = tuple(frozenset(map(int, s)) for s in sets)
+        # frozenset() returns a frozenset level itself, without a copy.
+        self._sets = tuple(map(frozenset, sets))
         if not self._sets:
             raise ValueError("a descriptor needs at least one level")
         for n, s in enumerate(self._sets, 1):
             if s and min(s) < 1:
                 raise ValueError(f"nonpositive index at level {n}")
-
-    @classmethod
-    def _trusted(cls, sets) -> "FiniteDescriptor":
-        """Levels that are already frozensets of positive ints, kept as they are."""
-        f = cls.__new__(cls)
-        f._sets = tuple(sets)
-        if not f._sets:
-            raise ValueError("a descriptor needs at least one level")
-        return f
 
     @property
     def depth(self) -> int:
@@ -277,7 +269,7 @@ def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
         levels.append(kept | {p} if tail[p - 1] else kept)
         if not excluded[p - 1]:
             kept = kept | {p}
-    return FiniteDescriptor._trusted(levels)
+    return FiniteDescriptor(levels)
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

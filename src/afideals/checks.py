@@ -21,9 +21,7 @@ from .bratteli import (
 from .exact import BinaryWord, pow2, word_weight
 from .metrics import d_beta, d_beta_truncated, d_phi
 from .qi import (
-    ZERO,
     ClosedSubsetQI,
-    QIPoint,
     closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
@@ -93,12 +91,6 @@ def _suite_exact(rng: random.Random, scale: int):
             cases += 1
             if word_weight(w, i) != w.bit(i) * pow2(-i) + word_weight(w, i + 1):
                 failures.append(f"word_weight recurrence fails at {i} for {w!r}")
-    for _ in range(scale):
-        x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        cases += 1
-        if (x + y) - y != x:
-            failures.append(f"inexact arithmetic on {x}, {y}")
     return cases, failures
 
 
@@ -144,9 +136,9 @@ def _suite_hausdorff_metric(rng: random.Random, scale: int):
 def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fraction:
     best = Fraction(0)
     for k in a.word.ones(depth):
-        best = max(best, point_distance(QIPoint(k), b))
+        best = max(best, point_distance(k, b))
     if a.contains_zero:
-        best = max(best, point_distance(ZERO, b))
+        best = max(best, point_distance(None, b))
     return best
 
 
@@ -254,13 +246,17 @@ SUITES = [
 ]
 
 
-def run_check(seed: int, scale: int = 60, inject_failure: bool = False):
+# Cases per suite: each suite's loop count derives from it.
+SCALE = 60
+
+
+def run_check(seed: int, inject_failure: bool = False):
     """Run every suite; returns (transcript, all_passed)."""
-    lines = [f"seed={seed} scale={scale}"]
+    lines = [f"seed={seed} scale={SCALE}"]
     ok = True
     for name, suite in SUITES:
         rng = random.Random(f"{seed}:{name}")
-        cases, failures = suite(rng, scale)
+        cases, failures = suite(rng, SCALE)
         if inject_failure:
             failures = failures + [f"injected violation in {name}"]
             inject_failure = False

@@ -40,7 +40,8 @@ MAX_DEPTH = 1024
 MAX_DECIMAL = 1000
 
 # argparse messages that echo an argument whole (an unrecognized or ambiguous
-# option) are clipped past this length, so no error line passes 200 characters.
+# option, a value for a flag) keep their start and length past this length,
+# so no error line passes 200 characters.
 MAX_MESSAGE = 192
 
 _DOMAIN_ERRORS = (EmptySetError, MalformedComparisonError, DescriptorConventionError)
@@ -52,7 +53,9 @@ class CliUsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliUsageError(message if len(message) <= MAX_MESSAGE else clip(message, str))
+        if len(message) > MAX_MESSAGE:
+            message = f"{message[:MAX_MESSAGE - 32]}... ({len(message)} characters)"
+        raise CliUsageError(message)
 
     def _check_value(self, action, value):
         # argparse's check, echoing a long rejected choice clipped
@@ -201,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="afideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, convention_default="derived", depth_help=None):
-        p.add_argument("--convention", choices=("paper", "derived"), default=convention_default)
+    def add_common(p, depth_help=None):
+        p.add_argument("--convention", choices=("paper", "derived"), default="derived")
         p.add_argument("--depth", type=_int, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 

@@ -147,24 +147,23 @@ def closed_form_dhausdorff(m: int, n: int, k: int) -> Fraction:
     return abs(pow2(-m) - pow2(-n))
 
 
-def _singleton_index(s: ClosedSubsetQI, role: str = "first set") -> int:
-    if not s.is_finite:
-        raise MalformedComparisonError(f"{role} must be a singleton {{2**-m}}")
-    ones = s.word.ones(len(s.word.head))
-    if len(ones) != 1 or ones[0] < 2:
-        raise MalformedComparisonError(f"{role} must be a singleton {{2**-m}} with m >= 1")
-    return ones[0] - 1
+# The paper's two shapes by number of points: how the shape is named, and
+# the bound on its parameters that excludes the point 1 = 2**0.
+_PAPER_SHAPES = {
+    1: ("a singleton {2**-m}", "m >= 1"),
+    2: ("a pair {2**-n, 2**-(n+k)}", "n, k >= 1"),
+}
 
 
-def _pair_indices(s: ClosedSubsetQI, role: str = "second set"):
+def _paper_table(s: ClosedSubsetQI, role: str, points: int) -> EventualDescriptor:
+    """The published table's descriptor of s, which must be `points` isolated
+    points other than 1."""
+    shape, bound = _PAPER_SHAPES[points]
     if not s.is_finite:
-        raise MalformedComparisonError(f"{role} must be a pair {{2**-n, 2**-(n+k)}}")
-    ones = s.word.ones(len(s.word.head))
-    if len(ones) != 2 or ones[0] < 2:
-        raise MalformedComparisonError(
-            f"{role} must be a pair {{2**-n, 2**-(n+k)}} with n, k >= 1"
-        )
-    return ones[0] - 1, ones[1] - ones[0]
+        raise MalformedComparisonError(f"{role} must be {shape}")
+    if s.word.head.count(1) != points or s.word.bit(1):
+        raise MalformedComparisonError(f"{role} must be {shape} with {bound}")
+    return paper_table_descriptor(s)
 
 
 def descriptor(s: ClosedSubsetQI, convention: str) -> EventualDescriptor:
@@ -174,12 +173,9 @@ def descriptor(s: ClosedSubsetQI, convention: str) -> EventualDescriptor:
         return ideal_of_closed_set(s)
     if convention != "paper":
         raise ValueError(f"unknown convention: {convention!r}")
-    if s.is_finite:
-        ones = s.word.ones(len(s.word.head))
-        if len(ones) == 1:
-            return paper_table_descriptor(_singleton_index(s, "set"))
-        if len(ones) == 2:
-            return paper_table_descriptor(_pair_indices(s, "set"))
+    points = s.word.head.count(1)
+    if s.is_finite and points in _PAPER_SHAPES:
+        return _paper_table(s, "set", points)
     raise MalformedComparisonError(
         "paper convention covers only singletons and pairs of isolated points"
     )
@@ -189,6 +185,5 @@ def descriptors(a: ClosedSubsetQI, b: ClosedSubsetQI, convention: str):
     """Ideal descriptors of a comparison's two sets; under "paper" the first
     must be a singleton and the second a pair."""
     if convention == "paper":
-        _singleton_index(a)
-        _pair_indices(b)
+        return _paper_table(a, "first set", 1), _paper_table(b, "second set", 2)
     return descriptor(a, convention), descriptor(b, convention)

@@ -1,7 +1,8 @@
 """The quantized interval: closed subsets, Hausdorff distance, and the
 closed-set / ideal-descriptor correspondence.
 
-Points are x_k = 2**(1-k) for k >= 1 together with the limit point 0.
+Points are x_k = 2**(1-k) for k >= 1 together with the limit point 0; a
+point is passed as its index k, and None stands for 0.
 A closed subset is an eventually periodic membership word over the x_k;
 a set with infinitely many points automatically contains 0, and a finite
 set may carry 0 explicitly.
@@ -18,12 +19,9 @@ from .bratteli import EventualDescriptor, first_disagreement, level_set
 from .exact import BinaryWord, first_index, format_word, pow2
 
 __all__ = [
-    "ZERO",
-    "QIPoint",
     "ClosedSubsetQI",
     "EmptySetError",
     "DescriptorConventionError",
-    "contains",
     "point_distance",
     "hausdorff",
     "ideal_of_closed_set",
@@ -52,45 +50,6 @@ class EmptySetError(ValueError):
 
 class DescriptorConventionError(ValueError):
     """Descriptor does not arise from the support-disjointness convention."""
-
-
-class QIPoint:
-    """A point of the quantized interval: index k denotes 2**(1-k), None denotes 0."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index=None):
-        if index is not None and index < 1:
-            raise ValueError("point indices start at 1")
-        self._index = index
-
-    @property
-    def index(self):
-        return self._index
-
-    @property
-    def is_zero(self) -> bool:
-        return self._index is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._index is None:
-            return Fraction(0)
-        return pow2(1 - self._index)
-
-    def __eq__(self, other):
-        if not isinstance(other, QIPoint):
-            return NotImplemented
-        return self._index == other._index
-
-    def __hash__(self):
-        return hash(self._index)
-
-    def __repr__(self):
-        return "QIPoint(0)" if self.is_zero else f"QIPoint(index={self._index})"
-
-
-ZERO = QIPoint(None)
 
 
 class ClosedSubsetQI:
@@ -135,14 +94,9 @@ class ClosedSubsetQI:
         return f"ClosedSubsetQI({format_closed_set(self)!r})"
 
 
-def contains(s: ClosedSubsetQI, x: QIPoint) -> bool:
-    if x.is_zero:
-        return s.contains_zero
-    return bool(s.word.bit(x.index))
-
-
-def point_distance(x: QIPoint, s: ClosedSubsetQI) -> Fraction:
-    """Exact distance from a point to a nonempty closed subset.
+def point_distance(i: int | None, s: ClosedSubsetQI) -> Fraction:
+    """Exact distance from the point x_i (the point 0 when i is None) to a
+    nonempty closed subset.
 
     Members below x_i lie less than x_i (the distance to 0) away, members
     above it at least x_i: the nearest is the next member below, else 0,
@@ -158,11 +112,10 @@ def point_distance(x: QIPoint, s: ClosedSubsetQI) -> Fraction:
     """
     if s.is_empty():
         raise EmptySetError("distance to the empty set is undefined")
-    if contains(s, x):
+    if i is None:
+        return Fraction(0) if s.contains_zero else pow2(1 - s.word.last_one())
+    if s.word.bit(i):
         return Fraction(0)
-    if x.is_zero:
-        return pow2(1 - s.word.last_one())
-    i = x.index
     j = s.word.next_one(i)
     if j is not None:
         return Fraction((1 << (j - i)) - 1, 1 << (j - 1))
@@ -192,8 +145,8 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
 
     def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> Fraction:
         k0 = first_index(a.word, b.word, operator.gt)
-        far = point_distance(ZERO if a.contains_zero else QIPoint(a.word.last_one()), b)
-        return far if k0 is None else max(point_distance(QIPoint(k0), b), far)
+        far = point_distance(None if a.contains_zero else a.word.last_one(), b)
+        return far if k0 is None else max(point_distance(k0, b), far)
 
     return max(directed(s, t), directed(t, s))
 
@@ -232,33 +185,16 @@ def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
     return s
 
 
-def paper_table_descriptor(selector) -> EventualDescriptor:
-    """Descriptor following the published level-set table verbatim.
+def paper_table_descriptor(s: ClosedSubsetQI) -> EventualDescriptor:
+    """Descriptor of a finite set following the published level-set table.
 
-    `selector` is either an integer m (the singleton {2**-m}) or a pair
-    (n, k) (the two-point set {2**-n, 2**-(n+k)}).  These patterns differ
-    from the support-disjointness convention at levels up to m (resp. n):
-    there the table keeps the tail summand inside the ideal.  The excluded
-    word marks the set's points x_(m+1) (resp. x_(n+1), x_(n+k+1)), and the
-    table's tail summand is missing just at those levels: the tail word is
-    1^m 0 1 1 ... (resp. 1^n 0 1^(k-1) 0 1 1 ...).
+    For the singleton {2**-m} and the pair {2**-n, 2**-(n+k)} the table
+    excludes the set's points, as the support-disjointness convention does,
+    but keeps the tail summand inside the ideal at every level except those
+    points: the excluded word is the set's word and the tail word is its
+    complement, eventually 1 (1^m 0 1 1 ... for the singleton).
     """
-    if isinstance(selector, int):
-        m = selector
-        if m < 1:
-            raise ValueError("m must be positive")
-        excluded = BinaryWord([0] * m + [1])
-        tail = BinaryWord([1] * m + [0], [1])
-    else:
-        n, k = selector
-        if n < 1 or k < 1:
-            raise ValueError("n and k must be positive")
-        bits = [0] * (n + k + 1)
-        bits[n] = 1
-        bits[n + k] = 1
-        excluded = BinaryWord(bits)
-        tail = BinaryWord([1] * n + [0] + [1] * (k - 1) + [0], [1])
-    return EventualDescriptor(excluded, tail)
+    return EventualDescriptor(s.word, BinaryWord([1 - b for b in s.word.head], (1,)))
 
 
 def parse_closed_set(text: str) -> ClosedSubsetQI:

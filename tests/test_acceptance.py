@@ -15,13 +15,12 @@ from fractions import Fraction
 from afideals.bratteli import level_set
 from afideals.checks import random_closed_set, random_ideal
 from afideals.exact import BinaryWord, pow2, word_weight
-from afideals.metrics import d_beta, d_beta_truncated, d_phi
+from afideals.metrics import d_beta, d_beta_truncated, d_phi, descriptors
 from afideals.qi import (
     ClosedSubsetQI,
     closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
-    paper_table_descriptor,
     parse_closed_set,
 )
 
@@ -42,7 +41,7 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 def table_pair(m, n, k):
     a = parse_closed_set(f"1/{2**m}")
     b = parse_closed_set(f"1/{2**n},1/{2**(n + k)}")
-    return (a, b), (paper_table_descriptor(m), paper_table_descriptor((n, k)))
+    return (a, b), descriptors(a, b, "paper")
 
 
 class TestCriterion1PaperTable:

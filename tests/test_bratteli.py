@@ -99,6 +99,10 @@ class TestLevelAccessors:
         ("width", (-1,)), ("edges", (-1,)),
         ("successors", (0, 3)), ("successors", (4, 1)),
         ("successors", (2, 0)), ("successors", (2, 3)),
+    ], ids=[  # frozen as first generated, so removing a case renumbers none
+        "width-args0", "width-args1", "dims-args2", "dims-args3", "edges-args4", "edges-args5",
+        "width-args6", "edges-args7", "successors-args8", "successors-args9",
+        "successors-args10", "successors-args11",
     ])
     def test_diagram_rejects_out_of_range(self, name, args):
         with pytest.raises(ValueError):
@@ -225,7 +229,7 @@ class TestGeneralDiagrams:
 class TestLevelSet:
     def test_paper_singleton_pattern(self):
         for m in (1, 3, 5):
-            e = paper_table_descriptor(m)
+            e = paper_table_descriptor(parse_closed_set(f"1/{2**m}"))
             for p in range(1, m + 1):
                 assert level_set(e, p) == frozenset(range(1, p + 1))
             assert level_set(e, m + 1) == frozenset(range(1, m + 1))
@@ -282,7 +286,7 @@ class TestEventualDescriptor:
             EventualDescriptor(BinaryWord(), BinaryWord((), (1, 0)))
 
     def test_repr_names_both_words(self):
-        e = paper_table_descriptor((2, 1))
+        e = paper_table_descriptor(parse_closed_set("1/4,1/8"))
         text = repr(e)
         assert text == (
             "EventualDescriptor(excluded=BinaryWord(head=(0, 0, 1, 1), period=()), "
@@ -293,8 +297,8 @@ class TestEventualDescriptor:
 
 class TestSymdiffLevel:
     def test_paper_patterns(self):
-        a = paper_table_descriptor(1)
-        b = paper_table_descriptor((2, 1))
+        a = paper_table_descriptor(parse_closed_set("1/2"))
+        b = paper_table_descriptor(parse_closed_set("1/4,1/8"))
         assert level_set(a, 2) ^ level_set(b, 2) == frozenset({2})
         assert level_set(a, 5) ^ level_set(b, 5) == frozenset({2, 3, 4})
 

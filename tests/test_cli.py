@@ -113,6 +113,17 @@ class TestDistance:
         ("1/2", "1/2,1/4,1/8", PAIR_NK),
         ("1", "1/4,1/8", SINGLETON_M),
         ("1/2", "1,1/4", PAIR_NK),
+    ], ids=[
+        # Frozen as first generated from the parameters, messages included, so
+        # that rewording a message no longer renames a test.
+        "1/2,0-1/4,1/8-error: first set must be a singleton {2**-m}\n",
+        "1/2-1/4,0-error: second set must be a pair {2**-n, 2**-(n+k)}\n",
+        "head=;period=01-1/4,1/8-error: first set must be a singleton {2**-m}\n",
+        "1/2-head=;period=01-error: second set must be a pair {2**-n, 2**-(n+k)}\n",
+        "1/2,1/4,1/8-1/4,1/8-error: first set must be a singleton {2**-m} with m >= 1\n",
+        "1/2-1/2,1/4,1/8-error: second set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n",
+        "1-1/4,1/8-error: first set must be a singleton {2**-m} with m >= 1\n",
+        "1/2-1,1/4-error: second set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n",
     ])
     def test_paper_convention_shapes(self, capsys, a, b, err):
         assert run(capsys, "distance", "--convention", "paper", a, b) == (3, "", err)
@@ -209,6 +220,16 @@ class TestDescriptor:
         ("1/2,1/4,1/8", COVERS),
         ("1", ONE_SINGLETON_M),
         ("1,1/4", ONE_PAIR_NK),
+    ], ids=[
+        # Frozen as first generated, like TestDistance's.
+        "0-error: paper convention covers only singletons and pairs of isolated points\n",
+        "1/2,0-error: paper convention covers only singletons and pairs of isolated points\n",
+        "head=;period=01-error: paper convention covers only singletons and pairs of isolated "
+        "points\n",
+        "1/2,1/4,1/8-error: paper convention covers only singletons and pairs of isolated "
+        "points\n",
+        "1-error: set must be a singleton {2**-m} with m >= 1\n",
+        "1,1/4-error: set must be a pair {2**-n, 2**-(n+k)} with n, k >= 1\n",
     ])
     def test_paper_convention_shapes(self, capsys, literal, err):
         assert run(capsys, "descriptor", "--convention", "paper", literal) == (3, "", err)
@@ -359,6 +380,16 @@ class TestLongValues:
         monkeypatch.setenv(name, value)
         command = "check" if name == "AFIDEALS_SEED" else "diagram"
         assert run(capsys, command) == (1, "", f"error: {err}\n")
+
+    def test_long_argparse_messages_keep_their_start(self, capsys):
+        code, out, err = run(capsys, "distance", "--json=" + "1" * 3000, "1/2", "1/4")
+        assert (code, out) == (1, "")
+        assert err == ("error: argument --json: ignored explicit argument '" + "1" * 116
+                       + "... (3045 characters)\n")
+        code, out, err = run(capsys, "distance", "1/2", "1/4", *(f"x{i}" for i in range(2000)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 ")
+        assert err.endswith("... (10913 characters)\n") and len(err) <= 201
 
     @pytest.mark.parametrize("argv", [
         ("x" * 5000,),

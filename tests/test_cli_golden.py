@@ -4,7 +4,8 @@
 list in CASES.  The cases cover every subcommand, both conventions (the paper's
 singletons and pairs also as word literals, with points past index 1,000),
 `--json`/`--decimal`, the interval fallback of beta, a 127/113 period
-pair, a 2,048-bit head, each error exit (1 and 3), `check --seed 1` and
+pair, a 2,048-bit head, each error exit (1 and 3), argparse messages cut to
+their start and length, `check --seed 1` and
 `--inject-failure`.  A change that alters any of these bytes fails here.
 
 To regenerate the file after a deliberate change of output, run
@@ -71,6 +72,8 @@ CASES = (
     ("distance", "--decimal", "-2", "1/2", "1/4"),
     ("distance", "--decimal", "1001", "1/2", "1/4"),
     ("distance", "1/2"),
+    ("distance", "--json=" + "1" * 3000, "1/2", "1/4"),
+    ("distance", "1/2", "1/4") + tuple(f"--x{i}" for i in range(100)),
     (),
     ("paper-table",),
     ("paper-table", "--json"),

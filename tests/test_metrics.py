@@ -10,8 +10,6 @@ from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
     CertifiedValue,
     MalformedComparisonError,
-    _pair_indices,
-    _singleton_index,
     closed_form_dbeta,
     closed_form_dhausdorff,
     closed_form_dphi,
@@ -53,7 +51,7 @@ def random_eventual(rng: random.Random) -> EventualDescriptor:
         return ideal_of_closed_set(ClosedSubsetQI(word))
     if kind == 1:
         n = rng.randint(1, 5)
-        return paper_table_descriptor(n if rng.random() < 0.5 else (n, rng.randint(1, 4)))
+        return table(n) if rng.random() < 0.5 else table(n, rng.randint(1, 4))
     word = random_word(rng, max_head=6, max_period=6, periodic_prob=0.7)
     tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
                       (1,) if rng.random() < 0.5 else ())
@@ -64,6 +62,12 @@ def eventual_pairs(seed: int, count: int) -> list:
     """Seeded pairs of `random_eventual` descriptors."""
     rng = random.Random(seed)
     return [(random_eventual(rng), random_eventual(rng)) for _ in range(count)]
+
+
+def table(m: int, k: int = 0) -> EventualDescriptor:
+    """Published table descriptor of {2**-m}, or with k of {2**-m, 2**-(m+k)}."""
+    points = f"1/{2**m}" + (f",1/{2**(m + k)}" if k else "")
+    return paper_table_descriptor(parse_closed_set(points))
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -88,13 +92,13 @@ class TestCertifiedValue:
 
 class TestFirstDisagreement:
     def test_equal(self):
-        e = paper_table_descriptor(3)
+        e = table(3)
         assert first_disagreement(e, e) is None
 
     def test_published_rows_disagree_at_two(self):
-        a = paper_table_descriptor(1)
-        for selector in ((2, 1), (2, 2)):
-            assert first_disagreement(a, paper_table_descriptor(selector)) == 2
+        a = table(1)
+        for k in (1, 2):
+            assert first_disagreement(a, table(2, k)) == 2
 
     def test_derived_rows_disagree_at_three(self):
         a = ideal_of_closed_set(parse_closed_set("1/2"))
@@ -116,9 +120,9 @@ class TestFirstDisagreement:
 
 class TestDPhi:
     def test_published_rows(self):
-        a = paper_table_descriptor(1)
-        assert d_phi(a, paper_table_descriptor((2, 1))) == Fraction(1, 4)
-        assert d_phi(a, paper_table_descriptor((2, 2))) == Fraction(1, 4)
+        a = table(1)
+        assert d_phi(a, table(2, 1)) == Fraction(1, 4)
+        assert d_phi(a, table(2, 2)) == Fraction(1, 4)
 
     def test_derived_rows(self):
         a = ideal_of_closed_set(parse_closed_set("1/2"))
@@ -135,9 +139,9 @@ class TestDPhi:
 class TestDBeta:
     def test_published_rows_definition_level(self):
         # exact summation over the published level sets
-        a = paper_table_descriptor(1)
-        for selector, expected in (((2, 1), Fraction(21, 128)), ((2, 2), Fraction(81, 512))):
-            b = paper_table_descriptor(selector)
+        a = table(1)
+        for k, expected in ((1, Fraction(21, 128)), (2, Fraction(81, 512))):
+            b = table(2, k)
             value = d_beta(a, b)
             assert value == expected
             partial = truncation_oracle(a, b, 200)
@@ -179,8 +183,8 @@ class TestDBeta:
 
 class TestDBetaTruncated:
     def test_interval_shape(self):
-        a = paper_table_descriptor(1)
-        b = paper_table_descriptor((2, 1))
+        a = table(1)
+        b = table(2, 1)
         iv = d_beta_truncated(a, b, 12)
         assert iv.width == pow2(-12)
         assert iv.contains(Fraction(21, 128))
@@ -250,21 +254,22 @@ class TestClosedForms:
 
 class TestComparisonScaffolding:
     def test_index_extraction(self):
-        assert _singleton_index(parse_closed_set("1/2")) == 1
-        assert _pair_indices(parse_closed_set("1/4,1/16")) == (2, 2)
+        a, b = parse_closed_set("1/2"), parse_closed_set("1/4,1/16")
+        assert descriptors(a, b, "paper") == (table(1), table(2, 2))
 
     def test_index_extraction_rejects(self):
+        singleton, pair = parse_closed_set("1/2"), parse_closed_set("1/4,1/8")
         for bad in ("", "1", "1/2,1/4", "0", "1/2,0"):
-            with pytest.raises(MalformedComparisonError):
-                _singleton_index(parse_closed_set(bad))
+            with pytest.raises(MalformedComparisonError, match="^first set"):
+                descriptors(parse_closed_set(bad), pair, "paper")
         for bad in ("", "1/4", "1,1/2", "1/2,1/4,1/8"):
-            with pytest.raises(MalformedComparisonError):
-                _pair_indices(parse_closed_set(bad))
+            with pytest.raises(MalformedComparisonError, match="^second set"):
+                descriptors(singleton, parse_closed_set(bad), "paper")
 
     def test_compare_paper(self):
         a, b = parse_closed_set("1/2"), parse_closed_set("1/4,1/8")
         di, dj = descriptors(a, b, "paper")
-        assert (di, dj) == (paper_table_descriptor(1), paper_table_descriptor((2, 1)))
+        assert (di, dj) == (table(1), table(2, 1))
         assert (di, dj) == (descriptor(a, "paper"), descriptor(b, "paper"))
         assert hausdorff(a, b) == Fraction(3, 8)
         assert d_phi(di, dj) == Fraction(1, 4)

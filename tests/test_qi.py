@@ -7,14 +7,12 @@ import pytest
 from afideals.bratteli import EventualDescriptor, level_set
 from afideals.checks import random_closed_set
 from afideals.exact import BinaryWord, pow2
+from afideals.metrics import MalformedComparisonError, descriptor
 from afideals.qi import (
-    ZERO,
     ClosedSubsetQI,
     DescriptorConventionError,
     EmptySetError,
-    QIPoint,
     closed_set_of_ideal,
-    contains,
     format_closed_set,
     hausdorff,
     ideal_of_closed_set,
@@ -32,6 +30,11 @@ def enumerate_values(s: ClosedSubsetQI, depth: int):
     return vals
 
 
+def value(i) -> Fraction:
+    """The point x_i = 2**(1-i), or 0 when i is None."""
+    return Fraction(0) if i is None else pow2(1 - i)
+
+
 def random_bits(rng, n: int, one: bool = False):
     """n random bits; with `one`, at least one of them is 1."""
     bits = [rng.randint(0, 1) for _ in range(n)]
@@ -47,17 +50,24 @@ def all_words(max_head: int, max_period: int) -> set:
             for p in range(max_period + 1) for period in product((0, 1), repeat=p)}
 
 
-class TestQIPoint:
+class TestPointIndex:
     def test_values(self):
-        assert QIPoint(1).value == 1
-        assert QIPoint(4).value == Fraction(1, 8)
-        assert ZERO.value == 0 and ZERO.is_zero
+        # index k is the point 2**(1-k), None the point 0: their distance to {0}
+        to_zero = parse_closed_set("0")
+        assert point_distance(1, to_zero) == 1
+        assert point_distance(4, to_zero) == Fraction(1, 8)
+        assert point_distance(None, to_zero) == 0
 
     def test_round_trip(self):
         # a point's value, written as a literal, parses back to its index
         for k in range(1, 40):
-            s = parse_closed_set(str(QIPoint(k).value))
-            assert s.word.ones(40) == [k] and contains(s, QIPoint(k))
+            s = parse_closed_set(str(pow2(1 - k)))
+            assert s.word.ones(40) == [k] and s.word.bit(k)
+
+    def test_rejects_index_below_one(self):
+        for i in (0, -1):
+            with pytest.raises(ValueError):
+                point_distance(i, parse_closed_set("1"))
 
 
 class TestClosedSubset:
@@ -68,8 +78,8 @@ class TestClosedSubset:
     def test_finite_set_with_explicit_zero(self):
         s = parse_closed_set("1/2,0")
         assert s.contains_zero and not s.is_finite
-        assert contains(s, QIPoint(2)) and contains(s, ZERO)
-        assert not contains(s, QIPoint(1))
+        assert s.word.bit(2) and s.contains_zero
+        assert not s.word.bit(1)
 
     def test_empty(self):
         assert parse_closed_set("").is_empty()
@@ -87,18 +97,18 @@ class TestClosedSubset:
 class TestPointDistance:
     def test_member_distance_zero(self):
         s = parse_closed_set("1,1/4")
-        assert point_distance(QIPoint(1), s) == 0
+        assert point_distance(1, s) == 0
 
     def test_example(self):
         s = parse_closed_set("1/4,1/8")
-        assert point_distance(QIPoint(2), s) == Fraction(1, 4)
+        assert point_distance(2, s) == Fraction(1, 4)
 
     def test_zero_to_finite_set(self):
-        assert point_distance(ZERO, parse_closed_set("1,1/2")) == Fraction(1, 2)
+        assert point_distance(None, parse_closed_set("1,1/2")) == Fraction(1, 2)
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
-            point_distance(ZERO, parse_closed_set(""))
+            point_distance(None, parse_closed_set(""))
 
     def test_exhaustive_against_enumeration(self):
         for word in all_words(5, 3):
@@ -107,8 +117,8 @@ class TestPointDistance:
                 if s.is_empty():
                     continue
                 vals = enumerate_values(s, len(word.head) + 2 * max(1, len(word.period)) + 12)
-                for x in [QIPoint(i) for i in range(1, 13)] + [ZERO]:
-                    assert point_distance(x, s) == min(abs(x.value - v) for v in vals)
+                for i in [*range(1, 13), None]:
+                    assert point_distance(i, s) == min(abs(value(i) - v) for v in vals)
 
     def test_against_enumeration_oracle(self):
         rng = random.Random(31)
@@ -117,8 +127,7 @@ class TestPointDistance:
             depth = len(s.word.head) + 2 * max(1, len(s.word.period)) + 40
             vals = enumerate_values(s, depth)
             for i in list(rng.sample(range(1, 12), 4)) + [None]:
-                x = QIPoint(i)
-                assert point_distance(x, s) == min(abs(x.value - v) for v in vals)
+                assert point_distance(i, s) == min(abs(value(i) - v) for v in vals)
 
 
 class TestHausdorff:
@@ -215,7 +224,7 @@ class TestClosedSetOfIdeal:
 
     def test_rejects_table_convention(self):
         with pytest.raises(DescriptorConventionError):
-            closed_set_of_ideal(paper_table_descriptor(1))
+            closed_set_of_ideal(paper_table_descriptor(parse_closed_set("1/2")))
 
     def test_rejects_inconsistent_tail_flag(self):
         e = EventualDescriptor(BinaryWord((), (1, 0)), BinaryWord((), (1,)))
@@ -223,33 +232,56 @@ class TestClosedSetOfIdeal:
             closed_set_of_ideal(e)
 
 
+def table_singleton(m: int) -> EventualDescriptor:
+    """The published table's descriptor of {2**-m}, by its formula:
+    excluded word 0^m 1, tail word 1^m 0 1 1 ..."""
+    return EventualDescriptor(BinaryWord([0] * m + [1]), BinaryWord([1] * m + [0], [1]))
+
+
+def table_pair(n: int, k: int) -> EventualDescriptor:
+    """The published table's descriptor of {2**-n, 2**-(n+k)}, by its formula:
+    excluded word 0^n 1 0^(k-1) 1, tail word 1^n 0 1^(k-1) 0 1 1 ..."""
+    return EventualDescriptor(BinaryWord([0] * n + [1] + [0] * (k - 1) + [1]),
+                              BinaryWord([1] * n + [0] + [1] * (k - 1) + [0], [1]))
+
+
 class TestPaperTableDescriptor:
     def test_singleton_branches(self):
-        e = paper_table_descriptor(2)
+        e = paper_table_descriptor(parse_closed_set("1/4"))
         assert level_set(e, 1) == frozenset({1})
         assert level_set(e, 2) == frozenset({1, 2})
         assert level_set(e, 3) == frozenset({1, 2})
         assert level_set(e, 4) == frozenset({1, 2, 4})
 
     def test_pair_branches(self):
-        e = paper_table_descriptor((2, 1))
+        e = paper_table_descriptor(parse_closed_set("1/4,1/8"))
         assert level_set(e, 2) == frozenset({1, 2})
         assert level_set(e, 3) == frozenset({1, 2})
         assert level_set(e, 4) == frozenset({1, 2})
         assert level_set(e, 5) == frozenset({1, 2, 5})
 
     def test_pair_middle_branch(self):
-        e = paper_table_descriptor((2, 3))
+        e = paper_table_descriptor(parse_closed_set("1/4,1/32"))
         assert level_set(e, 4) == frozenset({1, 2, 4})
         assert level_set(e, 5) == frozenset({1, 2, 4, 5})
         assert level_set(e, 6) == frozenset({1, 2, 4, 5})
         assert level_set(e, 7) == frozenset({1, 2, 4, 5, 7})
 
+    def test_matches_published_formula(self):
+        for m in range(1, 65):
+            s = parse_closed_set(f"1/{2**m}")
+            assert paper_table_descriptor(s) == descriptor(s, "paper") == table_singleton(m)
+        for n in range(1, 33):
+            for k in range(1, 33):
+                s = parse_closed_set(f"1/{2**n},1/{2**(n + k)}")
+                assert paper_table_descriptor(s) == descriptor(s, "paper") == table_pair(n, k)
+
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            paper_table_descriptor(0)
-        with pytest.raises(ValueError):
-            paper_table_descriptor((1, 0))
+        # m = 0 and n = 0 put the point 1 = 2**0 in the set
+        with pytest.raises(MalformedComparisonError):
+            descriptor(parse_closed_set("1"), "paper")
+        with pytest.raises(MalformedComparisonError):
+            descriptor(parse_closed_set("1,1/2"), "paper")
 
 
 class TestSerialization:
