@@ -4,13 +4,14 @@ A diagram records, per level, the dimensions of the simple direct summands
 and the edge multiplicities into the next level.  An ideal meets each level
 in a direct sum of full summands, so an ideal truncated to finitely many
 levels is just a family of index sets that is forward-closed along edges
-and saturated backwards.
+and saturated backwards.  Each level's set is stored as one int, index k
+as bit k-1, so both closure laws are a few big-int operations per level.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress
+from itertools import chain, compress, count
 
 from .exact import BinaryWord, first_diff_index
 
@@ -24,10 +25,13 @@ class BratteliDiagram:
 
     Levels are numbered from 1, summand indices within a level from 1.
     Zero entries of an edge map are dropped on construction, so every edge
-    listed exists.
+    listed exists.  Each gap is also read by offset: for every d = j - k
+    that occurs, the mask of summands k with an edge to k + d.  The offset
+    masks are derived on first use, so building a diagram costs no more;
+    `qi_diagram` sets its two per gap in closed form.
     """
 
-    __slots__ = ("_dims", "_edges")
+    __slots__ = ("_dims", "_edges", "_offsets")
 
     def __init__(self, dims, edges):
         self._dims = tuple(tuple(int(d) for d in level) for level in dims)
@@ -54,6 +58,7 @@ class BratteliDiagram:
                 kept[(k, j)] = m
             maps.append(kept)
         self._edges = tuple(maps)
+        self._offsets = [None] * len(maps)
 
     @property
     def depth(self) -> int:
@@ -81,16 +86,36 @@ class BratteliDiagram:
 
     def successors(self, n: int, k: int) -> frozenset:
         """Indices at level n+1 reached from summand k by at least one edge."""
-        gap = self._edges[self._gap(n)]
+        self._gap(n)
         if not 1 <= k <= self.width(n):
             raise ValueError(f"summand {k} outside 1..{self.width(n)} at level {n}")
-        return frozenset(j for kk, j in gap if kk == k)
+        return frozenset(k + d for d, m in self._offset_masks(n) if m >> (k - 1) & 1)
 
-    def _pullback(self, n: int, below) -> set:
-        """Summands of level n all of whose successors lie in `below` at level
-        n+1, from one pass over the gap's edges."""
-        leaving = {k for k, j in self._edges[self._gap(n)] if j not in below}
-        return set(range(1, len(self._dims[n - 1]) + 1)).difference(leaving)
+    def _offset_masks(self, n: int) -> tuple:
+        """(d, M_d) for gap n: bit k-1 of M_d is set when summand k of level n
+        has an edge to summand k + d of level n+1."""
+        offsets = self._offsets[n - 1]
+        if offsets is None:
+            masks = {}
+            for k, j in self._edges[n - 1]:
+                masks[j - k] = masks.get(j - k, 0) | 1 << (k - 1)
+            offsets = self._offsets[n - 1] = tuple(masks.items())
+        return offsets
+
+    def _pullback(self, n: int, below: int) -> int:
+        """Mask of the summands of level n all of whose successors lie in the
+        mask `below` of level n+1: those with no edge into its complement."""
+        leaving = 0
+        for d, m in self._offset_masks(n):
+            leaving |= m & (~below >> d if d >= 0 else ~below << -d)
+        return ((1 << len(self._dims[n - 1])) - 1) ^ leaving
+
+    def _image(self, n: int, here: int) -> int:
+        """Mask of the summands of level n+1 reached from the mask `here` of level n."""
+        reached = 0
+        for d, m in self._offset_masks(n):
+            reached |= (here & m) << d if d >= 0 else (here & m) >> -d
+        return reached
 
     def __repr__(self):
         return f"BratteliDiagram(depth={self.depth})"
@@ -111,69 +136,103 @@ def qi_diagram(depth: int) -> BratteliDiagram:
         gap[(n, n)] = 1
         gap[(n, n + 1)] = 1
         edges.append(gap)
-    return BratteliDiagram(dims, edges)
+    d = BratteliDiagram(dims, edges)
+    # The offset masks in closed form, so no pass over the edges derives them:
+    # offset 0 from every summand of level n, offset 1 from the tail summand n.
+    d._offsets = [((0, (1 << n) - 1), (1, 1 << (n - 1))) for n in range(1, depth)]
+    return d
 
 
 class FiniteDescriptor:
-    """Depth-truncated ideal: one index subset per level."""
+    """Depth-truncated ideal: one index subset per level, held as a mask
+    with bit k-1 set for index k."""
 
-    __slots__ = ("_sets",)
+    __slots__ = ("_masks",)
 
     def __init__(self, sets):
-        # frozenset() returns a frozenset level itself, without a copy.
-        self._sets = tuple(map(frozenset, sets))
-        if not self._sets:
-            raise ValueError("a descriptor needs at least one level")
-        for n, s in enumerate(self._sets, 1):
-            if s and min(s) < 1:
-                raise ValueError(f"nonpositive index at level {n}")
+        masks = []
+        for n, s in enumerate(sets, 1):
+            mask = 0
+            for k in s:
+                if k < 1:
+                    raise ValueError(f"nonpositive index at level {n}")
+                mask |= 1 << (k - 1)
+            masks.append(mask)
+        self._masks = _levels(masks)
+
+    @classmethod
+    def _of_masks(cls, masks):
+        f = cls.__new__(cls)
+        f._masks = _levels(masks)
+        return f
 
     @property
     def depth(self) -> int:
-        return len(self._sets)
+        return len(self._masks)
 
     def sets(self, n: int) -> frozenset:
-        if not 1 <= n <= len(self._sets):
-            raise ValueError(f"level {n} outside 1..{len(self._sets)}")
-        return self._sets[n - 1]
+        if not 1 <= n <= len(self._masks):
+            raise ValueError(f"level {n} outside 1..{len(self._masks)}")
+        return _indices(self._masks[n - 1])
 
     @property
     def all_sets(self) -> tuple:
-        return self._sets
+        return tuple(map(_indices, self._masks))
+
+    def __le__(self, other):
+        """Level-wise inclusion; both descriptors must have the same depth."""
+        if not isinstance(other, FiniteDescriptor):
+            return NotImplemented
+        if len(self._masks) != len(other._masks):
+            raise ValueError(f"depths differ: {self.depth} and {other.depth}")
+        return not any(a & ~b for a, b in zip(self._masks, other._masks))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDescriptor):
             return NotImplemented
-        return self._sets == other._sets
+        return self._masks == other._masks
 
     def __hash__(self):
-        return hash(self._sets)
+        return hash(self._masks)
 
     def __repr__(self):
-        return f"FiniteDescriptor({[sorted(s) for s in self._sets]!r})"
+        return f"FiniteDescriptor({[sorted(s) for s in self.all_sets]!r})"
+
+
+def _levels(masks) -> tuple:
+    masks = tuple(masks)
+    if not masks:
+        raise ValueError("a descriptor needs at least one level")
+    return masks
+
+
+def _indices(mask: int) -> frozenset:
+    """Indices k whose bit k-1 is set."""
+    return frozenset(compress(count(1), map("1".__eq__, bin(mask)[:1:-1])))
 
 
 def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
     if f.depth > d.depth:
         raise WidthMismatchError(f"descriptor depth {f.depth} exceeds diagram depth {d.depth}")
-    for n, s in enumerate(f.all_sets, 1):
+    for n, mask in enumerate(f._masks, 1):
         width = len(d._dims[n - 1])
-        if s and max(s) > width:
-            k = next(k for k in s if k > width)
+        over = mask >> width
+        if over:
+            k = width + (over & -over).bit_length()
             raise WidthMismatchError(f"index {k} exceeds width {width} at level {n}")
 
 
 def is_ideal(d: BratteliDiagram, f: FiniteDescriptor) -> bool:
     """Forward closure and saturation at every level below the truncation depth:
     level n is exactly the pullback of level n+1, the summands all of whose
-    successors lie in it.  One pass over the edges.
+    successors lie in it.  A few mask operations per offset and level.
 
     The final level only needs to receive edges correctly, so it imposes no
     condition of its own; saturation there would need the next level.
     """
     _check_widths(d, f)
-    sets = f.all_sets
-    return all(sets[n - 1] == d._pullback(n, sets[n]) for n in range(1, f.depth))
+    masks = f._masks
+    return all(masks[n - 1] == d._pullback(n, masks[n]) for n in range(1, f.depth))
 
 
 def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescriptor:
@@ -191,13 +250,12 @@ def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescripto
     the smallest.
     """
     _check_widths(d, seed)
-    sets = [set(s) for s in seed.all_sets]
+    masks = list(seed._masks)
     for n in range(1, seed.depth):
-        here = sets[n - 1]
-        sets[n].update(j for k, j in d._edges[n - 1] if k in here)
+        masks[n] |= d._image(n, masks[n - 1])
     for n in range(seed.depth - 1, 0, -1):
-        sets[n - 1] |= d._pullback(n, sets[n])
-    return FiniteDescriptor(sets)
+        masks[n - 1] |= d._pullback(n, masks[n])
+    return FiniteDescriptor._of_masks(masks)
 
 
 class EventualDescriptor:
@@ -263,13 +321,12 @@ def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
     """Levels 1..depth, as level_set gives them, from one prefix of each word:
     level p holds the indices k < p kept so far, plus p when T_p is set."""
-    excluded, tail = e.excluded.prefix(depth), e.tail.prefix(depth)
-    kept, levels = frozenset(), []
-    for p in range(1, depth + 1):
-        levels.append(kept | {p} if tail[p - 1] else kept)
-        if not excluded[p - 1]:
-            kept = kept | {p}
-    return FiniteDescriptor(levels)
+    kept, masks = 0, []
+    for bit, (excluded, tail) in enumerate(zip(e.excluded.prefix(depth), e.tail.prefix(depth))):
+        masks.append(kept | tail << bit)
+        if not excluded:
+            kept |= 1 << bit
+    return FiniteDescriptor._of_masks(masks)
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

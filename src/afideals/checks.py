@@ -73,6 +73,9 @@ def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, p: int, k: in
     spans the characteristic function of {2**(1-k)}, summand p spans that
     of the tail interval [0, 2**(1-p)].  `members` are s's point values
     from `member_values`, listed past index p and past the head of s.
+    The answer for k < p does not depend on p, so the `correspondence`
+    suite evaluates it once per summand: once for each point summand k and
+    once for the tail summand of each level.
     """
     if k < p:
         return pow2(1 - k) not in members
@@ -110,7 +113,7 @@ def _suite_closure(rng: random.Random, scale: int):
             failures.append(f"closure of {small} is not an ideal")
         if ideal_closure(diagram, c_small) != c_small:
             failures.append(f"closure not idempotent on {small}")
-        if not all(c_small.sets(p) <= c_big.sets(p) for p in range(1, 9)):
+        if not c_small <= c_big:
             failures.append(f"closure not monotone on {small} vs {big}")
     return cases, failures
 
@@ -193,13 +196,12 @@ def _suite_correspondence(rng: random.Random, scale: int):
         e = ideal_of_closed_set(s)
         finite = to_finite(e, 32)
         cases += 1
-        # Listed as far as the deepest probe of a per-level listing, at level 12.
+        # Listed as far as the deepest probe, the tail summand of level 12.
         members = member_values(s, len(s.word.head) + 2 * max(1, len(s.word.period)) + 14)
-        ok = all(
-            (k in level) == support_disjoint_oracle(s, members, p, k)
-            for p, level in enumerate(finite.all_sets[:12], 1)
-            for k in range(1, p + 1)
-        )
+        points = {k for k in range(1, 12) if support_disjoint_oracle(s, members, 12, k)}
+        tails = {p for p in range(1, 13) if support_disjoint_oracle(s, members, p, p)}
+        ok = all(finite.sets(p) == {k for k in points if k < p} | (tails & {p})
+                 for p in range(1, 13))
         if not ok:
             failures.append(f"support-disjointness oracle disagrees for {s!r}")
         if closed_set_of_ideal(e) != s:
@@ -211,7 +213,7 @@ def _suite_correspondence(rng: random.Random, scale: int):
         period = tuple(s.word.bit(h + 1 + r) for r in range(len(s.word.period)))
         t = ClosedSubsetQI(BinaryWord(head, period), include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
-        if not all(map(frozenset.__le__, to_finite(f, 32).all_sets, finite.all_sets)):
+        if not to_finite(f, 32) <= finite:
             failures.append(f"antitone correspondence fails for {s!r} inside {t!r}")
     return cases, failures
 

@@ -30,9 +30,9 @@ from .metrics import (
 )
 from .qi import DescriptorConventionError, EmptySetError, clip, hausdorff, parse_closed_set
 
-# qi_diagram builds O(depth**2) edges, about 0.6 s at this depth, so larger
+# qi_diagram builds O(depth**2) edges, about 0.4 s at this depth, so larger
 # depths are refused rather than left to run; a truncated d_beta at this
-# depth takes about 0.6 ms.
+# depth takes about 0.5 ms (best of 5, Python 3.11, shared 2-vCPU host).
 MAX_DEPTH = 1024
 
 # The decimal column goes through str(), which converts at most 4300 digits

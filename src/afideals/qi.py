@@ -192,8 +192,12 @@ def paper_table_descriptor(s: ClosedSubsetQI) -> EventualDescriptor:
     excludes the set's points, as the support-disjointness convention does,
     but keeps the tail summand inside the ideal at every level except those
     points: the excluded word is the set's word and the tail word is its
-    complement, eventually 1 (1^m 0 1 1 ... for the singleton).
+    complement, eventually 1 (1^m 0 1 1 ... for the singleton).  A set
+    holding 0 or infinitely many points is outside the table's scope and
+    raises ValueError.
     """
+    if not s.is_finite:
+        raise ValueError("the paper table covers only finite sets of isolated points")
     return EventualDescriptor(s.word, BinaryWord([1 - b for b in s.word.head], (1,)))
 
 

@@ -35,6 +35,27 @@ def brute_closure(d, seed):
             return FiniteDescriptor(sets)
 
 
+def set_pullback(d, n, below):
+    """Set-based reference: summands of level n with no edge leaving `below`."""
+    leaving = {k for k, j in d.edges(n) if j not in below}
+    return frozenset(range(1, d.width(n) + 1)) - leaving
+
+
+def set_is_ideal(d, levels):
+    return all(levels[n - 1] == set_pullback(d, n, levels[n]) for n in range(1, len(levels)))
+
+
+def set_closure(d, levels):
+    """Set-based reference for the two-sweep closure, on plain index sets."""
+    sets = [set(s) for s in levels]
+    for n in range(1, len(sets)):
+        here = sets[n - 1]
+        sets[n].update(j for k, j in d.edges(n) if k in here)
+    for n in range(len(sets) - 1, 0, -1):
+        sets[n - 1] |= set_pullback(d, n, sets[n])
+    return tuple(map(frozenset, sets))
+
+
 def scan_successors(d, n, k):
     return {j for (kk, j), m in d.edges(n).items() if kk == k and m > 0}
 
@@ -51,7 +72,7 @@ def ideal_by_definition(d, f):
     return True
 
 
-def random_diagram(rng):
+def random_diagram_parts(rng):
     """Widths up to 5, dimensions up to 3, each pair of summands joined by
     0, 1 or 2 edges: orphan summands and summands without successors both occur."""
     widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
@@ -61,14 +82,20 @@ def random_diagram(rng):
          for k in range(1, w + 1) for j in range(1, w_next + 1) if rng.random() < 0.4}
         for w, w_next in zip(widths, widths[1:])
     ]
-    return BratteliDiagram(dims, edges)
+    return dims, edges
+
+
+def random_diagram(rng):
+    return BratteliDiagram(*random_diagram_parts(rng))
+
+
+def random_level_sets(rng, d, depth, density):
+    return [frozenset(k for k in range(1, d.width(n) + 1) if rng.random() < density)
+            for n in range(1, depth + 1)]
 
 
 def random_levels(rng, d, depth, density):
-    return FiniteDescriptor([
-        frozenset(k for k in range(1, d.width(n) + 1) if rng.random() < density)
-        for n in range(1, depth + 1)
-    ])
+    return FiniteDescriptor(random_level_sets(rng, d, depth, density))
 
 
 class TestQiDiagram:
@@ -114,6 +141,40 @@ class TestLevelAccessors:
         assert d.edges(3) == {(1, 1): 1, (2, 2): 1, (3, 3): 1, (3, 4): 1}
         assert d.successors(1, 1) == {1, 2} and d.successors(3, 3) == {3, 4}
 
+    def test_descriptor_round_trips_through_masks(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            depth = rng.randint(1, 12)
+            levels = [frozenset(rng.sample(range(1, 300), rng.randint(0, 6))) for _ in range(depth)]
+            # Lists with repeats, tuples and ranges are accepted as levels too.
+            f = FiniteDescriptor([sorted(s) * 2 for s in levels])
+            assert f.all_sets == tuple(levels)
+            assert [f.sets(n) for n in range(1, depth + 1)] == levels
+            assert f == FiniteDescriptor(levels) and hash(f) == hash(FiniteDescriptor(levels))
+            assert eval(repr(f)) == f
+        assert FiniteDescriptor([range(1, 4), ()]).all_sets == (frozenset({1, 2, 3}), frozenset())
+
+    def test_level_wise_inclusion(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            depth = rng.randint(1, 6)
+            a = [frozenset(k for k in range(1, 9) if rng.random() < 0.3) for _ in range(depth)]
+            b = [s | frozenset(k for k in range(1, 9) if rng.random() < 0.3) for s in a]
+            if rng.random() < 0.5:
+                b[rng.randrange(depth)] = frozenset(k for k in range(1, 9) if rng.random() < 0.3)
+            fa, fb = FiniteDescriptor(a), FiniteDescriptor(b)
+            assert (fa <= fb) == all(map(frozenset.__le__, a, b))
+            assert (fb >= fa) == (fa <= fb)
+        with pytest.raises(ValueError, match="depths differ"):
+            FiniteDescriptor([(1,)]) <= FiniteDescriptor([(1,), ()])
+        with pytest.raises(TypeError):
+            FiniteDescriptor([(1,)]) <= [frozenset({1})]
+
+    @pytest.mark.parametrize("levels", [[(1,), (0, 1)], [(1,), (2, -3)]])
+    def test_descriptor_rejects_nonpositive_index(self, levels):
+        with pytest.raises(ValueError, match="^nonpositive index at level 2$"):
+            FiniteDescriptor(levels)
+
     @pytest.mark.parametrize("n", [0, 4, -1])
     def test_descriptor_sets_rejects_out_of_range(self, n):
         f = FiniteDescriptor([(1,), (1, 2), ()])
@@ -151,6 +212,13 @@ class TestIsIdeal:
         d = qi_diagram(3)
         with pytest.raises(WidthMismatchError):
             is_ideal(d, FiniteDescriptor([(1,), (1, 3)]))
+
+    @pytest.mark.parametrize("check", [is_ideal, ideal_closure])
+    def test_width_error_names_least_offending_index(self, check):
+        with pytest.raises(WidthMismatchError, match="^index 3 exceeds width 2 at level 2$"):
+            check(qi_diagram(2), FiniteDescriptor([(1,), (3, 9)]))
+        with pytest.raises(WidthMismatchError, match="^index 5 exceeds width 3 at level 3$"):
+            check(qi_diagram(4), FiniteDescriptor([(1,), (2,), (40, 7, 1, 5, 6, 300)]))
 
 
 class TestIdealClosure:
@@ -211,6 +279,49 @@ class TestGeneralDiagrams:
             for f in (seed, closed, toggled, random_levels(rng, d, d.depth, 0.6)):
                 assert is_ideal(d, f) == ideal_by_definition(d, f)
         assert orphans > 50 and sinks > 50
+
+    def test_random_diagrams_against_set_reference(self):
+        rng = random.Random(47)
+        seen = {"negative offset": 0, "positive offset": 0, "multiplicity 2": 0, "zero entry": 0}
+        for _ in range(400):
+            dims, edges = random_diagram_parts(rng)
+            d = BratteliDiagram(dims, edges)
+            for gap in edges:
+                seen["negative offset"] += any(j < k for (k, j), m in gap.items() if m)
+                seen["positive offset"] += any(j > k for (k, j), m in gap.items() if m)
+                seen["multiplicity 2"] += 2 in gap.values()
+                seen["zero entry"] += 0 in gap.values()
+            for n in range(1, d.depth):
+                for k in range(1, d.width(n) + 1):
+                    assert d.successors(n, k) == scan_successors(d, n, k)
+            for density in (0.2, 0.5, 0.8):
+                levels = random_level_sets(rng, d, rng.randint(1, d.depth), density)
+                f = FiniteDescriptor(levels)
+                assert is_ideal(d, f) == set_is_ideal(d, levels)
+                closed = ideal_closure(d, f).all_sets
+                assert closed == set_closure(d, levels)
+                assert is_ideal(d, FiniteDescriptor(closed)) and set_is_ideal(d, closed)
+        assert min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64])
+    def test_qi_closed_form_offsets_against_set_reference(self, n):
+        """qi_diagram's offset masks are given in closed form; a diagram built
+        from the same edges derives them from the edges instead."""
+        rng = random.Random(n)
+        qi = qi_diagram(n)
+        derived = BratteliDiagram([qi.dims(p) for p in range(1, n + 1)],
+                                  [qi.edges(p) for p in range(1, n)])
+        for p in range(1, n):
+            for k in range(1, p + 1):
+                assert qi.successors(p, k) == derived.successors(p, k) == scan_successors(qi, p, k)
+        for density in (1 / n, 0.5, 0.9):
+            levels = random_level_sets(rng, qi, rng.randint(1, n), density)
+            for d in (qi, derived):
+                f = FiniteDescriptor(levels)
+                assert is_ideal(d, f) == set_is_ideal(d, levels)
+                assert ideal_closure(d, f).all_sets == set_closure(d, levels)
+        full = [range(1, p + 1) for p in range(1, n + 1)]
+        assert is_ideal(qi, FiniteDescriptor(full)) and is_ideal(derived, FiniteDescriptor(full))
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_qi_diagrams_against_definition(self, n):
@@ -278,6 +389,15 @@ class TestToFinite:
             tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 40))],
                               (1,) if rng.random() < 0.5 else ())
             self.assert_levels_match(EventualDescriptor(excluded, tail))
+
+
+    @pytest.mark.parametrize("depth, message", [
+        (0, "^a descriptor needs at least one level$"),
+        (-1, "^prefix length must be at least 0, got -1$"),
+    ])
+    def test_rejects_depth_below_one(self, depth, message):
+        with pytest.raises(ValueError, match=message):
+            to_finite(ideal_of_closed_set(parse_closed_set("1/2")), depth)
 
 
 class TestEventualDescriptor:

@@ -283,6 +283,12 @@ class TestPaperTableDescriptor:
         with pytest.raises(MalformedComparisonError):
             descriptor(parse_closed_set("1,1/2"), "paper")
 
+    @pytest.mark.parametrize("text", ["1/2,0", "head=;period=01"])
+    def test_rejects_sets_outside_the_table(self, text):
+        # A set holding 0, or with points accumulating at 0, has no table row.
+        with pytest.raises(ValueError, match="only finite sets"):
+            paper_table_descriptor(parse_closed_set(text))
+
 
 class TestSerialization:
     def test_point_list_round_trip(self):
