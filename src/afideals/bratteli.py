@@ -27,8 +27,7 @@ class BratteliDiagram:
     Zero entries of an edge map are dropped on construction, so every edge
     listed exists.  Each gap is also read by offset: for every d = j - k
     that occurs, the mask of summands k with an edge to k + d.  The offset
-    masks are derived on first use, so building a diagram costs no more;
-    `qi_diagram` sets its two per gap in closed form.
+    masks are derived on first use, so building a diagram costs no more.
     """
 
     __slots__ = ("_dims", "_edges", "_offsets")
@@ -86,10 +85,10 @@ class BratteliDiagram:
 
     def successors(self, n: int, k: int) -> frozenset:
         """Indices at level n+1 reached from summand k by at least one edge."""
-        self._gap(n)
+        gap = self._edges[self._gap(n)]
         if not 1 <= k <= self.width(n):
             raise ValueError(f"summand {k} outside 1..{self.width(n)} at level {n}")
-        return frozenset(k + d for d, m in self._offset_masks(n) if m >> (k - 1) & 1)
+        return frozenset(j for kk, j in gap if kk == k)
 
     def _offset_masks(self, n: int) -> tuple:
         """(d, M_d) for gap n: bit k-1 of M_d is set when summand k of level n
@@ -136,11 +135,7 @@ def qi_diagram(depth: int) -> BratteliDiagram:
         gap[(n, n)] = 1
         gap[(n, n + 1)] = 1
         edges.append(gap)
-    d = BratteliDiagram(dims, edges)
-    # The offset masks in closed form, so no pass over the edges derives them:
-    # offset 0 from every summand of level n, offset 1 from the tail summand n.
-    d._offsets = [((0, (1 << n) - 1), (1, 1 << (n - 1))) for n in range(1, depth)]
-    return d
+    return BratteliDiagram(dims, edges)
 
 
 class FiniteDescriptor:
