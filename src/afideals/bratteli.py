@@ -10,10 +10,7 @@ as bit k-1, so both closure laws are a few big-int operations per level.
 
 from __future__ import annotations
 
-import operator
-from itertools import chain, compress, count
-
-from .exact import BinaryWord, first_diff_index
+from .exact import BinaryWord, first_diff_index, positions
 
 
 class WidthMismatchError(ValueError):
@@ -203,7 +200,7 @@ def _levels(masks) -> tuple:
 
 def _indices(mask: int) -> frozenset:
     """Indices k whose bit k-1 is set."""
-    return frozenset(compress(count(1), map("1".__eq__, bin(mask)[:1:-1])))
+    return frozenset(positions(mask))
 
 
 def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
@@ -266,7 +263,7 @@ class EventualDescriptor:
     __slots__ = ("_excluded", "_tail")
 
     def __init__(self, excluded: BinaryWord, tail: BinaryWord):
-        if tail.period not in ((), (1,)):
+        if tail.period_len > 1:
             raise ValueError("the tail word must be eventually constant")
         self._excluded = excluded
         self._tail = tail
@@ -296,8 +293,8 @@ def level_set(e: EventualDescriptor, p: int) -> frozenset:
     indices k < p whose excluded bit is 0, plus p when the tail bit is set."""
     if p < 1:
         raise ValueError("levels start at 1")
-    keep = chain(map(operator.not_, e.excluded.prefix(p - 1)), (e.tail.bit(p),))
-    return frozenset(compress(range(1, p + 1), keep))
+    below = (1 << (p - 1)) - 1
+    return _indices(~e.excluded.prefix(p - 1) & below | e.tail.bit(p) << (p - 1))
 
 
 def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
@@ -315,13 +312,9 @@ def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
 
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
     """Levels 1..depth, as level_set gives them, from one prefix of each word:
-    level p holds the indices k < p kept so far, plus p when T_p is set."""
-    kept, masks = 0, []
-    for bit, (excluded, tail) in enumerate(zip(e.excluded.prefix(depth), e.tail.prefix(depth))):
-        masks.append(kept | tail << bit)
-        if not excluded:
-            kept |= 1 << bit
-    return FiniteDescriptor._of_masks(masks)
+    level p is ~E on bits below p - 1, plus bit p - 1 of T."""
+    kept, tail = ~e.excluded.prefix(depth), e.tail.prefix(depth)
+    return FiniteDescriptor._of_masks(kept & ((1 << p) - 1) | tail & 1 << p for p in range(depth))
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

@@ -147,8 +147,8 @@ def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fractio
 
 def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
     """Depth past which both membership words are jointly periodic, with margin."""
-    heads = max(len(s.word.head), len(t.word.head))
-    periods = math.lcm(max(1, len(s.word.period)), max(1, len(t.word.period)))
+    heads = max(s.word.head_len, t.word.head_len)
+    periods = math.lcm(s.word.period_len or 1, t.word.period_len or 1)
     return heads + 2 * periods + 2
 
 
@@ -197,21 +197,23 @@ def _suite_correspondence(rng: random.Random, scale: int):
         finite = to_finite(e, 32)
         cases += 1
         # Listed as far as the deepest probe, the tail summand of level 12.
-        members = member_values(s, len(s.word.head) + 2 * max(1, len(s.word.period)) + 14)
+        members = member_values(s, s.word.head_len + 2 * (s.word.period_len or 1) + 14)
         points = {k for k in range(1, 12) if support_disjoint_oracle(s, members, 12, k)}
         tails = {p for p in range(1, 13) if support_disjoint_oracle(s, members, p, p)}
-        ok = all(finite.sets(p) == {k for k in points if k < p} | (tails & {p})
-                 for p in range(1, 13))
-        if not ok:
+        oracle = FiniteDescriptor({k for k in points if k < p} | (tails & {p})
+                                  for p in range(1, 13))
+        if to_finite(e, 12) != oracle:
             failures.append(f"support-disjointness oracle disagrees for {s!r}")
         if closed_set_of_ideal(e) != s:
             failures.append(f"round trip fails for {s!r}")
         if not is_ideal(diagram, finite):
             failures.append(f"derived descriptor not an ideal for {s!r}")
-        h = len(s.word.head) + 2
-        head = [s.word.bit(k) | rng.randint(0, 1) for k in range(1, h + 1)]
-        period = tuple(s.word.bit(h + 1 + r) for r in range(len(s.word.period)))
-        t = ClosedSubsetQI(BinaryWord(head, period), include_zero=s.contains_zero)
+        # t holds s: s's first h bits with random ones added, then s's period.
+        h, length = s.word.head_len + 2, s.word.period_len
+        added = sum(rng.randint(0, 1) << k for k in range(h))
+        period = s.word.prefix(h + length) >> h
+        word = BinaryWord.from_masks(s.word.prefix(h) | added, h, period, length)
+        t = ClosedSubsetQI(word, include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
         if not to_finite(f, 32) <= finite:
             failures.append(f"antitone correspondence fails for {s!r} inside {t!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 
 
 def pow2(e: int) -> Fraction:
@@ -17,77 +17,177 @@ def pow2(e: int) -> Fraction:
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
-def _primitive(period: tuple) -> tuple:
-    n = len(period)
-    for d in range(1, n):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
+# bytes.translate table from the bytes 0 and 1 to the characters '0' and '1';
+# every other byte becomes '?'.
+_BIT_TEXT = b"01" + b"?" * 254
+
+
+def _read_bits(bits) -> tuple:
+    """(mask, length) of a bit sequence, position k as bit k-1.  Bits are
+    0/1 ints, bools or '0'/'1' characters; a string is read as characters."""
+    if isinstance(bits, str):
+        text = bits
+    else:
+        bits = tuple(bits)
+        if not bits:
+            return 0, 0
+        try:
+            # bytes() takes ints and bools, and refuses floats and strings.
+            text = bytes(bits).translate(_BIT_TEXT).decode()
+        except (TypeError, ValueError):
+            text = "".join(b if type(b) is str and len(b) == 1 else "?" for b in bits)
+    if text.strip("01"):
+        raise ValueError("bits must be 0 or 1")
+    return int(text[::-1] or "0", 2), len(text)
+
+
+def bit_text(mask: int, n: int) -> str:
+    """Bits 1..n of a mask below 2**n as '0'/'1' characters, position 1 first."""
+    return bin(mask | 1 << n)[:2:-1]
+
+
+# bytes.translate table from the characters '0' and '1' to the bytes 0 and 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def positions(mask: int):
+    """Iterator over the positions k whose bit k-1 is set, in increasing order."""
+    return compress(count(1), bin(mask)[:1:-1].encode().translate(_SELECTORS))
+
+
+def _rotate(mask: int, length: int, e: int) -> int:
+    """A `length`-bit mask rotated so that bit e comes first."""
+    return mask >> e | (mask & ((1 << e) - 1)) << (length - e)
+
+
+def _primitive(period: int, length: int) -> int:
+    """Length of the primitive period of a `length`-bit period mask.
+
+    The rotations that fix the period are the multiples of its primitive
+    length, so dividing out one prime factor of `length` at a time while
+    the rotation by the quotient still fixes it ends at that length.
+    """
+    d = rest = length
+    q = 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while d % q == 0 and _rotate(period, length, d // q) == period:
+                d //= q
+        q += 1
+    return d
+
+
+def _repeat(mask: int, length: int, n: int) -> int:
+    """A `length`-bit mask repeated by doubling until it covers n bits."""
+    while length < n:
+        mask |= mask << length
+        length *= 2
+    return mask
 
 
 class BinaryWord:
     """An infinite bit sequence b(1), b(2), ... that is eventually periodic.
 
-    Stored as an explicit head followed by a repeating period; an empty
-    period means every later bit is zero.  Construction canonicalizes
-    (primitive period, shortest possible head), so two words denote the
-    same bit stream if and only if they compare equal structurally.
+    Stored as a head of `head_len` bits followed by a repeating period of
+    `period_len` bits, each as an int mask with position k of the part as
+    bit k-1; an empty period means every later bit is zero.  Construction
+    canonicalizes (primitive period, shortest possible head), so two words
+    denote the same bit stream if and only if they compare equal
+    structurally.  `head` and `period` give the parts as bit tuples.
     """
 
-    __slots__ = ("_head", "_period")
+    __slots__ = ("_head_mask", "_head_len", "_period_mask", "_period_len")
 
     def __init__(self, head=(), period=()):
-        head = tuple(map(int, head))
-        period = tuple(map(int, period))
-        if not {*head, *period} <= {0, 1}:
+        self._canonicalize(*_read_bits(head), *_read_bits(period))
+
+    @classmethod
+    def from_masks(cls, head_mask: int, head_len: int, period_mask: int = 0,
+                   period_len: int = 0) -> "BinaryWord":
+        """The word whose head and period are these masks of these lengths,
+        position k of each part as bit k-1; a set bit at or past its part's
+        length raises ValueError."""
+        if head_mask >> head_len or period_mask >> period_len:
             raise ValueError("bits must be 0 or 1")
-        if not any(period):
-            period = ()
+        w = cls.__new__(cls)
+        w._canonicalize(head_mask, head_len, period_mask, period_len)
+        return w
+
+    def _canonicalize(self, head: int, h: int, period: int, length: int):
+        if not period:
+            # Eventually zero: the head ends with its last 1.
+            h, length = head.bit_length(), 0
         else:
-            period = _primitive(period)
-        if period:
-            while head and head[-1] == period[-1]:
-                head = head[:-1]
-                period = period[-1:] + period[:-1]
-        elif 1 in head:
-            head = head[:len(head) - head[::-1].index(1)]
-        else:
-            head = ()
-        self._head = head
-        self._period = period
+            if length > 1:
+                length = _primitive(period, length)
+                period &= (1 << length) - 1
+            if h:
+                # Head bits that continue the period backwards are absorbed
+                # into it; each one absorbed rotates the period by one place.
+                width = h + -h % length
+                behind = _repeat(period, length, width) >> (width - h) & ((1 << h) - 1)
+                kept = (head ^ behind).bit_length()
+                shift = (h - kept) % length
+                if shift:
+                    period = (period << shift | period >> (length - shift)) & ((1 << length) - 1)
+                head &= (1 << kept) - 1
+                h = kept
+        self._head_mask, self._head_len = head, h
+        self._period_mask, self._period_len = period, length
 
     @property
     def head(self) -> tuple:
-        return self._head
+        return tuple(map(int, bit_text(self._head_mask, self._head_len)))
 
     @property
     def period(self) -> tuple:
-        return self._period
+        return tuple(map(int, bit_text(self._period_mask, self._period_len)))
+
+    @property
+    def head_mask(self) -> int:
+        return self._head_mask
+
+    @property
+    def head_len(self) -> int:
+        return self._head_len
+
+    @property
+    def period_mask(self) -> int:
+        return self._period_mask
+
+    @property
+    def period_len(self) -> int:
+        return self._period_len
 
     def bit(self, k: int) -> int:
         """Bit at position k >= 1."""
         if k < 1:
             raise ValueError(f"positions start at 1, got {k}")
-        if k <= len(self._head):
-            return self._head[k - 1]
-        if not self._period:
+        if k <= self._head_len:
+            return self._head_mask >> (k - 1) & 1
+        if not self._period_len:
             return 0
-        return self._period[(k - len(self._head) - 1) % len(self._period)]
+        return self._period_mask >> (k - self._head_len - 1) % self._period_len & 1
 
-    def prefix(self, n: int) -> tuple:
-        """Bits 1..n: the head, then the period repeated (zeros when empty)."""
+    def prefix(self, n: int) -> int:
+        """Bits 1..n as a mask, position k as bit k-1: the head, then the
+        period repeated (zeros when empty)."""
         if n < 0:
             raise ValueError(f"prefix length must be at least 0, got {n}")
-        head, period = self._head, self._period
-        rest = n - len(head)
-        if rest <= 0:
-            return head[:n]
-        if not period:
-            return head + (0,) * rest
-        return head + (period * -(-rest // len(period)))[:rest]
+        h = self._head_len
+        if n <= h:
+            return self._head_mask & ((1 << n) - 1)
+        if not self._period_len:
+            return self._head_mask
+        rest = _repeat(self._period_mask, self._period_len, n - h) & ((1 << (n - h)) - 1)
+        return self._head_mask | rest << h
 
     def is_eventually_zero(self) -> bool:
-        return not self._period
+        return not self._period_len
 
     def last_one(self):
         """Largest position carrying a 1, for eventually-zero words.
@@ -95,58 +195,112 @@ class BinaryWord:
         Returns 0 for the all-zero word and None when ones recur forever.
         """
         # A canonical eventually-zero word's head ends with its last 1.
-        return None if self._period else len(self._head)
+        return None if self._period_len else self._head_len
 
     def next_one(self, i: int):
         """Least position > i carrying a 1, or None; past the head the word
         repeats, so the rest of the head and one period hold every later bit."""
-        for k in range(i + 1, max(i, len(self._head)) + len(self._period) + 1):
-            if self.bit(k):
-                return k
-        return None
+        if i < 0:
+            raise ValueError(f"positions start at 1, got {i + 1}")
+        rest = self._head_mask >> i
+        if rest:
+            return i + (rest & -rest).bit_length()
+        length = self._period_len
+        if not length:
+            return None
+        # Bit j of `ahead` is the period bit at position start + 1 + j.
+        start = max(i, self._head_len)
+        r = (start - self._head_len) % length
+        ahead = _rotate(self._period_mask, length, r)
+        return start + (ahead & -ahead).bit_length()
 
     def ones(self, upto: int):
         """Positions <= upto carrying a 1."""
-        return list(compress(range(1, upto + 1), self.prefix(max(upto, 0))))
+        return list(positions(self.prefix(max(upto, 0))))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryWord):
             return NotImplemented
-        return self._head == other._head and self._period == other._period
+        return (self._head_mask == other._head_mask and self._head_len == other._head_len
+                and self._period_mask == other._period_mask
+                and self._period_len == other._period_len)
 
     def __hash__(self):
-        return hash((self._head, self._period))
+        return hash((self._head_mask, self._head_len, self._period_mask, self._period_len))
 
     def __repr__(self):
-        return f"BinaryWord(head={self._head!r}, period={self._period!r})"
+        return f"BinaryWord(head={self.head!r}, period={self.period!r})"
+
+
+def _joint(u: BinaryWord, v: BinaryWord) -> tuple:
+    """(h, L, a, b): the longer head h, the joint period L = lcm of both
+    periods (1 for an empty one) and both words' bits 1..h+L as masks.
+    Past h both words repeat with period L, so these bits decide them."""
+    h = max(u._head_len, v._head_len)
+    length = math.lcm(u._period_len or 1, v._period_len or 1)
+    return h, length, u.prefix(h + length), v.prefix(h + length)
 
 
 def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     """Bitwise XOR of two words (eventually periodic again)."""
-    h = max(len(u.head), len(v.head))
-    lu, lv = len(u.period), len(v.period)
-    if lu == 0 and lv == 0:
-        length = 0
-    else:
-        length = math.lcm(lu or 1, lv or 1)
-    bits = tuple(map(operator.xor, u.prefix(h + length), v.prefix(h + length)))
-    return BinaryWord(bits[:h], bits[h:])
+    h, length, a, b = _joint(u, v)
+    x = a ^ b
+    return BinaryWord.from_masks(x & ((1 << h) - 1), h, x >> h, length)
+
+
+def _first(u: BinaryWord, v: BinaryWord, hits):
+    """Least position k whose bit k-1 is set in hits(a, b), a and b being
+    the two words' bits as masks, or None.  Past both heads the pair repeats
+    with the joint period, so the heads and one joint period suffice.  The
+    window starts at the heads and the longer period and doubles, so a hit
+    near the start costs no more than the words' own bits."""
+    h = max(u._head_len, v._head_len)
+    end = h + math.lcm(u._period_len or 1, v._period_len or 1)
+    n = h + max(u._period_len, v._period_len, 1)
+    while True:
+        x = hits(u.prefix(n), v.prefix(n))
+        k = (x & -x).bit_length()
+        if 0 < k <= n:
+            return k
+        if n >= end:
+            return None
+        n = min(2 * n, end)
 
 
 def first_index(u: BinaryWord, v: BinaryWord, pred):
-    """Least position k where pred(u.bit(k), v.bit(k)) holds, or None; past
-    both heads the pair repeats, so the heads and one joint period suffice."""
-    h = max(len(u.head), len(v.head))
-    length = math.lcm(len(u.period) or 1, len(v.period) or 1)
-    for k in range(1, h + length + 1):
-        if pred(u.bit(k), v.bit(k)):
-            return k
-    return None
+    """Least position k where pred(u.bit(k), v.bit(k)) holds, or None.
+    pred is evaluated once on each of the four bit pairs."""
+    both, first, second, neither = pred(1, 1), pred(1, 0), pred(0, 1), pred(0, 0)
+
+    def hits(a: int, b: int) -> int:
+        return ((a & b if both else 0) | (a & ~b if first else 0)
+                | (~a & b if second else 0) | (~(a | b) if neither else 0))
+
+    return _first(u, v, hits)
 
 
 def first_diff_index(u: BinaryWord, v: BinaryWord):
     """Least position where the two words differ, or None when equal."""
-    return first_index(u, v, operator.ne)
+    return _first(u, v, operator.xor)
+
+
+def _weight(x: int, h: int, length: int, base: int) -> tuple:
+    """Numerator and denominator of the sum of base**-k over the set bits k
+    of a word whose bits 1..h+length are the mask x, the last `length` of
+    them repeating forever.  With X those bits read as base-`base` digits,
+    bit 1 first, the head is X // base**length over base**h and the period
+    block X % base**length over base**h * (base**length - 1); together they
+    are (X - X // base**length) / (base**h * (base**length - 1))."""
+    digits = int(bit_text(x, h + length), base)
+    block = base**length
+    return digits - digits // block, base**h * (block - 1)
+
+
+def xor_weight(u: BinaryWord, v: BinaryWord, base: int) -> tuple:
+    """Numerator and denominator of word_weight(word_xor(u, v), 1, base),
+    read off the two words' joint bits without building their XOR."""
+    h, length, a, b = _joint(u, v)
+    return _weight(a ^ b, h, length, base)
 
 
 def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
@@ -154,21 +308,15 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     the bits of the head, and of one period repeated, read as base-`base` digits."""
     if from_index < 1:
         raise ValueError(f"positions start at 1, got {from_index}")
-    h, length = len(w.head), len(w.period)
-    head = int("".join(map(str, w.head[from_index - 1:])) or "0", base)
-    if not length:
-        return Fraction(head, base**h)
-    # The head over base**h plus the block of one period over
-    # base**(start-1) * (base**length - 1), as one fraction.
-    start = max(from_index, h + 1)
-    shift = (start - h - 1) % length
-    block = int("".join(map(str, w.period[shift:] + w.period[:shift])), base)
-    repunit = base**length - 1
-    return Fraction(head * base ** (start - 1 - h) * repunit + block, base ** (start - 1) * repunit)
+    # The word from from_index on has head h and the same period length.
+    skip = from_index - 1
+    h = max(w._head_len - skip, 0)
+    length = w._period_len or 1
+    num, den = _weight(w.prefix(skip + h + length) >> skip, h, length, base)
+    return Fraction(num, den * base**skip)
 
 
 def format_word(w: BinaryWord) -> str:
-    head = "".join(map(str, w.head))
-    period = "".join(map(str, w.period))
+    head = bit_text(w._head_mask, w._head_len)
+    period = bit_text(w._period_mask, w._period_len)
     return f"head={head};period={period}"
-

@@ -8,11 +8,10 @@ are exact rationals, with certified intervals for truncated evaluation.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement
-from .exact import pow2, word_weight, word_xor
+from .exact import bit_text, pow2, xor_weight
 from .qi import ClosedSubsetQI, ideal_of_closed_set, paper_table_descriptor
 
 
@@ -26,6 +25,9 @@ class CertifiedValue:
     __slots__ = ("_lo", "_hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
+        for x in (lo, hi):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"endpoints must be int or Fraction, got {type(x).__name__}")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("lo must not exceed hi")
@@ -82,14 +84,11 @@ def settles(i: EventualDescriptor, j: EventualDescriptor) -> bool:
     has one primitive period.
     """
     u, v = i.excluded, j.excluded
-    if len(u.period) != len(v.period):
+    length = u.period_len
+    if length != v.period_len:
         return False
-    h = max(len(u.head), len(v.head))
-    return u.prefix(h + len(u.period))[h:] == v.prefix(h + len(v.period))[h:]
-
-
-def _digits(bits) -> str:
-    return "".join(map(str, bits)) or "0"
+    h = max(u.head_len, v.head_len)
+    return u.prefix(h + length) >> h == v.prefix(h + length) >> h
 
 
 def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
@@ -98,9 +97,11 @@ def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     Level p differs in each k < p where D, the XOR of the excluded words,
     has a 1, and in p itself where the tail words differ.  Summing over p
     first, a D-bit at k weighs 4**-k and a tail difference at p weighs 4**-p.
+    Both sums come from the words' masks, and are added as one fraction.
     """
-    return (word_weight(word_xor(i.excluded, j.excluded), 1, 4)
-            + word_weight(word_xor(i.tail, j.tail), 1, 4))
+    num, den = xor_weight(i.excluded, j.excluded, 4)
+    tail_num, tail_den = xor_weight(i.tail, j.tail, 4)
+    return Fraction(num * tail_den + tail_num * den, den * tail_den)
 
 
 def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> Fraction:
@@ -109,8 +110,8 @@ def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> Fraction:
     Levels p <= n weigh a D-bit at k < n by 2**-k (2**-k - 2**-n) and a tail
     difference at p by 4**-p; the sum is one integer numerator over 2**(2n).
     """
-    diff = _digits(map(operator.xor, i.excluded.prefix(n - 1), j.excluded.prefix(n - 1)))
-    tails = _digits(map(operator.xor, i.tail.prefix(n), j.tail.prefix(n)))
+    diff = bit_text(i.excluded.prefix(n - 1) ^ j.excluded.prefix(n - 1), n - 1) or "0"
+    tails = bit_text(i.tail.prefix(n) ^ j.tail.prefix(n), n)
     return Fraction(4 * int(diff, 4) - 2 * int(diff, 2) + int(tails, 4), 1 << 2 * n)
 
 
@@ -161,7 +162,7 @@ def _paper_table(s: ClosedSubsetQI, role: str, points: int) -> EventualDescripto
     shape, bound = _PAPER_SHAPES[points]
     if not s.is_finite:
         raise MalformedComparisonError(f"{role} must be {shape}")
-    if s.word.head.count(1) != points or s.word.bit(1):
+    if s.word.head_mask.bit_count() != points or s.word.bit(1):
         raise MalformedComparisonError(f"{role} must be {shape} with {bound}")
     return paper_table_descriptor(s)
 
@@ -173,7 +174,7 @@ def descriptor(s: ClosedSubsetQI, convention: str) -> EventualDescriptor:
         return ideal_of_closed_set(s)
     if convention != "paper":
         raise ValueError(f"unknown convention: {convention!r}")
-    points = s.word.head.count(1)
+    points = s.word.head_mask.bit_count()
     if s.is_finite and points in _PAPER_SHAPES:
         return _paper_table(s, "set", points)
     raise MalformedComparisonError(

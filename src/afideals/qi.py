@@ -80,7 +80,7 @@ class ClosedSubsetQI:
 
     def is_empty(self) -> bool:
         # Only the all-zero word is canonically empty in head and period.
-        return not (self._zero or self._word.head or self._word.period)
+        return not (self._zero or self._word.head_mask or self._word.period_mask)
 
     def __eq__(self, other):
         if not isinstance(other, ClosedSubsetQI):
@@ -112,17 +112,23 @@ def point_distance(i: int | None, s: ClosedSubsetQI) -> Fraction:
     """
     if s.is_empty():
         raise EmptySetError("distance to the empty set is undefined")
+    n, e = _distance(i, s)
+    return Fraction(n, 1 << e)
+
+
+def _distance(i: int | None, s: ClosedSubsetQI) -> tuple:
+    """point_distance(i, s) as (n, e), the dyadic rational n / 2**e."""
+    w = s.word
     if i is None:
-        return Fraction(0) if s.contains_zero else pow2(1 - s.word.last_one())
-    if s.word.bit(i):
-        return Fraction(0)
-    j = s.word.next_one(i)
+        return (0, 0) if s.contains_zero else (1, w.last_one() - 1)
+    if w.bit(i):
+        return 0, 0
+    j = w.next_one(i)
     if j is not None:
-        return Fraction((1 << (j - i)) - 1, 1 << (j - 1))
+        return (1 << (j - i)) - 1, j - 1
     if s.contains_zero:
-        return pow2(1 - i)
-    m = s.word.last_one()
-    return Fraction((1 << (i - m)) - 1, 1 << (i - 1))
+        return 1, i - 1
+    return (1 << (i - w.last_one())) - 1, i - 1
 
 
 def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
@@ -143,12 +149,21 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
     if s.is_empty() or t.is_empty():
         raise EmptySetError("Hausdorff distance to the empty set is undefined")
 
-    def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> Fraction:
+    def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> tuple:
         k0 = first_index(a.word, b.word, operator.gt)
-        far = point_distance(None if a.contains_zero else a.word.last_one(), b)
-        return far if k0 is None else max(point_distance(k0, b), far)
+        far = _distance(None if a.contains_zero else a.word.last_one(), b)
+        return far if k0 is None else _larger(_distance(k0, b), far)
 
-    return max(directed(s, t), directed(t, s))
+    n, e = _larger(directed(s, t), directed(t, s))
+    return Fraction(n, 1 << e)
+
+
+def _larger(x: tuple, y: tuple) -> tuple:
+    """The larger of two dyadic rationals given as (n, e) for n / 2**e.
+    Comparing shifted numerators costs one pass over the larger; Fraction
+    would multiply, which takes milliseconds at the literal cap, where the
+    first point outside can lie millions of positions deep."""
+    return x if x[0] << y[1] >= y[0] << x[1] else y
 
 
 def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:
@@ -161,7 +176,7 @@ def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:
     last point of a finite set and 1 after it, and 0 throughout otherwise.
     """
     if s.is_finite:
-        tail = BinaryWord((0,) * s.word.last_one(), (1,))
+        tail = BinaryWord.from_masks(0, s.word.last_one(), 1, 1)
     else:
         tail = BinaryWord()
     return EventualDescriptor(s.word, tail)
@@ -198,7 +213,9 @@ def paper_table_descriptor(s: ClosedSubsetQI) -> EventualDescriptor:
     """
     if not s.is_finite:
         raise ValueError("the paper table covers only finite sets of isolated points")
-    return EventualDescriptor(s.word, BinaryWord([1 - b for b in s.word.head], (1,)))
+    h = s.word.head_len
+    complement = BinaryWord.from_masks(s.word.head_mask ^ ((1 << h) - 1), h, 1, 1)
+    return EventualDescriptor(s.word, complement)
 
 
 def parse_closed_set(text: str) -> ClosedSubsetQI:
@@ -218,7 +235,7 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
         return ClosedSubsetQI(BinaryWord(m.group(1), m.group(2)), include_zero=bool(m.group(3)))
     if not text:
         return ClosedSubsetQI()
-    indices = set()
+    mask = 0
     zero = False
     for token in text.split(","):
         token = token.strip()
@@ -229,10 +246,9 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
         elif n < 0 or d % n or (d // n) & (d // n - 1):
             raise ValueError(f"bad point token: {clip(token)}")
         else:
-            indices.add((d // n).bit_length())
-    last = max(indices, default=0)
-    _check_size(last)
-    return ClosedSubsetQI(BinaryWord([k in indices for k in range(1, last + 1)]), zero)
+            mask |= 1 << (d // n).bit_length() - 1
+    _check_size(mask.bit_length())
+    return ClosedSubsetQI(BinaryWord.from_masks(mask, mask.bit_length()), zero)
 
 
 def _point_token(token: str) -> tuple:
@@ -268,7 +284,7 @@ def _check_size(bits: int):
 
 def format_closed_set(s: ClosedSubsetQI) -> str:
     if s.word.is_eventually_zero():
-        parts = [str(pow2(1 - k)) for k in s.word.ones(len(s.word.head))]
+        parts = [str(pow2(1 - k)) for k in s.word.ones(s.word.head_len)]
         if s.contains_zero:
             parts.append("0")
         if parts:

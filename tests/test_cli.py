@@ -135,12 +135,48 @@ class TestLiteralCap:
         "head=" + "0" * 1000 + ";period=1" + "0" * (MAX_LITERAL_BITS - 1001),
         "1/" + str(2 ** (MAX_LITERAL_BITS - 1)),
     )
+    # Output of test_coprime_periods_at_cap_hausdorff's request as the
+    # tuple-backed words printed it after a 2 s scan over the lcm of the two
+    # periods, pinned as text rather than recomputed.
+    CAP_HAUSDORFF_NUMERATOR = (
+        "3155957624151465556710437176627924996137119401339402737512729045656704603405"
+        "0674700387892003440345179383513633712791034662226131982901290131922023814890"
+        "9014849910911790048789958498024906148946355430250374844409846453049010181833"
+        "5562679501400241813522517738852737920414344489833158307207871831288976946326"
+        "7111244466200847990645200170690004462397320484409498361384841607089190455266"
+        "3168557755373619070939229655526793005063104075757796397971695760785192359504"
+        "2313206174523992647541036105972373215520637057585795173892255657719335670737"
+        "5975232632348795302184897991798960384013285786443826762648582220269388292050"
+        "386943"
+    )
+    CAP_HAUSDORFF_DENOMINATOR = (
+        "6311915248302931113420874353255849992274238802678805475025458091313409206810"
+        "1349400775784006880690358767027267425582069324452263965802580263844047629781"
+        "8029699821823580097579916996049812297892710860500749688819692906098020363667"
+        "1125359002800483627045035477705475840828688979666316614415743662577953892653"
+        "4222488932401695981290400341380008924794640968818996722769683214178380910532"
+        "6337115510747238141878459311053586010126208151515592795943391521570384719008"
+        "4626412349047985295082072211944746431041274115171590347784511315438671341475"
+        "1950465264697590604369795983597920768026571572887653525297164440538776584100"
+        "773888"
+    )
 
     def test_at_cap_gives_all_metrics(self, capsys):
         for literal in self.AT_CAP:
             code, out, err = run(capsys, "distance", literal, "0")
             assert (code, err) == (0, "")
             assert [line.split(":")[0] for line in out.splitlines()] == ["hausdorff", "phi", "beta"]
+
+    def test_coprime_periods_at_cap_hausdorff(self, capsys):
+        # Periods 2039 and 2029: the first point of the first set outside the
+        # second comes after about 3.7 million positions, inside their lcm.
+        a = "head=;period=1" + "0" * 2038
+        b = "head=;period=" + "1" * 2028 + "0"
+        assert len(a) - len("head=;period=") == 2039
+        code, out, err = run(capsys, "distance", "--metric", "hausdorff", a, b)
+        assert (code, err) == (0, "")
+        assert out == (f"hausdorff: {self.CAP_HAUSDORFF_NUMERATOR}"
+                       f"/{self.CAP_HAUSDORFF_DENOMINATOR}\n")
 
     def test_over_cap_is_usage_error(self, capsys):
         over = MAX_LITERAL_BITS + 1

@@ -74,7 +74,7 @@ class TestBinaryWord:
             period = [rng.randint(0, 1) for _ in range(rng.randint(0, 5))]
             w = BinaryWord(head, period)
             for n in range(len(w.head) + 3 * max(1, len(w.period)) + 1):
-                assert w.prefix(n) == tuple(w.bit(k) for k in range(1, n + 1))
+                assert w.prefix(n) == sum(w.bit(k) << (k - 1) for k in range(1, n + 1))
                 assert w.ones(n) == [k for k in range(1, n + 1) if w.bit(k)]
         with pytest.raises(ValueError):
             w.prefix(-1)

@@ -89,6 +89,13 @@ class TestCertifiedValue:
         with pytest.raises(ValueError):
             CertifiedValue(1, 0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.2), (0, 0.5), (Fraction(1, 3), 1.0),
+                                        ("1/3", 1)],
+                             ids=["floats", "float-hi", "float-hi-fraction-lo", "text"])
+    def test_rejects_non_exact_endpoints(self, lo, hi):
+        with pytest.raises(TypeError, match="^endpoints must be int or Fraction, got "):
+            CertifiedValue(lo, hi)
+
 
 class TestFirstDisagreement:
     def test_equal(self):
