@@ -231,8 +231,9 @@ class TestBitValidation:
         ((-1,), ()),
         (("01",), ()),
         ((None,), ()),
+        ((48, 49), ()),
     ], ids=["floats", "integral-float", "fraction", "letter", "space", "two", "minus-one",
-            "two-characters", "none"])
+            "two-characters", "none", "character-codes"])
     def test_rejects_anything_but_bits(self, head, period):
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
             BinaryWord(head, period)
