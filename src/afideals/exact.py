@@ -22,6 +22,15 @@ def pow2(e: int) -> Fraction:
 _BIT_TEXT = b"01" + b"?" * 254
 
 
+def _bit_char(b) -> str:
+    """'0' or '1' for one allowed bit of any type, else '?'."""
+    if type(b) is str:
+        return b if len(b) == 1 else "?"
+    if isinstance(b, int) and 0 <= b <= 1:
+        return "01"[b]
+    return "?"
+
+
 def _read_bits(bits) -> tuple:
     """(mask, length) of a bit sequence, position k as bit k-1.  Bits are
     0/1 ints, bools or '0'/'1' characters; a string is read as characters."""
@@ -35,7 +44,7 @@ def _read_bits(bits) -> tuple:
             # bytes() takes ints and bools, and refuses floats and strings.
             text = bytes(bits).translate(_BIT_TEXT).decode()
         except (TypeError, ValueError):
-            text = "".join(b if type(b) is str and len(b) == 1 else "?" for b in bits)
+            text = "".join(map(_bit_char, bits))
     if text.strip("01"):
         raise ValueError("bits must be 0 or 1")
     return int(text[::-1] or "0", 2), len(text)
@@ -248,23 +257,24 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     return BinaryWord.from_masks(x & ((1 << h) - 1), h, x >> h, length)
 
 
+def _lowest(x: int, n: int):
+    """Position of x's lowest set bit if it is at most n, else None."""
+    k = (x & -x).bit_length()
+    return k if 0 < k <= n else None
+
+
 def _first(u: BinaryWord, v: BinaryWord, hits):
     """Least position k whose bit k-1 is set in hits(a, b), a and b being
     the two words' bits as masks, or None.  Past both heads the pair repeats
     with the joint period, so the heads and one joint period suffice.  The
-    window starts at the heads and the longer period and doubles, so a hit
-    near the start costs no more than the words' own bits."""
-    h = max(u._head_len, v._head_len)
-    end = h + math.lcm(u._period_len or 1, v._period_len or 1)
-    n = h + max(u._period_len, v._period_len, 1)
-    while True:
-        x = hits(u.prefix(n), v.prefix(n))
-        k = (x & -x).bit_length()
-        if 0 < k <= n:
-            return k
-        if n >= end:
-            return None
-        n = min(2 * n, end)
+    heads and the longer period are tried first: a hit there costs only the
+    words' own bits, where the joint period can be their product."""
+    n = max(u._head_len, v._head_len) + max(u._period_len, v._period_len, 1)
+    k = _lowest(hits(u.prefix(n), v.prefix(n)), n)
+    if k is None:
+        h, length, a, b = _joint(u, v)
+        k = _lowest(hits(a, b), h + length)
+    return k
 
 
 def first_index(u: BinaryWord, v: BinaryWord, pred):

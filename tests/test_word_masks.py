@@ -232,8 +232,12 @@ class TestBitValidation:
         (("01",), ()),
         ((None,), ()),
         ((48, 49), ()),
+        ((1, "0", 0.0), ()),
+        (("1", 2), ()),
+        ((True, "x"), ()),
     ], ids=["floats", "integral-float", "fraction", "letter", "space", "two", "minus-one",
-            "two-characters", "none", "character-codes"])
+            "two-characters", "none", "character-codes", "mixed-float", "mixed-two",
+            "mixed-letter"])
     def test_rejects_anything_but_bits(self, head, period):
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
             BinaryWord(head, period)
@@ -243,6 +247,8 @@ class TestBitValidation:
         assert BinaryWord((True, False, True), [False, True]) == expected
         assert BinaryWord("101", "01") == expected
         assert BinaryWord(("1", "0", "1"), iter((0, 1))) == expected
+        assert BinaryWord((1, "0", True), ("0", 1)) == expected
+        assert BinaryWord((True, "0", 1), [False, "1"]) == expected
 
     def test_from_masks_rejects_bits_past_the_length(self):
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
