@@ -22,20 +22,28 @@ from .exact import BinaryWord, pow2, word_weight
 from .metrics import d_beta, d_beta_truncated, d_phi
 from .qi import (
     ClosedSubsetQI,
+    EmptySetError,
+    _distance,
     closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
-    point_distance,
 )
+
+
+def random_mask(rng: random.Random, n: int) -> int:
+    """n random bits drawn one at a time, the first as bit 0."""
+    return sum(rng.randrange(2) << k for k in range(n))
 
 
 def random_word(rng: random.Random, max_head: int = 5, max_period: int = 3,
                 periodic_prob: float = 0.4) -> BinaryWord:
-    head = [rng.randint(0, 1) for _ in range(rng.randint(0, max_head))]
-    period = []
+    h = rng.randint(0, max_head)
+    head = random_mask(rng, h)
+    period = length = 0
     if rng.random() < periodic_prob:
-        period = [rng.randint(0, 1) for _ in range(rng.randint(1, max_period))]
-    return BinaryWord(head, period)
+        length = rng.randint(1, max_period)
+        period = random_mask(rng, length)
+    return BinaryWord.from_masks(head, h, period, length)
 
 
 def random_closed_set(rng: random.Random, nonempty: bool = True,
@@ -59,29 +67,31 @@ def random_ideal(rng: random.Random) -> EventualDescriptor:
 
 
 def member_values(s: ClosedSubsetQI, upto: int) -> frozenset:
-    """Values of the points of s with index <= upto, plus 0 when s holds it."""
-    members = {pow2(1 - i) for i in s.word.ones(upto)}
+    """Values of the points of s with index <= upto, plus 0 when s holds it,
+    as ints in the unit 2**-upto: x_i = 2**(1-i) is 1 << (upto + 1 - i)."""
+    members = {1 << (upto + 1 - i) for i in s.word.ones(upto)}
     if s.contains_zero:
-        members.add(Fraction(0))
+        members.add(0)
     return frozenset(members)
 
 
-def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, p: int, k: int) -> bool:
+def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, upto: int,
+                            p: int, k: int) -> bool:
     """Brute force: is the support of summand k at level p disjoint from s?
 
     Works with explicit point values rather than word bits: summand k < p
     spans the characteristic function of {2**(1-k)}, summand p spans that
     of the tail interval [0, 2**(1-p)].  `members` are s's point values
-    from `member_values`, listed past index p and past the head of s.
-    The answer for k < p does not depend on p, so the `correspondence`
-    suite evaluates it once per summand: once for each point summand k and
-    once for the tail summand of each level.
+    from `member_values(s, upto)`, in its unit, with upto past index p and
+    past the head of s.  The answer for k < p does not depend on p, so the
+    `correspondence` suite evaluates it once per summand: once for each
+    point summand k and once for the tail summand of each level.
     """
     if k < p:
-        return pow2(1 - k) not in members
+        return 1 << (upto + 1 - k) not in members
     if s.contains_zero or not s.word.is_eventually_zero():
         return False
-    bound = pow2(1 - p)
+    bound = 1 << (upto + 1 - p)
     return all(x > bound for x in members)
 
 
@@ -137,12 +147,20 @@ def _suite_hausdorff_metric(rng: random.Random, scale: int):
 
 
 def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fraction:
-    best = Fraction(0)
-    for k in a.word.ones(depth):
-        best = max(best, point_distance(k, b))
+    """Largest exact distance to b from a point of a with index <= depth,
+    or from 0 when a holds it.  Each distance is the pair (n, e) for
+    n / 2**e that `point_distance` reduces; pairs compare by shifting."""
+    if b.is_empty():
+        raise EmptySetError("distance to the empty set is undefined")
+    points = a.word.ones(depth)
     if a.contains_zero:
-        best = max(best, point_distance(None, b))
-    return best
+        points.append(None)
+    n, e = 0, 0
+    for k in points:
+        m, f = _distance(k, b)
+        if m << e > n << f:
+            n, e = m, f
+    return Fraction(n, 1 << e)
 
 
 def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
@@ -197,9 +215,10 @@ def _suite_correspondence(rng: random.Random, scale: int):
         finite = to_finite(e, 32)
         cases += 1
         # Listed as far as the deepest probe, the tail summand of level 12.
-        members = member_values(s, s.word.head_len + 2 * (s.word.period_len or 1) + 14)
-        points = {k for k in range(1, 12) if support_disjoint_oracle(s, members, 12, k)}
-        tails = {p for p in range(1, 13) if support_disjoint_oracle(s, members, p, p)}
+        upto = s.word.head_len + 2 * (s.word.period_len or 1) + 14
+        members = member_values(s, upto)
+        points = {k for k in range(1, 12) if support_disjoint_oracle(s, members, upto, 12, k)}
+        tails = {p for p in range(1, 13) if support_disjoint_oracle(s, members, upto, p, p)}
         oracle = FiniteDescriptor({k for k in points if k < p} | (tails & {p})
                                   for p in range(1, 13))
         if to_finite(e, 12) != oracle:
@@ -210,7 +229,7 @@ def _suite_correspondence(rng: random.Random, scale: int):
             failures.append(f"derived descriptor not an ideal for {s!r}")
         # t holds s: s's first h bits with random ones added, then s's period.
         h, length = s.word.head_len + 2, s.word.period_len
-        added = sum(rng.randint(0, 1) << k for k in range(h))
+        added = random_mask(rng, h)
         period = s.word.prefix(h + length) >> h
         word = BinaryWord.from_masks(s.word.prefix(h) | added, h, period, length)
         t = ClosedSubsetQI(word, include_zero=s.contains_zero)

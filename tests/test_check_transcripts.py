@@ -2,8 +2,10 @@
 
 `check_transcripts.json` holds the exit code, stdout and stderr of
 `check --seed S` for S = 1..20 and of `check --seed 1 --inject-failure`.
-Every suite draws its cases from the seed, so a change to an RNG stream,
-a suite's case order or its transcript wording fails here.
+A change to a suite's case count, verdict, failure lines or transcript
+wording fails here.  A change to an RNG stream need not: an all-PASS
+transcript shows only case counts.  The draws themselves are pinned in
+`test_check_draws.py`.
 
 To regenerate the file after a deliberate change of output, run
 
