@@ -22,7 +22,6 @@ from .exact import BinaryWord, pow2, word_weight
 from .metrics import d_beta, d_beta_truncated, d_phi
 from .qi import (
     ClosedSubsetQI,
-    EmptySetError,
     _distance,
     closed_set_of_ideal,
     hausdorff,
@@ -147,11 +146,9 @@ def _suite_hausdorff_metric(rng: random.Random, scale: int):
 
 
 def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fraction:
-    """Largest exact distance to b from a point of a with index <= depth,
-    or from 0 when a holds it.  Each distance is the pair (n, e) for
-    n / 2**e that `point_distance` reduces; pairs compare by shifting."""
-    if b.is_empty():
-        raise EmptySetError("distance to the empty set is undefined")
+    """Largest exact distance to a nonempty b from a point of a with index
+    <= depth, or from 0 when a holds it.  Each distance is the pair (n, e)
+    for n / 2**e that `point_distance` reduces; pairs compare by shifting."""
     points = a.word.ones(depth)
     if a.contains_zero:
         points.append(None)

@@ -25,7 +25,6 @@ from afideals.bratteli import FiniteDescriptor, is_ideal, qi_diagram, to_finite
 from afideals.exact import BinaryWord, pow2
 from afideals.qi import (
     ClosedSubsetQI,
-    EmptySetError,
     hausdorff,
     ideal_of_closed_set,
     parse_closed_set,
@@ -124,11 +123,6 @@ def test_brute_directed_matches_reference_on_seeded_pairs():
     for a, b in zip(nonempty, nonempty[1:] + nonempty[:1]):
         depth = checks._sup_cutoff(a, b) + 32
         assert checks._brute_directed(a, b, depth) == reference_brute_directed(a, b, depth), (a, b)
-
-
-def test_brute_directed_refuses_the_empty_set():
-    with pytest.raises(EmptySetError):
-        checks._brute_directed(parse_closed_set("1/2"), ClosedSubsetQI(), 8)
 
 
 def union(s, t):
