@@ -197,8 +197,6 @@ def shows_mismatch(line):
     ("to_finite", tail_dropped_to_finite, "correspondence"),
 ], ids=["hausdorff-one-direction", "to-finite-drops-a-tail"])
 def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch):
-    transcript, ok = checks.run_check(1)
-    assert ok
     monkeypatch.setattr(checks, name, mutant)
     transcript, ok = checks.run_check(1)
     assert not ok
