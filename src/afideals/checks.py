@@ -29,6 +29,10 @@ from .qi import (
 )
 
 
+# Cases per suite: each suite's loop count derives from it.
+SCALE = 60
+
+
 def random_mask(rng: random.Random, n: int) -> int:
     """n random bits drawn one at a time, the first as bit 0."""
     return sum(rng.randrange(2) << k for k in range(n))
@@ -94,10 +98,10 @@ def support_disjoint_oracle(s: ClosedSubsetQI, members: frozenset, upto: int,
     return all(x > bound for x in members)
 
 
-def _suite_exact(rng: random.Random, scale: int):
+def _suite_exact(rng: random.Random):
     failures = []
     cases = 0
-    for _ in range(scale // 4):
+    for _ in range(SCALE // 4):
         w = random_word(rng)
         for i in rng.sample(range(1, 101), 5):
             cases += 1
@@ -106,11 +110,11 @@ def _suite_exact(rng: random.Random, scale: int):
     return cases, failures
 
 
-def _suite_closure(rng: random.Random, scale: int):
+def _suite_closure(rng: random.Random):
     failures = []
     cases = 0
     diagram = qi_diagram(8)
-    for _ in range(scale):
+    for _ in range(SCALE):
         small = [frozenset(k for k in range(1, p + 1) if rng.random() < 0.2)
                  for p in range(1, 9)]
         big = [s | frozenset(k for k in range(1, p + 1) if rng.random() < 0.2)
@@ -127,10 +131,10 @@ def _suite_closure(rng: random.Random, scale: int):
     return cases, failures
 
 
-def _suite_hausdorff_metric(rng: random.Random, scale: int):
+def _suite_hausdorff_metric(rng: random.Random):
     failures = []
     cases = 0
-    for _ in range(scale):
+    for _ in range(SCALE):
         s = random_closed_set(rng)
         t = random_closed_set(rng)
         u = random_closed_set(rng)
@@ -167,10 +171,10 @@ def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
     return heads + 2 * periods + 2
 
 
-def _suite_hausdorff_cutoff(rng: random.Random, scale: int):
+def _suite_hausdorff_cutoff(rng: random.Random):
     failures = []
     cases = 0
-    for _ in range(scale):
+    for _ in range(SCALE):
         s = random_closed_set(rng)
         t = random_closed_set(rng)
         depth = _sup_cutoff(s, t) + 32
@@ -181,10 +185,10 @@ def _suite_hausdorff_cutoff(rng: random.Random, scale: int):
     return cases, failures
 
 
-def _suite_ideal_metrics(rng: random.Random, scale: int):
+def _suite_ideal_metrics(rng: random.Random):
     failures = []
     cases = 0
-    for _ in range(scale):
+    for _ in range(SCALE):
         i, j, k = (random_ideal(rng) for _ in range(3))
         dij, dik, djk = d_phi(i, j), d_phi(i, k), d_phi(j, k)
         bij, bik, bjk = d_beta(i, j), d_beta(i, k), d_beta(j, k)
@@ -202,11 +206,11 @@ def _suite_ideal_metrics(rng: random.Random, scale: int):
     return cases, failures
 
 
-def _suite_correspondence(rng: random.Random, scale: int):
+def _suite_correspondence(rng: random.Random):
     failures = []
     cases = 0
     diagram = qi_diagram(32)
-    for _ in range(scale):
+    for _ in range(SCALE):
         s = random_closed_set(rng, nonempty=False)
         e = ideal_of_closed_set(s)
         finite = to_finite(e, 32)
@@ -236,10 +240,10 @@ def _suite_correspondence(rng: random.Random, scale: int):
     return cases, failures
 
 
-def _suite_truncation(rng: random.Random, scale: int):
+def _suite_truncation(rng: random.Random):
     failures = []
     cases = 0
-    for _ in range(scale):
+    for _ in range(SCALE):
         i, j = random_ideal(rng), random_ideal(rng)
         exact = d_beta(i, j)
         depth = rng.randint(2, 24)
@@ -266,20 +270,13 @@ SUITES = [
 ]
 
 
-# Cases per suite: each suite's loop count derives from it.
-SCALE = 60
-
-
-def run_check(seed: int, inject_failure: bool = False):
+def run_check(seed: int):
     """Run every suite; returns (transcript, all_passed)."""
     lines = [f"seed={seed} scale={SCALE}"]
     ok = True
     for name, suite in SUITES:
         rng = random.Random(f"{seed}:{name}")
-        cases, failures = suite(rng, SCALE)
-        if inject_failure:
-            failures = failures + [f"injected violation in {name}"]
-            inject_failure = False
+        cases, failures = suite(rng)
         if failures:
             ok = False
             lines.append(f"{name}: FAIL ({len(failures)}/{cases} cases failed)")

@@ -84,11 +84,10 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _decimal(x: Fraction, digits: int) -> str:
-    sign = "-" if x < 0 else ""
-    x = abs(x)
+    """x >= 0 truncated to `digits` decimal places."""
     scaled = x.numerator * 10**digits // x.denominator
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}" if digits else f"{sign}{whole}"
+    return f"{whole}.{str(frac).zfill(digits)}" if digits else str(whole)
 
 
 def _parse_set(text: str):
@@ -193,7 +192,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_check(args) -> int:
-    transcript, ok = run_check(args.seed, inject_failure=args.inject_failure)
+    transcript, ok = run_check(args.seed)
     sys.stdout.write(transcript)
     return 0 if ok else 2
 
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the seeded randomized invariant suites")
     p.add_argument("--seed", type=_int)
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
     return parser

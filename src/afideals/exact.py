@@ -277,21 +277,14 @@ def _first(u: BinaryWord, v: BinaryWord, hits):
     return k
 
 
-def first_index(u: BinaryWord, v: BinaryWord, pred):
-    """Least position k where pred(u.bit(k), v.bit(k)) holds, or None.
-    pred is evaluated once on each of the four bit pairs."""
-    both, first, second, neither = pred(1, 1), pred(1, 0), pred(0, 1), pred(0, 0)
-
-    def hits(a: int, b: int) -> int:
-        return ((a & b if both else 0) | (a & ~b if first else 0)
-                | (~a & b if second else 0) | (~(a | b) if neither else 0))
-
-    return _first(u, v, hits)
-
-
 def first_diff_index(u: BinaryWord, v: BinaryWord):
     """Least position where the two words differ, or None when equal."""
     return _first(u, v, operator.xor)
+
+
+def first_outside(u: BinaryWord, v: BinaryWord):
+    """Least position where u has bit 1 and v bit 0, or None."""
+    return _first(u, v, lambda a, b: a & ~b)
 
 
 def _weight(x: int, h: int, length: int, base: int) -> tuple:

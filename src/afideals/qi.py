@@ -10,13 +10,12 @@ set may carry 0 explicitly.
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement, level_set
-from .exact import BinaryWord, first_index, format_word, pow2
+from .exact import BinaryWord, first_outside, format_word, pow2
 
 __all__ = [
     "ClosedSubsetQI",
@@ -150,7 +149,7 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
         raise EmptySetError("Hausdorff distance to the empty set is undefined")
 
     def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> tuple:
-        k0 = first_index(a.word, b.word, operator.gt)
+        k0 = first_outside(a.word, b.word)
         far = _distance(None if a.contains_zero else a.word.last_one(), b)
         return far if k0 is None else _larger(_distance(k0, b), far)
 
@@ -289,5 +288,4 @@ def format_closed_set(s: ClosedSubsetQI) -> str:
             parts.append("0")
         if parts:
             return ",".join(parts)
-        return format_word(s.word)
     return format_word(s.word)

@@ -6,10 +6,11 @@ they replaced are kept here as references, and both must agree on every
 set with head <= 4 and period <= 3 (with and without 0, and the empty
 set) and on 400 seeded sets.
 
-The mutation tests break one kernel as `check` sees it and require the
-matching suite to report FAIL, with failure lines whose
-`ClosedSubsetQI('...')` literals parse back to sets that show the same
-mismatch: a failure is reproducible from its transcript alone.
+The mutation tests break one kernel as `check` sees it, run the CLI's
+`check --seed 1`, and require exit 2 with the matching suite's FAIL line,
+at most five failure lines whose `ClosedSubsetQI('...')` literals parse
+back to sets that show the same mismatch, and the failed result line: a
+failure is reproducible from its transcript alone.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from afideals import checks
+from afideals import checks, cli
 from afideals.bratteli import FiniteDescriptor, is_ideal, qi_diagram, to_finite
 from afideals.exact import BinaryWord, pow2
 from afideals.qi import (
@@ -196,12 +197,17 @@ def shows_mismatch(line):
     ("hausdorff", one_directed_hausdorff, "hausdorff-cutoff"),
     ("to_finite", tail_dropped_to_finite, "correspondence"),
 ], ids=["hausdorff-one-direction", "to-finite-drops-a-tail"])
-def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch):
+def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys):
     monkeypatch.setattr(checks, name, mutant)
-    transcript, ok = checks.run_check(1)
-    assert not ok
+    assert cli.main(["check", "--seed", "1"]) == 2
+    transcript, err = capsys.readouterr()
+    assert err == ""
+    verdict = re.search(rf"^{suite}: FAIL \((\d+)/{checks.SCALE} cases failed\)$",
+                        transcript, re.MULTILINE)
+    assert verdict, transcript
     lines = failure_lines(transcript, suite)
-    assert lines
+    assert 0 < len(lines) <= min(5, int(verdict.group(1)))
+    assert transcript.splitlines()[-1] == "result: suite failures detected"
     for line in lines:
         assert SET_LITERAL.search(line), line
         assert shows_mismatch(line), line

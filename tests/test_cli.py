@@ -1,10 +1,11 @@
+import argparse
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from afideals.cli import MAX_DEPTH, main
+from afideals.cli import MAX_DEPTH, build_parser, main
 from afideals.metrics import d_beta
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
 
@@ -307,11 +308,6 @@ class TestCheck:
         assert "result: all suites passed" in out1
         assert out1.count("PASS") == 7
 
-    def test_injected_failure(self, capsys):
-        code, out, _ = run(capsys, "check", "--seed", "7", "--inject-failure")
-        assert code == 2
-        assert "FAIL" in out
-
 
 class TestUsage:
     def test_missing_command(self, capsys):
@@ -323,6 +319,19 @@ class TestUsage:
         code, _, err = run(capsys, "distance", "--bogus", "1", "1/2")
         assert code == 1
         assert "error" in err
+
+    def test_no_hidden_options(self):
+        # A test hook hidden from --help would still ship in the CLI.
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        hidden = [(p.prog, a.option_strings or a.dest) for p in parsers(build_parser())
+                  for a in p._actions if a.help == argparse.SUPPRESS]
+        assert hidden == []
 
     def test_env_depth_override(self, capsys, monkeypatch):
         monkeypatch.setenv("AFIDEALS_DEPTH", "2")

@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from afideals.exact import (
     BinaryWord,
     first_diff_index,
-    first_index,
+    first_outside,
     format_word,
     pow2,
     word_weight,
@@ -108,9 +107,9 @@ def test_first_diff_index():
     assert BinaryWord((1,), (0, 0, 1)).next_one(1) == 4
     # The first hit lies past both periods (2 and 3) but inside the joint one.
     u, v = BinaryWord((), (0, 1)), BinaryWord((), (1, 1, 0))
-    assert first_index(u, v, operator.gt) == 6
-    assert first_index(v, u, operator.gt) == 1
-    assert first_index(v, BinaryWord((), (1,)), operator.gt) is None
+    assert first_outside(u, v) == 6
+    assert first_outside(v, u) == 1
+    assert first_outside(v, BinaryWord((), (1,))) is None
 
     def scan(k, found):
         return next((i for i in range(k, 400) if found(i)), None)
@@ -122,8 +121,7 @@ def test_first_diff_index():
                 for _ in range(2))
         for i in rng.sample(range(0, 30), 4):
             assert u.next_one(i) == scan(i + 1, u.bit)
-        for pred in (operator.ne, operator.gt, operator.and_):
-            assert first_index(u, v, pred) == scan(1, lambda k: pred(u.bit(k), v.bit(k)))
+        assert first_outside(u, v) == scan(1, lambda k: u.bit(k) > v.bit(k))
         assert first_diff_index(u, v) == scan(1, lambda k: u.bit(k) != v.bit(k))
 
 

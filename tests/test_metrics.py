@@ -307,6 +307,23 @@ def test_beta_at_most_twice_phi():
         assert d_phi(i, j) <= Fraction(1, 2)
 
 
+def test_beta_over_phi_peaks_at_five_thirds():
+    """d_beta <= 2 d_phi holds but is never attained.  With m the first
+    level of disagreement, d_phi = 2**-m, D has no 1 before index m - 1 and
+    the tails agree before level m, so d_beta is at most the sum of 4**-k
+    over k >= max(m - 1, 1) plus that of 4**-p over p >= m: 5/3 d_phi at
+    m = 2, less at every other m.  The short sets attain 5/3 at {1} against
+    head=0;period=1."""
+    ideals = [ideal_of_closed_set(s) for s in small_closed_sets()]
+    assert len(ideals) == 175
+    ratios = [d_beta(i, j) / d_phi(i, j) for i, j in product(ideals, repeat=2) if i != j]
+    assert max(ratios) == Fraction(5, 3)
+    i, j = (ideal_of_closed_set(parse_closed_set(t)) for t in ("1", "head=0;period=1"))
+    assert (d_beta(i, j), d_phi(i, j)) == (Fraction(5, 12), Fraction(1, 4))
+    for i, j in eventual_pairs(29, 200):
+        assert d_beta(i, j) <= Fraction(5, 3) * d_phi(i, j)
+
+
 def test_level_sets_match_set_builder():
     rng = random.Random(37)
     for _ in range(200):
