@@ -5,10 +5,17 @@ and the edge multiplicities into the next level.  An ideal meets each level
 in a direct sum of full summands, so an ideal truncated to finitely many
 levels is just a family of index sets that is forward-closed along edges
 and saturated backwards.  Each level's set is stored as one int, index k
-as bit k-1, so both closure laws are a few big-int operations per level.
+as bit k-1.  `ideal_closure` applies the closure laws a few big-int
+operations per level, since each level depends on the one before.
+`is_ideal` tests every level at once: the descriptor's levels are joined
+into one int at a fixed stride of whole bytes, level n at byte (n-1)*size,
+and the diagram keeps, for each edge offset, one int holding every gap's
+mask at the same stride, so saturation is one shift-and-AND per offset.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .exact import BinaryWord, first_diff_index, positions
 
@@ -23,11 +30,12 @@ class BratteliDiagram:
     Levels are numbered from 1, summand indices within a level from 1.
     Zero entries of an edge map are dropped on construction, so every edge
     listed exists.  Each gap is also read by offset: for every d = j - k
-    that occurs, the mask of summands k with an edge to k + d.  The offset
-    masks are derived on first use, so building a diagram costs no more.
+    that occurs, the mask of summands k with an edge to k + d, and for
+    `is_ideal` one int per offset that joins every gap's mask.  Both are
+    derived on first use, so building a diagram costs no more.
     """
 
-    __slots__ = ("_dims", "_edges", "_offsets")
+    __slots__ = ("_dims", "_edges", "_offsets", "_joined")
 
     def __init__(self, dims, edges):
         self._dims = tuple(tuple(int(d) for d in level) for level in dims)
@@ -54,7 +62,7 @@ class BratteliDiagram:
                 kept[(k, j)] = m
             maps.append(kept)
         self._edges = tuple(maps)
-        self._offsets = [None] * len(maps)
+        self._offsets = self._joined = None
 
     @property
     def depth(self) -> int:
@@ -87,16 +95,41 @@ class BratteliDiagram:
             raise ValueError(f"summand {k} outside 1..{self.width(n)} at level {n}")
         return frozenset(j for kk, j in gap if kk == k)
 
+    def _derive(self):
+        """Read the edges by offset d = j - k: bit k-1 of gap n's mask M_d is
+        set when summand k of level n has an edge to summand k + d of level
+        n+1.  `_offsets[n-1]` lists (d, M_d) for gap n.  `_joined` is
+        (size, full, ((d, J_d), ...)): J_d holds every gap's M_d at a stride
+        of `size` bytes, wider than every level, gap n at byte (n-1)*size,
+        and `full` every level's full mask at the same stride.  One pass over
+        the edges fills a row of '0'/'1' per offset, read as one int and cut
+        into gaps through its bytes, so this is linear in the masks' size.
+        """
+        size = max(map(len, self._dims)) // 8 + 1
+        stride, gaps = 8 * size, len(self._edges)
+        rows = defaultdict(lambda: bytearray(b"0") * (stride * gaps))
+        for n, gap in enumerate(self._edges):
+            end = stride * (gaps - n)  # a row's first char is its top bit
+            for k, j in gap:
+                rows[j - k][end - k] = 49  # '1'
+        joined = tuple((d, int(row, 2)) for d, row in rows.items())
+        columns = [[(d, int.from_bytes(blob[i:i + size], "little"))
+                    for i in range(0, size * gaps, size)]
+                   for d, m in joined for blob in [m.to_bytes(size * gaps, "little")]]
+        self._offsets = tuple(zip(*columns)) if columns else ((),) * gaps
+        self._joined = size, _join(((1 << len(level)) - 1 for level in self._dims), size), joined
+
     def _offset_masks(self, n: int) -> tuple:
-        """(d, M_d) for gap n: bit k-1 of M_d is set when summand k of level n
-        has an edge to summand k + d of level n+1."""
-        offsets = self._offsets[n - 1]
-        if offsets is None:
-            masks = {}
-            for k, j in self._edges[n - 1]:
-                masks[j - k] = masks.get(j - k, 0) | 1 << (k - 1)
-            offsets = self._offsets[n - 1] = tuple(masks.items())
-        return offsets
+        """(d, M_d) for each offset d of gap n."""
+        if self._offsets is None:
+            self._derive()
+        return self._offsets[n - 1]
+
+    def _joined_masks(self) -> tuple:
+        """(size, full, ((d, J_d), ...)) for `is_ideal`."""
+        if self._joined is None:
+            self._derive()
+        return self._joined
 
     def _pullback(self, n: int, below: int) -> int:
         """Mask of the summands of level n all of whose successors lie in the
@@ -203,6 +236,12 @@ def _indices(mask: int) -> frozenset:
     return frozenset(positions(mask))
 
 
+def _join(masks, size: int) -> int:
+    """The masks as one int, the i-th at bit 8 * size * i; OverflowError when
+    a mask does not fit in `size` bytes."""
+    return int.from_bytes(b"".join(m.to_bytes(size, "little") for m in masks), "little")
+
+
 def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
     if f.depth > d.depth:
         raise WidthMismatchError(f"descriptor depth {f.depth} exceeds diagram depth {d.depth}")
@@ -217,14 +256,31 @@ def _check_widths(d: BratteliDiagram, f: FiniteDescriptor):
 def is_ideal(d: BratteliDiagram, f: FiniteDescriptor) -> bool:
     """Forward closure and saturation at every level below the truncation depth:
     level n is exactly the pullback of level n+1, the summands all of whose
-    successors lie in it.  A few mask operations per offset and level.
+    successors lie in it.
+
+    All levels at once: with the levels joined at the diagram's stride,
+    shifting the complement down one stride puts level n+1's complement at
+    level n's place, and M_d of gap n reads it only inside that place.  So
+    one shift-and-AND per offset gives every level's leaving summands, and
+    one comparison below the last level tests them all.  The width check is
+    one AND; only when it fails does the per-level check run, for its message.
 
     The final level only needs to receive edges correctly, so it imposes no
     condition of its own; saturation there would need the next level.
     """
-    _check_widths(d, f)
-    masks = f._masks
-    return all(masks[n - 1] == d._pullback(n, masks[n]) for n in range(1, f.depth))
+    size, full, joined = d._joined_masks()
+    try:
+        levels = _join(f._masks, size)
+    except OverflowError:
+        levels = -1  # a level wider than the stride; fails the AND below
+    if f.depth > d.depth or levels & ~full:
+        _check_widths(d, f)
+    stride = 8 * size
+    outside = ~levels >> stride
+    leaving = 0
+    for offset, m in joined:
+        leaving |= m & (outside >> offset if offset >= 0 else outside << -offset)
+    return not (levels ^ full ^ leaving) & ((1 << stride * (f.depth - 1)) - 1)
 
 
 def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescriptor:

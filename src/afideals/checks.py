@@ -1,7 +1,9 @@
 """Seeded randomized invariant suites backing the `check` command.
 
 Every suite is a pure function of the RNG it is handed, so a fixed seed
-yields a byte-identical transcript.
+yields a byte-identical transcript.  A suite returns its number of cases
+and a (case, message) pair per broken property, so a FAIL line counts
+each failing case once however many of its properties break.
 """
 
 from __future__ import annotations
@@ -33,18 +35,30 @@ from .qi import (
 SCALE = 60
 
 
+def _below(getrandbits, n: int) -> int:
+    """The value `randrange(n)` draws, from the same stream: n.bit_length()
+    random bits, drawn again while they reach n (CPython's
+    `_randbelow_with_getrandbits`), without randrange's argument handling."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_mask(rng: random.Random, n: int) -> int:
-    """n random bits drawn one at a time, the first as bit 0."""
-    return sum(rng.randrange(2) << k for k in range(n))
+    """n random bits drawn one at a time as `randrange(2)` would, the first as bit 0."""
+    getrandbits = rng.getrandbits
+    return sum(_below(getrandbits, 2) << k for k in range(n))
 
 
 def random_word(rng: random.Random, max_head: int = 5, max_period: int = 3,
                 periodic_prob: float = 0.4) -> BinaryWord:
-    h = rng.randint(0, max_head)
+    h = _below(rng.getrandbits, max_head + 1)  # randint(0, max_head)
     head = random_mask(rng, h)
     period = length = 0
     if rng.random() < periodic_prob:
-        length = rng.randint(1, max_period)
+        length = 1 + _below(rng.getrandbits, max_period)  # randint(1, max_period)
         period = random_mask(rng, length)
     return BinaryWord.from_masks(head, h, period, length)
 
@@ -106,28 +120,34 @@ def _suite_exact(rng: random.Random):
         for i in rng.sample(range(1, 101), 5):
             cases += 1
             if word_weight(w, i) != w.bit(i) * pow2(-i) + word_weight(w, i + 1):
-                failures.append(f"word_weight recurrence fails at {i} for {w!r}")
+                failures.append((cases, f"word_weight recurrence fails at {i} for {w!r}"))
     return cases, failures
+
+
+def _level_sets(masks) -> list:
+    """Level masks as the list of index sets a failure line shows."""
+    return list(FiniteDescriptor._of_masks(masks).all_sets)
 
 
 def _suite_closure(rng: random.Random):
     failures = []
     cases = 0
     diagram = qi_diagram(8)
+    draw = rng.random
     for _ in range(SCALE):
-        small = [frozenset(k for k in range(1, p + 1) if rng.random() < 0.2)
-                 for p in range(1, 9)]
-        big = [s | frozenset(k for k in range(1, p + 1) if rng.random() < 0.2)
-               for p, s in enumerate(small, 1)]
-        c_small = ideal_closure(diagram, FiniteDescriptor(small))
-        c_big = ideal_closure(diagram, FiniteDescriptor(big))
+        # Level p holds each index 1..p with probability 0.2, index k as bit k-1.
+        small = [sum(1 << k for k in range(p) if draw() < 0.2) for p in range(1, 9)]
+        big = [s | sum(1 << k for k in range(p) if draw() < 0.2) for p, s in enumerate(small, 1)]
+        c_small = ideal_closure(diagram, FiniteDescriptor._of_masks(small))
+        c_big = ideal_closure(diagram, FiniteDescriptor._of_masks(big))
         cases += 1
         if not is_ideal(diagram, c_small):
-            failures.append(f"closure of {small} is not an ideal")
+            failures.append((cases, f"closure of {_level_sets(small)} is not an ideal"))
         if ideal_closure(diagram, c_small) != c_small:
-            failures.append(f"closure not idempotent on {small}")
+            failures.append((cases, f"closure not idempotent on {_level_sets(small)}"))
         if not c_small <= c_big:
-            failures.append(f"closure not monotone on {small} vs {big}")
+            failures.append((cases, f"closure not monotone on {_level_sets(small)} "
+                                    f"vs {_level_sets(big)}"))
     return cases, failures
 
 
@@ -141,11 +161,11 @@ def _suite_hausdorff_metric(rng: random.Random):
         dst, dsu, dtu = hausdorff(s, t), hausdorff(s, u), hausdorff(t, u)
         cases += 1
         if (dst == 0) != (s == t):
-            failures.append(f"coincidence fails for {s!r}, {t!r}")
+            failures.append((cases, f"coincidence fails for {s!r}, {t!r}"))
         if dst != hausdorff(t, s):
-            failures.append(f"symmetry fails for {s!r}, {t!r}")
+            failures.append((cases, f"symmetry fails for {s!r}, {t!r}"))
         if dst > dsu + dtu:
-            failures.append(f"triangle fails for {s!r}, {t!r}, {u!r}")
+            failures.append((cases, f"triangle fails for {s!r}, {t!r}, {u!r}"))
     return cases, failures
 
 
@@ -181,7 +201,7 @@ def _suite_hausdorff_cutoff(rng: random.Random):
         brute = max(_brute_directed(s, t, depth), _brute_directed(t, s, depth))
         cases += 1
         if hausdorff(s, t) != brute:
-            failures.append(f"cutoff unsound for {s!r}, {t!r}")
+            failures.append((cases, f"cutoff unsound for {s!r}, {t!r}"))
     return cases, failures
 
 
@@ -194,15 +214,15 @@ def _suite_ideal_metrics(rng: random.Random):
         bij, bik, bjk = d_beta(i, j), d_beta(i, k), d_beta(j, k)
         cases += 1
         if (dij == 0) != (i == j) or (bij == 0) != (i == j):
-            failures.append(f"coincidence fails for {i!r}, {j!r}")
+            failures.append((cases, f"coincidence fails for {i!r}, {j!r}"))
         if dij != d_phi(j, i) or bij != d_beta(j, i):
-            failures.append(f"symmetry fails for {i!r}, {j!r}")
+            failures.append((cases, f"symmetry fails for {i!r}, {j!r}"))
         if dij > dik + djk or bij > bik + bjk:
-            failures.append(f"triangle fails for {i!r}, {j!r}, {k!r}")
+            failures.append((cases, f"triangle fails for {i!r}, {j!r}, {k!r}"))
         if bij > 2 * dij:
-            failures.append(f"d_beta > 2*d_phi for {i!r}, {j!r}")
+            failures.append((cases, f"d_beta > 2*d_phi for {i!r}, {j!r}"))
         if bij > Fraction(2, 3) or dij > Fraction(1, 2):
-            failures.append(f"global bound broken for {i!r}, {j!r}")
+            failures.append((cases, f"global bound broken for {i!r}, {j!r}"))
     return cases, failures
 
 
@@ -223,11 +243,11 @@ def _suite_correspondence(rng: random.Random):
         oracle = FiniteDescriptor({k for k in points if k < p} | (tails & {p})
                                   for p in range(1, 13))
         if to_finite(e, 12) != oracle:
-            failures.append(f"support-disjointness oracle disagrees for {s!r}")
+            failures.append((cases, f"support-disjointness oracle disagrees for {s!r}"))
         if closed_set_of_ideal(e) != s:
-            failures.append(f"round trip fails for {s!r}")
+            failures.append((cases, f"round trip fails for {s!r}"))
         if not is_ideal(diagram, finite):
-            failures.append(f"derived descriptor not an ideal for {s!r}")
+            failures.append((cases, f"derived descriptor not an ideal for {s!r}"))
         # t holds s: s's first h bits with random ones added, then s's period.
         h, length = s.word.head_len + 2, s.word.period_len
         added = random_mask(rng, h)
@@ -236,7 +256,7 @@ def _suite_correspondence(rng: random.Random):
         t = ClosedSubsetQI(word, include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
         if not to_finite(f, 32) <= finite:
-            failures.append(f"antitone correspondence fails for {s!r} inside {t!r}")
+            failures.append((cases, f"antitone correspondence fails for {s!r} inside {t!r}"))
     return cases, failures
 
 
@@ -251,11 +271,11 @@ def _suite_truncation(rng: random.Random):
         hi_iv = d_beta_truncated(i, j, depth + 1)
         cases += 1
         if lo_iv.width != pow2(-depth):
-            failures.append(f"interval width wrong at depth {depth}")
+            failures.append((cases, f"interval width wrong at depth {depth}"))
         if not lo_iv.encloses(hi_iv):
-            failures.append(f"intervals not nested at depth {depth}")
+            failures.append((cases, f"intervals not nested at depth {depth}"))
         if not lo_iv.contains(exact):
-            failures.append(f"interval misses exact value for {i!r}, {j!r}")
+            failures.append((cases, f"interval misses exact value for {i!r}, {j!r}"))
     return cases, failures
 
 
@@ -279,8 +299,9 @@ def run_check(seed: int):
         cases, failures = suite(rng)
         if failures:
             ok = False
-            lines.append(f"{name}: FAIL ({len(failures)}/{cases} cases failed)")
-            lines.extend(f"  {f}" for f in failures[:5])
+            failed = len({case for case, _ in failures})
+            lines.append(f"{name}: FAIL ({failed}/{cases} cases failed)")
+            lines.extend(f"  {message}" for _, message in failures[:5])
         else:
             lines.append(f"{name}: PASS ({cases} cases)")
     lines.append("result: " + ("all suites passed" if ok else "suite failures detected"))

@@ -303,6 +303,52 @@ class TestGeneralDiagrams:
                 assert is_ideal(d, FiniteDescriptor(closed)) and set_is_ideal(d, closed)
         assert min(seen.values()) > 50, seen
 
+    def test_joined_levels_against_per_level_pullbacks(self):
+        """`is_ideal` joins every level at a byte stride; the reference checks
+        level n against the pullback of level n+1 one level at a time, on
+        diagrams whose widths straddle byte boundaries and whose edges run at
+        negative offsets, with descriptors of every depth up to the diagram's."""
+        rng = random.Random(61)
+        seen = {"negative offset": 0, "stride over one byte": 0, "shallower": 0,
+                "accepted": 0, "rejected": 0}
+        for _ in range(300):
+            widths = [rng.choice((1, 2, 7, 8, 9, 15, 16, 17, 23)) for _ in range(rng.randint(2, 7))]
+            edges = [{(k, j): rng.randint(1, 2)
+                      for k in range(1, w + 1) for j in range(1, v + 1) if rng.random() < 2 / v}
+                     for w, v in zip(widths, widths[1:])]
+            d = BratteliDiagram([(1,) * w for w in widths], edges)
+            seen["negative offset"] += any(j < k for gap in edges for k, j in gap)
+            seen["stride over one byte"] += max(widths) >= 8
+            depth = rng.randint(1, d.depth)
+            seen["shallower"] += depth < d.depth
+            seed = random_level_sets(rng, d, depth, 0.15)
+            closed = set_closure(d, seed)
+            n = rng.randint(1, depth)
+            toggled = [s ^ {rng.randint(1, d.width(n))} if p == n else s
+                       for p, s in enumerate(closed, 1)]
+            for levels in (seed, closed, toggled, random_level_sets(rng, d, depth, 0.7)):
+                expected = set_is_ideal(d, levels)
+                assert is_ideal(d, FiniteDescriptor(levels)) == expected, (widths, edges, levels)
+                seen["accepted" if expected else "rejected"] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_joined_width_check_keeps_both_messages(self):
+        # Width 9 gives a stride of two bytes.  Index 12 at level 1 lies inside
+        # level 1's place and index 20 at level 2 past it; both, and a level
+        # the diagram lacks, are reported as the per-level check reports them.
+        d = BratteliDiagram([(1,) * 3, (1,) * 9, (1,) * 2], [{(3, 9): 1, (2, 1): 1}, {(9, 1): 1}])
+        assert is_ideal(d, FiniteDescriptor([(1, 2), range(1, 9), ()]))
+        for levels, message in [
+            ([(1, 12)], "^index 12 exceeds width 3 at level 1$"),
+            ([(), (20,)], "^index 20 exceeds width 9 at level 2$"),
+            ([(), (20, 10, 30)], "^index 10 exceeds width 9 at level 2$"),
+            ([(), (), (3,)], "^index 3 exceeds width 2 at level 3$"),
+            ([(1,), (), (), ()], "^descriptor depth 4 exceeds diagram depth 3$"),
+            ([(4,), (), (), (1,)], "^descriptor depth 4 exceeds diagram depth 3$"),
+        ]:
+            with pytest.raises(WidthMismatchError, match=message):
+                is_ideal(d, FiniteDescriptor(levels))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64])
     def test_qi_diagrams_against_set_reference(self, n):
         rng = random.Random(n)

@@ -8,6 +8,7 @@ set) and on 400 seeded sets.
 
 The mutation tests break one kernel as `check` sees it, run the CLI's
 `check --seed 1`, and require exit 2 with the matching suite's FAIL line,
+no FAIL line counting more failed cases than the suite ran,
 at most five failure lines whose `ClosedSubsetQI('...')` literals parse
 back to sets that show the same mismatch, and the failed result line: a
 failure is reproducible from its transcript alone.
@@ -205,8 +206,13 @@ def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys)
     verdict = re.search(rf"^{suite}: FAIL \((\d+)/{checks.SCALE} cases failed\)$",
                         transcript, re.MULTILINE)
     assert verdict, transcript
+    assert int(verdict.group(1)) <= checks.SCALE
+    # A case that breaks several properties counts once on every FAIL line.
+    for failed, cases in re.findall(r"^\S+: FAIL \((\d+)/(\d+) cases failed\)$",
+                                    transcript, re.MULTILINE):
+        assert int(failed) <= int(cases), transcript
     lines = failure_lines(transcript, suite)
-    assert 0 < len(lines) <= min(5, int(verdict.group(1)))
+    assert 0 < min(5, int(verdict.group(1))) <= len(lines) <= 5
     assert transcript.splitlines()[-1] == "result: suite failures detected"
     for line in lines:
         assert SET_LITERAL.search(line), line
