@@ -120,7 +120,8 @@ class BratteliDiagram:
         self._joined = size, _join(((1 << len(level)) - 1 for level in self._dims), size), joined
 
     def _offset_masks(self, n: int) -> tuple:
-        """(d, M_d) for each offset d of gap n."""
+        """(d, M_d) for gap n and each offset d of the diagram; M_d is 0 where
+        gap n has no edge at offset d."""
         if self._offsets is None:
             self._derive()
         return self._offsets[n - 1]
