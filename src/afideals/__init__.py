@@ -38,7 +38,6 @@ from .qi import (
     format_closed_set,
     hausdorff,
     ideal_of_closed_set,
-    paper_table_descriptor,
     parse_closed_set,
     point_distance,
 )

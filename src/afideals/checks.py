@@ -219,8 +219,8 @@ def _suite_ideal_metrics(rng: random.Random):
             failures.append((cases, f"symmetry fails for {i!r}, {j!r}"))
         if dij > dik + djk or bij > bik + bjk:
             failures.append((cases, f"triangle fails for {i!r}, {j!r}, {k!r}"))
-        if bij > 2 * dij:
-            failures.append((cases, f"d_beta > 2*d_phi for {i!r}, {j!r}"))
+        if 3 * bij > 5 * dij:
+            failures.append((cases, f"3*d_beta > 5*d_phi for {i!r}, {j!r}"))
         if bij > Fraction(2, 3) or dij > Fraction(1, 2):
             failures.append((cases, f"global bound broken for {i!r}, {j!r}"))
     return cases, failures
@@ -271,9 +271,9 @@ def _suite_truncation(rng: random.Random):
         hi_iv = d_beta_truncated(i, j, depth + 1)
         cases += 1
         if lo_iv.width != pow2(-depth):
-            failures.append((cases, f"interval width wrong at depth {depth}"))
+            failures.append((cases, f"interval width wrong at depth {depth} for {i!r}, {j!r}"))
         if not lo_iv.encloses(hi_iv):
-            failures.append((cases, f"intervals not nested at depth {depth}"))
+            failures.append((cases, f"intervals not nested at depth {depth} for {i!r}, {j!r}"))
         if not lo_iv.contains(exact):
             failures.append((cases, f"interval misses exact value for {i!r}, {j!r}"))
     return cases, failures

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement
-from .exact import bit_text, pow2, xor_weight
-from .qi import ClosedSubsetQI, ideal_of_closed_set, paper_table_descriptor
+from .exact import BinaryWord, bit_text, pow2, xor_weight
+from .qi import ClosedSubsetQI, ideal_of_closed_set
 
 
 class MalformedComparisonError(ValueError):
@@ -158,13 +158,22 @@ _PAPER_SHAPES = {
 
 def _paper_table(s: ClosedSubsetQI, role: str, points: int) -> EventualDescriptor:
     """The published table's descriptor of s, which must be `points` isolated
-    points other than 1."""
+    points other than 1.
+
+    For the singleton {2**-m} and the pair {2**-n, 2**-(n+k)} the table
+    excludes the set's points, as the support-disjointness convention does,
+    but keeps the tail summand inside the ideal at every level except those
+    points: the excluded word is the set's word and the tail word is its
+    complement, eventually 1 (1^m 0 1 1 ... for the singleton).
+    """
     shape, bound = _PAPER_SHAPES[points]
     if not s.is_finite:
         raise MalformedComparisonError(f"{role} must be {shape}")
     if s.word.head_mask.bit_count() != points or s.word.bit(1):
         raise MalformedComparisonError(f"{role} must be {shape} with {bound}")
-    return paper_table_descriptor(s)
+    h = s.word.head_len
+    complement = BinaryWord.from_masks(s.word.head_mask ^ ((1 << h) - 1), h, 1, 1)
+    return EventualDescriptor(s.word, complement)
 
 
 def descriptor(s: ClosedSubsetQI, convention: str) -> EventualDescriptor:

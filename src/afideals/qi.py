@@ -25,7 +25,6 @@ __all__ = [
     "hausdorff",
     "ideal_of_closed_set",
     "closed_set_of_ideal",
-    "paper_table_descriptor",
     "parse_closed_set",
     "format_closed_set",
     "clip",
@@ -183,12 +182,7 @@ def ideal_of_closed_set(s: ClosedSubsetQI) -> EventualDescriptor:
 
 def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
     """Inverse of ideal_of_closed_set; rejects descriptors of any other shape."""
-    zero = e.tail.is_eventually_zero()
-    if not (zero or e.excluded.is_eventually_zero()):
-        raise DescriptorConventionError(
-            "tail word eventually 1 but excluded points recur forever"
-        )
-    s = ClosedSubsetQI(e.excluded, include_zero=zero)
+    s = ClosedSubsetQI(e.excluded, include_zero=e.tail.is_eventually_zero())
     check = ideal_of_closed_set(s)
     if e != check:
         p = first_disagreement(e, check)
@@ -197,24 +191,6 @@ def closed_set_of_ideal(e: EventualDescriptor) -> ClosedSubsetQI:
             f"{sorted(level_set(check, p))}"
         )
     return s
-
-
-def paper_table_descriptor(s: ClosedSubsetQI) -> EventualDescriptor:
-    """Descriptor of a finite set following the published level-set table.
-
-    For the singleton {2**-m} and the pair {2**-n, 2**-(n+k)} the table
-    excludes the set's points, as the support-disjointness convention does,
-    but keeps the tail summand inside the ideal at every level except those
-    points: the excluded word is the set's word and the tail word is its
-    complement, eventually 1 (1^m 0 1 1 ... for the singleton).  A set
-    holding 0 or infinitely many points is outside the table's scope and
-    raises ValueError.
-    """
-    if not s.is_finite:
-        raise ValueError("the paper table covers only finite sets of isolated points")
-    h = s.word.head_len
-    complement = BinaryWord.from_masks(s.word.head_mask ^ ((1 << h) - 1), h, 1, 1)
-    return EventualDescriptor(s.word, complement)
 
 
 def parse_closed_set(text: str) -> ClosedSubsetQI:

@@ -16,7 +16,8 @@ from afideals.bratteli import (
     to_finite,
 )
 from afideals.exact import BinaryWord
-from afideals.qi import ideal_of_closed_set, paper_table_descriptor, parse_closed_set
+from afideals.metrics import descriptor
+from afideals.qi import ideal_of_closed_set, parse_closed_set
 
 
 def brute_closure(d, seed):
@@ -108,6 +109,22 @@ class TestQiDiagram:
         d = qi_diagram(1)
         assert d.depth == 1
         assert d.dims(1) == (1,)
+
+    def test_rejects_depth_below_one(self):
+        with pytest.raises(ValueError, match="^depth must be at least 1$"):
+            qi_diagram(0)
+
+    @pytest.mark.parametrize("dims, edges, message", [
+        ([], [], "a diagram needs at least one level"),
+        ([(1,), (1,)], [], "need exactly depth-1 edge maps"),
+        ([(1,), (1, 0)], [{(1, 1): 1}], "nonpositive dimension at level 2"),
+        ([(1,), (1,)], [{(1, 2): 1}], "edge (1,2) out of range between levels 1 and 2"),
+        ([(1,), (1,)], [{(1, 1): -1}], "negative number of edges (1,1) at level 1"),
+    ], ids=["no-levels", "edge-map-count", "dimension", "edge-range", "multiplicity"])
+    def test_constructor_rejects_bad_input(self, dims, edges, message):
+        with pytest.raises(ValueError) as info:
+            BratteliDiagram(dims, edges)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_valid_by_direct_unitality_sums(self):
         d = qi_diagram(8)
@@ -377,7 +394,7 @@ class TestGeneralDiagrams:
 class TestLevelSet:
     def test_paper_singleton_pattern(self):
         for m in (1, 3, 5):
-            e = paper_table_descriptor(parse_closed_set(f"1/{2**m}"))
+            e = descriptor(parse_closed_set(f"1/{2**m}"), "paper")
             for p in range(1, m + 1):
                 assert level_set(e, p) == frozenset(range(1, p + 1))
             assert level_set(e, m + 1) == frozenset(range(1, m + 1))
@@ -394,6 +411,10 @@ class TestLevelSet:
     def test_derived_singleton_level(self):
         e = ideal_of_closed_set(parse_closed_set("1/2"))
         assert level_set(e, 3) == frozenset({1, 3})
+
+    def test_rejects_level_below_one(self):
+        with pytest.raises(ValueError, match="^levels start at 1$"):
+            level_set(ideal_of_closed_set(parse_closed_set("1/2")), 0)
 
 
 def all_words(max_head: int, max_period: int) -> set:
@@ -443,7 +464,7 @@ class TestEventualDescriptor:
             EventualDescriptor(BinaryWord(), BinaryWord((), (1, 0)))
 
     def test_repr_names_both_words(self):
-        e = paper_table_descriptor(parse_closed_set("1/4,1/8"))
+        e = descriptor(parse_closed_set("1/4,1/8"), "paper")
         text = repr(e)
         assert text == (
             "EventualDescriptor(excluded=BinaryWord(head=(0, 0, 1, 1), period=()), "
@@ -454,8 +475,8 @@ class TestEventualDescriptor:
 
 class TestSymdiffLevel:
     def test_paper_patterns(self):
-        a = paper_table_descriptor(parse_closed_set("1/2"))
-        b = paper_table_descriptor(parse_closed_set("1/4,1/8"))
+        a = descriptor(parse_closed_set("1/2"), "paper")
+        b = descriptor(parse_closed_set("1/4,1/8"), "paper")
         assert level_set(a, 2) ^ level_set(b, 2) == frozenset({2})
         assert level_set(a, 5) ^ level_set(b, 5) == frozenset({2, 3, 4})
 

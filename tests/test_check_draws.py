@@ -13,25 +13,20 @@ The suites draw their integers through `checks._below`, which copies the
 rejection loop behind `randrange` and `randint`; a test here requires the
 same values and the same RNG state as those methods.
 
-The module needs no pytest, so the pins can be checked under any
-interpreter the package supports:
+The module needs no pytest (see `pins.py`):
 
     PYTHONPATH=src python tests/test_check_draws.py --verify
 
-To regenerate the file after a deliberate change of the draws, run
-
-    PYTHONPATH=src python tests/test_check_draws.py --write
-
-and record the change in CHANGES.md.
+checks the pins, and `--write` regenerates the file after a deliberate
+change of the draws, which CHANGES.md then records.
 """
 
-import argparse
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
+import pins
 from afideals import checks
 
 DRAWS = Path(__file__).resolve().with_name("check_draws.json")
@@ -108,34 +103,16 @@ def test_sampler_draws_as_random_does():
                 assert ours.getstate() == theirs.getstate(), (label, seed, n)
 
 
-def verify() -> bool:
-    """Run every test above without pytest, one line each; True when all pass."""
-    runs = [("test_digests_cover_every_suite", test_digests_cover_every_suite, ())]
-    runs += [(f"test_suite_leaves_pinned_rng_state[{name}]", test_suite_leaves_pinned_rng_state,
-              (name, suite)) for name, suite in checks.SUITES]
-    runs += [("test_generators_draw_pinned_values", test_generators_draw_pinned_values, ()),
-             ("test_sampler_draws_as_random_does", test_sampler_draws_as_random_does, ())]
-    ok = True
-    for label, test, args in runs:
-        try:
-            test(*args)
-        except AssertionError as error:
-            ok = False
-            print(f"FAIL {label} {error}")
-        else:
-            print(f"PASS {label}")
-    return ok
+def runs() -> list:
+    return [("test_digests_cover_every_suite", test_digests_cover_every_suite, ())] + [
+        (f"test_suite_leaves_pinned_rng_state[{name}]", test_suite_leaves_pinned_rng_state,
+         (name, suite)) for name, suite in checks.SUITES] + [
+        ("test_generators_draw_pinned_values", test_generators_draw_pinned_values, ()),
+        ("test_sampler_draws_as_random_does", test_sampler_draws_as_random_does, ())]
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Check or regenerate check_draws.json.")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--verify", action="store_true", help="check the pins; exit 1 on a mismatch")
-    mode.add_argument("--write", action="store_true", help="regenerate check_draws.json")
-    if parser.parse_args().verify:
-        print(f"python {sys.version.split()[0]}")
-        sys.exit(0 if verify() else 1)
-    DRAWS.write_text(json.dumps({
+    pins.script(DRAWS, runs, lambda: DRAWS.write_text(json.dumps({
         "states": {name: state_digest(name, suite) for name, suite in checks.SUITES},
         "reprs": drawn_reprs(),
-    }, indent=1) + "\n")
+    }, indent=1) + "\n"))

@@ -6,12 +6,14 @@ they replaced are kept here as references, and both must agree on every
 set with head <= 4 and period <= 3 (with and without 0, and the empty
 set) and on 400 seeded sets.
 
-The mutation tests break one kernel as `check` sees it, run the CLI's
-`check --seed 1`, and require exit 2 with the matching suite's FAIL line,
-no FAIL line counting more failed cases than the suite ran,
-at most five failure lines whose `ClosedSubsetQI('...')` literals parse
-back to sets that show the same mismatch, and the failed result line: a
-failure is reproducible from its transcript alone.
+The mutation tests break one kernel as `check` sees it, one per suite
+that a passing run leaves untested, run the CLI's `check --seed 1`, and
+require exit 2 with the matching suite's FAIL line, no FAIL line counting
+more failed cases than the suite ran, at most five failure lines whose
+literals (closed sets, ideal descriptors, words, level index sets, ints)
+read back to values that show the same mismatch under the broken kernel
+and none under the real one, and the failed result line: a failure is
+reproducible from its transcript alone.
 """
 
 import itertools
@@ -23,10 +25,18 @@ from fractions import Fraction
 import pytest
 
 from afideals import checks, cli
-from afideals.bratteli import FiniteDescriptor, is_ideal, qi_diagram, to_finite
-from afideals.exact import BinaryWord, pow2
+from afideals.bratteli import (
+    EventualDescriptor,
+    FiniteDescriptor,
+    is_ideal,
+    qi_diagram,
+    to_finite,
+)
+from afideals.exact import BinaryWord, pow2, word_weight, word_xor
+from afideals.metrics import CertifiedValue, d_beta_truncated
 from afideals.qi import (
     ClosedSubsetQI,
+    closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
     parse_closed_set,
@@ -160,18 +170,87 @@ def finite(s, depth):
     return checks.to_finite(ideal_of_closed_set(s), depth)
 
 
-# Each failure message's prefix, with the mismatch it reports, recomputed
-# from the sets its line names through the kernels `check` sees.
+def closure(sets):
+    """The closure `check` sees of the levels `sets` on qi_diagram(8)."""
+    return checks.ideal_closure(checks.qi_diagram(8), FiniteDescriptor(sets))
+
+
+def seed_as_closure(d, seed):
+    """An ideal_closure that adds nothing to its seed."""
+    return seed
+
+
+def tail_weight_difference(i, j):
+    """d_beta with W4(T_i) - W4(T_j) in place of W4(T_i XOR T_j): antisymmetric
+    in the tail words."""
+    return (word_weight(word_xor(i.excluded, j.excluded), 1, 4)
+            + word_weight(i.tail, 1, 4) - word_weight(j.tail, 1, 4))
+
+
+def doubled_width(i, j, depth):
+    """d_beta_truncated bracketed by 2**(1-depth), twice the tail bound."""
+    value = d_beta_truncated(i, j, depth)
+    return CertifiedValue(value.lo, value.hi + pow2(-depth))
+
+
+def one_late_word_weight(w, from_index=1, base=2):
+    """word_weight summed from one position past `from_index`."""
+    return word_weight(w, from_index + 1, base)
+
+
+def zero_dropped_closed_set(e):
+    """closed_set_of_ideal without the point 0 of a finite set."""
+    return ClosedSubsetQI(closed_set_of_ideal(e).word)
+
+
+# Per suite, each failure message's prefix with the mismatch it reports,
+# recomputed from the values its line names through the kernels `check` sees.
 MISMATCHES = {
-    "cutoff unsound for": lambda s, t: checks.hausdorff(s, t) != max(
-        reference_brute_directed(s, t, checks._sup_cutoff(s, t) + 32),
-        reference_brute_directed(t, s, checks._sup_cutoff(s, t) + 32)),
-    "support-disjointness oracle disagrees for": lambda s: finite(s, 12) != oracle_descriptor(s),
-    "derived descriptor not an ideal for": lambda s: not is_ideal(qi_diagram(32), finite(s, 32)),
-    "antitone correspondence fails for": lambda s, t: not finite(t, 32) <= finite(s, 32),
+    "exact-arithmetic": {
+        "word_weight recurrence fails at": lambda i, w: (
+            checks.word_weight(w, i) != w.bit(i) * pow2(-i) + checks.word_weight(w, i + 1)),
+    },
+    "closure-fixpoint": {
+        "closure of": lambda small: not checks.is_ideal(checks.qi_diagram(8), closure(small)),
+    },
+    "hausdorff-cutoff": {
+        "cutoff unsound for": lambda s, t: checks.hausdorff(s, t) != max(
+            reference_brute_directed(s, t, checks._sup_cutoff(s, t) + 32),
+            reference_brute_directed(t, s, checks._sup_cutoff(s, t) + 32)),
+    },
+    "ideal-metrics": {
+        "symmetry fails for": lambda i, j: (
+            checks.d_phi(i, j) != checks.d_phi(j, i) or checks.d_beta(i, j) != checks.d_beta(j, i)),
+        "triangle fails for": lambda i, j, k: (
+            checks.d_phi(i, j) > checks.d_phi(i, k) + checks.d_phi(j, k)
+            or checks.d_beta(i, j) > checks.d_beta(i, k) + checks.d_beta(j, k)),
+    },
+    "correspondence": {
+        "support-disjointness oracle disagrees for": lambda s: (
+            finite(s, 12) != oracle_descriptor(s)),
+        "round trip fails for": lambda s: checks.closed_set_of_ideal(ideal_of_closed_set(s)) != s,
+        "derived descriptor not an ideal for": lambda s: (
+            not is_ideal(qi_diagram(32), finite(s, 32))),
+        "antitone correspondence fails for": lambda s, t: not finite(t, 32) <= finite(s, 32),
+    },
+    "truncation": {
+        "interval width wrong at depth": lambda depth, i, j: (
+            checks.d_beta_truncated(i, j, depth).width != pow2(-depth)),
+    },
 }
 
-SET_LITERAL = re.compile(r"ClosedSubsetQI\('[^']*'\)")
+# The values a failure line names, each as its repr: a closed set, an ideal
+# descriptor, a word, a list of level index sets, or an int.
+WORD = r"BinaryWord\(head=\([\d, ]*\), period=\([\d, ]*\)\)"
+LITERAL = re.compile("|".join([
+    r"ClosedSubsetQI\('[^']*'\)",
+    rf"EventualDescriptor\(excluded={WORD}, tail={WORD}\)",
+    WORD,
+    r"\[(?:frozenset\((?:\{[\d, ]*\})?\)(?:, )?)*\]",
+    r"\d+",
+]))
+NAMES = {"ClosedSubsetQI": parse_closed_set, "EventualDescriptor": EventualDescriptor,
+         "BinaryWord": BinaryWord, "frozenset": frozenset}
 
 
 def failure_lines(transcript, suite):
@@ -182,31 +261,36 @@ def failure_lines(transcript, suite):
     return list(itertools.takewhile(lambda line: line.startswith("  "), lines[start + 1:]))
 
 
-def shows_mismatch(line):
-    """Whether the sets a failure line names, parsed back from its
+def shows_mismatch(suite, line):
+    """Whether the values a failure line names, read back from their
     literals, show the mismatch the line reports."""
     message = line.strip()
-    prefix = next(p for p in MISMATCHES if message.startswith(p))
-    sets = []
-    for literal in SET_LITERAL.findall(message):
-        sets.append(eval(literal, {"ClosedSubsetQI": parse_closed_set}))
-        assert repr(sets[-1]) == literal
-    return MISMATCHES[prefix](*sets)
+    prefix = next(p for p in MISMATCHES[suite] if message.startswith(p))
+    literals = LITERAL.findall(message[len(prefix):])
+    assert literals, line
+    values = [eval(literal, NAMES) for literal in literals]
+    assert [repr(value) for value in values] == literals, line
+    return MISMATCHES[suite][prefix](*values)
 
 
 @pytest.mark.parametrize("name,mutant,suite", [
     ("hausdorff", one_directed_hausdorff, "hausdorff-cutoff"),
     ("to_finite", tail_dropped_to_finite, "correspondence"),
-], ids=["hausdorff-one-direction", "to-finite-drops-a-tail"])
+    ("ideal_closure", seed_as_closure, "closure-fixpoint"),
+    ("d_beta", tail_weight_difference, "ideal-metrics"),
+    ("d_beta_truncated", doubled_width, "truncation"),
+    ("word_weight", one_late_word_weight, "exact-arithmetic"),
+    ("closed_set_of_ideal", zero_dropped_closed_set, "correspondence"),
+], ids=["hausdorff-one-direction", "to-finite-drops-a-tail", "closure-adds-nothing",
+        "d-beta-asymmetric", "truncated-width-doubled", "word-weight-one-late",
+        "closed-set-drops-zero"])
 def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys):
     monkeypatch.setattr(checks, name, mutant)
     assert cli.main(["check", "--seed", "1"]) == 2
     transcript, err = capsys.readouterr()
     assert err == ""
-    verdict = re.search(rf"^{suite}: FAIL \((\d+)/{checks.SCALE} cases failed\)$",
-                        transcript, re.MULTILINE)
+    verdict = re.search(rf"^{suite}: FAIL \((\d+)/\d+ cases failed\)$", transcript, re.MULTILINE)
     assert verdict, transcript
-    assert int(verdict.group(1)) <= checks.SCALE
     # A case that breaks several properties counts once on every FAIL line.
     for failed, cases in re.findall(r"^\S+: FAIL \((\d+)/(\d+) cases failed\)$",
                                     transcript, re.MULTILINE):
@@ -215,7 +299,6 @@ def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys)
     assert 0 < min(5, int(verdict.group(1))) <= len(lines) <= 5
     assert transcript.splitlines()[-1] == "result: suite failures detected"
     for line in lines:
-        assert SET_LITERAL.search(line), line
-        assert shows_mismatch(line), line
+        assert shows_mismatch(suite, line), line
     monkeypatch.undo()
-    assert not any(shows_mismatch(line) for line in lines)
+    assert not any(shows_mismatch(suite, line) for line in lines)

@@ -9,22 +9,18 @@ their start and length, and `check --seed 1`.  A change that alters any of
 these bytes fails here.  `check`'s FAIL transcript is covered by the
 mutation tests in `test_check_oracles.py`.
 
-To regenerate the file after a deliberate change of output, run
+The module needs no pytest (see `pins.py`):
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --verify
 
-and record the change of output in CHANGES.md.
+checks the file, and `--write` regenerates it after a deliberate change
+of output, which CHANGES.md then records.
 """
 
-import contextlib
-import io
 import json
-import os
 from pathlib import Path
 
-import pytest
-
-from afideals.cli import main
+import pins
 
 GOLDEN = Path(__file__).resolve().with_name("cli_golden.json")
 
@@ -96,30 +92,29 @@ CASES = (
 )
 
 
-def capture(argv) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(list(argv))
-    return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 def load_golden() -> list:
     return json.loads(GOLDEN.read_text())
+
+
+def pytest_generate_tests(metafunc):
+    if "index" in metafunc.fixturenames:
+        metafunc.parametrize("index", range(len(CASES)))
 
 
 def test_golden_covers_cases():
     assert [tuple(record["argv"]) for record in load_golden()] == list(CASES)
 
 
-@pytest.mark.parametrize("index", range(len(CASES)))
-def test_cli_output_is_byte_identical(index, monkeypatch):
-    monkeypatch.delenv("AFIDEALS_DEPTH", raising=False)
-    monkeypatch.delenv("AFIDEALS_SEED", raising=False)
-    assert capture(CASES[index]) == load_golden()[index]
+def test_cli_output_is_byte_identical(index):
+    assert pins.capture(CASES[index]) == load_golden()[index]
+
+
+def runs() -> list:
+    return [("test_golden_covers_cases", test_golden_covers_cases, ())] + [
+        (f"test_cli_output_is_byte_identical[{index}]", test_cli_output_is_byte_identical, (index,))
+        for index in range(len(CASES))]
 
 
 if __name__ == "__main__":
-    os.environ.pop("AFIDEALS_DEPTH", None)
-    os.environ.pop("AFIDEALS_SEED", None)
-    GOLDEN.write_text(json.dumps([capture(argv) for argv in CASES], indent=1) + "\n")
+    pins.script(GOLDEN, runs, lambda: GOLDEN.write_text(
+        json.dumps([pins.capture(argv) for argv in CASES], indent=1) + "\n"))

@@ -82,6 +82,11 @@ class TestBinaryWord:
         with pytest.raises(ValueError):
             BinaryWord((1,)).bit(0)
 
+    def test_next_one_rejects_negative_positions(self):
+        assert BinaryWord((1,)).next_one(0) == 1
+        with pytest.raises(ValueError, match=r"^positions start at 1, got 0$"):
+            BinaryWord((1,)).next_one(-1)
+
     def test_last_one(self):
         assert BinaryWord().last_one() == 0
         assert BinaryWord((0, 1, 1)).last_one() == 3
@@ -137,6 +142,11 @@ def test_word_weight_examples():
     assert word_weight(w, 2, 4) == Fraction(1, 60)
     partial = sum(Fraction(4) ** -k for k in range(1, 65) if w.bit(k))
     assert abs(word_weight(w, 1, 4) - partial) < pow2(-120)
+
+
+def test_word_weight_rejects_start_below_one():
+    with pytest.raises(ValueError, match=r"^positions start at 1, got 0$"):
+        word_weight(BinaryWord((1,)), 0)
 
 
 def test_word_weight_recurrence():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from fractions import Fraction
 
 import pytest
@@ -27,7 +27,6 @@ from afideals.qi import (
     closed_set_of_ideal,
     hausdorff,
     ideal_of_closed_set,
-    paper_table_descriptor,
     parse_closed_set,
 )
 
@@ -67,7 +66,7 @@ def eventual_pairs(seed: int, count: int) -> list:
 def table(m: int, k: int = 0) -> EventualDescriptor:
     """Published table descriptor of {2**-m}, or with k of {2**-m, 2**-(m+k)}."""
     points = f"1/{2**m}" + (f",1/{2**(m + k)}" if k else "")
-    return paper_table_descriptor(parse_closed_set(points))
+    return descriptor(parse_closed_set(points), "paper")
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -242,6 +241,12 @@ class TestClosedForms:
         assert closed_form_dbeta(1, 2, 1) == Fraction(37, 128)
         assert closed_form_dbeta(1, 2, 2) == Fraction(145, 512)
 
+    @pytest.mark.parametrize("form", [closed_form_dphi, closed_form_dbeta, closed_form_dhausdorff])
+    @pytest.mark.parametrize("args", [(0, 2, 1), (1, 0, 1), (1, 2, 0), (-1, 2, 1)])
+    def test_rejects_arguments_below_one(self, form, args):
+        with pytest.raises(ValueError, match="^m, n, k must be positive$"):
+            form(*args)
+
     def test_dbeta_requires_m_below_n(self):
         with pytest.raises(ValueError):
             closed_form_dbeta(2, 2, 1)
@@ -322,6 +327,31 @@ def test_beta_over_phi_peaks_at_five_thirds():
     assert (d_beta(i, j), d_phi(i, j)) == (Fraction(5, 12), Fraction(1, 4))
     for i, j in eventual_pairs(29, 200):
         assert d_beta(i, j) <= Fraction(5, 3) * d_phi(i, j)
+
+
+def test_metric_comparison_constants():
+    """On the short sets, d_phi <= d_H/2, d_H <= 4 d_phi, d_beta <= 3/4 d_H,
+    4 d_phi**2 <= 3 d_beta and d_H**2 <= 12 d_beta for every pair, and a
+    witness pair attains each bound.  No constant bounds d_H by d_beta:
+    {x_k} against {x_k, 0} has d_H**2 = 12 d_beta but d_H = 6 * 2**k d_beta."""
+    def values(s, t):
+        i, j = ideal_of_closed_set(s), ideal_of_closed_set(t)
+        return hausdorff(s, t), d_phi(i, j), d_beta(i, j)
+
+    for s, t in combinations(small_closed_sets(), 2):
+        h, phi, beta = values(s, t)
+        assert 2 * phi <= h <= 4 * phi and 4 * beta <= 3 * h, (s, t)
+        assert 4 * phi**2 <= 3 * beta and h**2 <= 12 * beta, (s, t)
+    witnesses = {("1", "1,1/2"): lambda h, phi, beta: 2 * phi == h,
+                 ("0", "1"): lambda h, phi, beta: h == 4 * phi,
+                 ("1", "1/2"): lambda h, phi, beta: 4 * beta == 3 * h,
+                 ("1", "1,0"): lambda h, phi, beta: 4 * phi**2 == 3 * beta and h**2 == 12 * beta}
+    for (a, b), attained in witnesses.items():
+        assert attained(*values(parse_closed_set(a), parse_closed_set(b))), (a, b)
+    for k in range(1, 65):
+        point = f"1/{2**(k - 1)}"
+        h, _, beta = values(parse_closed_set(point), parse_closed_set(point + ",0"))
+        assert h**2 == 12 * beta and h == 6 * 2**k * beta, k
 
 
 def test_level_sets_match_set_builder():

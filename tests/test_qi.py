@@ -16,7 +16,6 @@ from afideals.qi import (
     format_closed_set,
     hausdorff,
     ideal_of_closed_set,
-    paper_table_descriptor,
     parse_closed_set,
     point_distance,
 )
@@ -224,11 +223,13 @@ class TestClosedSetOfIdeal:
 
     def test_rejects_table_convention(self):
         with pytest.raises(DescriptorConventionError):
-            closed_set_of_ideal(paper_table_descriptor(parse_closed_set("1/2")))
+            closed_set_of_ideal(descriptor(parse_closed_set("1/2"), "paper"))
 
     def test_rejects_inconsistent_tail_flag(self):
+        # Excluded points recur forever, yet the tail summand is eventually in.
         e = EventualDescriptor(BinaryWord((), (1, 0)), BinaryWord((), (1,)))
-        with pytest.raises(DescriptorConventionError):
+        with pytest.raises(DescriptorConventionError,
+                           match=r"^level 1 is \[1\], support rule gives \[\]$"):
             closed_set_of_ideal(e)
 
 
@@ -247,21 +248,21 @@ def table_pair(n: int, k: int) -> EventualDescriptor:
 
 class TestPaperTableDescriptor:
     def test_singleton_branches(self):
-        e = paper_table_descriptor(parse_closed_set("1/4"))
+        e = descriptor(parse_closed_set("1/4"), "paper")
         assert level_set(e, 1) == frozenset({1})
         assert level_set(e, 2) == frozenset({1, 2})
         assert level_set(e, 3) == frozenset({1, 2})
         assert level_set(e, 4) == frozenset({1, 2, 4})
 
     def test_pair_branches(self):
-        e = paper_table_descriptor(parse_closed_set("1/4,1/8"))
+        e = descriptor(parse_closed_set("1/4,1/8"), "paper")
         assert level_set(e, 2) == frozenset({1, 2})
         assert level_set(e, 3) == frozenset({1, 2})
         assert level_set(e, 4) == frozenset({1, 2})
         assert level_set(e, 5) == frozenset({1, 2, 5})
 
     def test_pair_middle_branch(self):
-        e = paper_table_descriptor(parse_closed_set("1/4,1/32"))
+        e = descriptor(parse_closed_set("1/4,1/32"), "paper")
         assert level_set(e, 4) == frozenset({1, 2, 4})
         assert level_set(e, 5) == frozenset({1, 2, 4, 5})
         assert level_set(e, 6) == frozenset({1, 2, 4, 5})
@@ -270,11 +271,11 @@ class TestPaperTableDescriptor:
     def test_matches_published_formula(self):
         for m in range(1, 65):
             s = parse_closed_set(f"1/{2**m}")
-            assert paper_table_descriptor(s) == descriptor(s, "paper") == table_singleton(m)
+            assert descriptor(s, "paper") == table_singleton(m)
         for n in range(1, 33):
             for k in range(1, 33):
                 s = parse_closed_set(f"1/{2**n},1/{2**(n + k)}")
-                assert paper_table_descriptor(s) == descriptor(s, "paper") == table_pair(n, k)
+                assert descriptor(s, "paper") == table_pair(n, k)
 
     def test_rejects_bad_args(self):
         # m = 0 and n = 0 put the point 1 = 2**0 in the set
@@ -286,8 +287,9 @@ class TestPaperTableDescriptor:
     @pytest.mark.parametrize("text", ["1/2,0", "head=;period=01"])
     def test_rejects_sets_outside_the_table(self, text):
         # A set holding 0, or with points accumulating at 0, has no table row.
-        with pytest.raises(ValueError, match="only finite sets"):
-            paper_table_descriptor(parse_closed_set(text))
+        with pytest.raises(MalformedComparisonError,
+                           match="^paper convention covers only singletons and pairs"):
+            descriptor(parse_closed_set(text), "paper")
 
 
 class TestSerialization:
