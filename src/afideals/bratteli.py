@@ -119,34 +119,6 @@ class BratteliDiagram:
         self._offsets = tuple(zip(*columns)) if columns else ((),) * gaps
         self._joined = size, _join(((1 << len(level)) - 1 for level in self._dims), size), joined
 
-    def _offset_masks(self, n: int) -> tuple:
-        """(d, M_d) for gap n and each offset d of the diagram; M_d is 0 where
-        gap n has no edge at offset d."""
-        if self._offsets is None:
-            self._derive()
-        return self._offsets[n - 1]
-
-    def _joined_masks(self) -> tuple:
-        """(size, full, ((d, J_d), ...)) for `is_ideal`."""
-        if self._joined is None:
-            self._derive()
-        return self._joined
-
-    def _pullback(self, n: int, below: int) -> int:
-        """Mask of the summands of level n all of whose successors lie in the
-        mask `below` of level n+1: those with no edge into its complement."""
-        leaving = 0
-        for d, m in self._offset_masks(n):
-            leaving |= m & (~below >> d if d >= 0 else ~below << -d)
-        return ((1 << len(self._dims[n - 1])) - 1) ^ leaving
-
-    def _image(self, n: int, here: int) -> int:
-        """Mask of the summands of level n+1 reached from the mask `here` of level n."""
-        reached = 0
-        for d, m in self._offset_masks(n):
-            reached |= (here & m) << d if d >= 0 else (here & m) >> -d
-        return reached
-
     def __repr__(self):
         return f"BratteliDiagram(depth={self.depth})"
 
@@ -269,7 +241,9 @@ def is_ideal(d: BratteliDiagram, f: FiniteDescriptor) -> bool:
     The final level only needs to receive edges correctly, so it imposes no
     condition of its own; saturation there would need the next level.
     """
-    size, full, joined = d._joined_masks()
+    if d._joined is None:
+        d._derive()
+    size, full, joined = d._joined
     try:
         levels = _join(f._masks, size)
     except OverflowError:
@@ -296,14 +270,25 @@ def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescripto
     level ends saturated.  Saturation adds only k whose successors are
     already present, so forward closure still holds.  Both rules add only
     indices that every ideal holding the seed contains, so the result is
-    the smallest.
+    the smallest.  Per offset d, level n+1 receives level n's M_d moved up
+    by d, and level n keeps out only M_d's meet with level n+1's complement
+    moved down by d.
     """
     _check_widths(d, seed)
+    if d._offsets is None:
+        d._derive()
+    gaps = d._offsets[:seed.depth - 1]
     masks = list(seed._masks)
-    for n in range(1, seed.depth):
-        masks[n] |= d._image(n, masks[n - 1])
-    for n in range(seed.depth - 1, 0, -1):
-        masks[n - 1] |= d._pullback(n, masks[n])
+    for n, gap in enumerate(gaps, 1):
+        here, reached = masks[n - 1], 0
+        for offset, m in gap:
+            reached |= (here & m) << offset if offset >= 0 else (here & m) >> -offset
+        masks[n] |= reached
+    for n in range(len(gaps), 0, -1):
+        outside, leaving = ~masks[n], 0
+        for offset, m in gaps[n - 1]:
+            leaving |= m & (outside >> offset if offset >= 0 else outside << -offset)
+        masks[n - 1] |= ((1 << len(d._dims[n - 1])) - 1) ^ leaving
     return FiniteDescriptor._of_masks(masks)
 
 

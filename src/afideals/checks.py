@@ -47,9 +47,15 @@ def _below(getrandbits, n: int) -> int:
 
 
 def random_mask(rng: random.Random, n: int) -> int:
-    """n random bits drawn one at a time as `randrange(2)` would, the first as bit 0."""
+    """n bits, the first as bit 0, each `_below(getrandbits, 2)` inline."""
     getrandbits = rng.getrandbits
-    return sum(_below(getrandbits, 2) << k for k in range(n))
+    mask = 0
+    for k in range(n):
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        mask |= r << k
+    return mask
 
 
 def random_word(rng: random.Random, max_head: int = 5, max_period: int = 3,
@@ -129,15 +135,27 @@ def _level_sets(masks) -> list:
     return list(FiniteDescriptor._of_masks(masks).all_sets)
 
 
+# Where level p starts among a seed's 36 bits, and its mask.
+_CUTS = [(p * (p - 1) // 2, (1 << p) - 1) for p in range(1, 9)]
+
+
+def _closure_seeds(draw):
+    """Seeds small and big >= small on qi_diagram(8), from 72 draws in turn:
+    level p holds index k with probability 0.2, as bit k-1."""
+    bits = 0
+    for i in range(72):
+        if draw() < 0.2:
+            bits |= 1 << i
+    small = [bits >> at & m for at, m in _CUTS]
+    return small, [s | bits >> 36 + at & m for s, (at, m) in zip(small, _CUTS)]
+
+
 def _suite_closure(rng: random.Random):
     failures = []
     cases = 0
     diagram = qi_diagram(8)
-    draw = rng.random
     for _ in range(SCALE):
-        # Level p holds each index 1..p with probability 0.2, index k as bit k-1.
-        small = [sum(1 << k for k in range(p) if draw() < 0.2) for p in range(1, 9)]
-        big = [s | sum(1 << k for k in range(p) if draw() < 0.2) for p, s in enumerate(small, 1)]
+        small, big = _closure_seeds(rng.random)
         c_small = ideal_closure(diagram, FiniteDescriptor._of_masks(small))
         c_big = ideal_closure(diagram, FiniteDescriptor._of_masks(big))
         cases += 1
@@ -205,6 +223,10 @@ def _suite_hausdorff_cutoff(rng: random.Random):
     return cases, failures
 
 
+# d_beta and d_phi at most, attained against the whole algebra.
+BETA_SUP, PHI_SUP = Fraction(2, 3), Fraction(1, 2)
+
+
 def _suite_ideal_metrics(rng: random.Random):
     failures = []
     cases = 0
@@ -221,7 +243,7 @@ def _suite_ideal_metrics(rng: random.Random):
             failures.append((cases, f"triangle fails for {i!r}, {j!r}, {k!r}"))
         if 3 * bij > 5 * dij:
             failures.append((cases, f"3*d_beta > 5*d_phi for {i!r}, {j!r}"))
-        if bij > Fraction(2, 3) or dij > Fraction(1, 2):
+        if bij > BETA_SUP or dij > PHI_SUP:
             failures.append((cases, f"global bound broken for {i!r}, {j!r}"))
     return cases, failures
 
@@ -238,10 +260,12 @@ def _suite_correspondence(rng: random.Random):
         # Listed as far as the deepest probe, the tail summand of level 12.
         upto = s.word.head_len + 2 * (s.word.period_len or 1) + 14
         members = member_values(s, upto)
-        points = {k for k in range(1, 12) if support_disjoint_oracle(s, members, upto, 12, k)}
-        tails = {p for p in range(1, 13) if support_disjoint_oracle(s, members, upto, p, p)}
-        oracle = FiniteDescriptor({k for k in points if k < p} | (tails & {p})
-                                  for p in range(1, 13))
+        points = sum(1 << k - 1 for k in range(1, 12)
+                     if support_disjoint_oracle(s, members, upto, 12, k))
+        tails = sum(1 << p - 1 for p in range(1, 13)
+                    if support_disjoint_oracle(s, members, upto, p, p))
+        oracle = FiniteDescriptor._of_masks(points & (1 << p) - 1 | tails & 1 << p
+                                            for p in range(12))
         if to_finite(e, 12) != oracle:
             failures.append((cases, f"support-disjointness oracle disagrees for {s!r}"))
         if closed_set_of_ideal(e) != s:

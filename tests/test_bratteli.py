@@ -299,10 +299,12 @@ class TestGeneralDiagrams:
 
     def test_random_diagrams_against_set_reference(self):
         rng = random.Random(47)
-        seen = {"negative offset": 0, "positive offset": 0, "multiplicity 2": 0, "zero entry": 0}
-        for _ in range(400):
+        seen = {"negative offset": 0, "positive offset": 0, "multiplicity 2": 0, "zero entry": 0,
+                "closure first, across a negative offset": 0}
+        for i in range(400):
             dims, edges = random_diagram_parts(rng)
             d = BratteliDiagram(dims, edges)
+            negative = [any(j < k for (k, j), m in gap.items() if m) for gap in edges]
             for gap in edges:
                 seen["negative offset"] += any(j < k for (k, j), m in gap.items() if m)
                 seen["positive offset"] += any(j > k for (k, j), m in gap.items() if m)
@@ -314,6 +316,10 @@ class TestGeneralDiagrams:
             for density in (0.2, 0.5, 0.8):
                 levels = random_level_sets(rng, d, rng.randint(1, d.depth), density)
                 f = FiniteDescriptor(levels)
+                if i % 2 and density == 0.2:
+                    # The diagram's first use: ideal_closure derives its offsets.
+                    assert ideal_closure(d, f).all_sets == set_closure(d, levels)
+                    seen["closure first, across a negative offset"] += any(negative[:len(levels) - 1])
                 assert is_ideal(d, f) == set_is_ideal(d, levels)
                 closed = ideal_closure(d, f).all_sets
                 assert closed == set_closure(d, levels)

@@ -11,7 +11,10 @@ the suites still draw the same cases.  `check_draws.json` holds:
 
 The suites draw their integers through `checks._below`, which copies the
 rejection loop behind `randrange` and `randint`; a test here requires the
-same values and the same RNG state as those methods.
+same values and the same RNG state as those methods.  `random_mask` and
+the `closure-fixpoint` seeds draw in one loop each; the per-bit and
+per-level draws they replaced are kept here as references, and must give
+the same values and leave the same RNG state.
 
 The module needs no pytest (see `pins.py`):
 
@@ -103,12 +106,50 @@ def test_sampler_draws_as_random_does():
                 assert ours.getstate() == theirs.getstate(), (label, seed, n)
 
 
+def reference_random_mask(rng, n):
+    """One `_below` call per bit, summed."""
+    getrandbits = rng.getrandbits
+    return sum(checks._below(getrandbits, 2) << k for k in range(n))
+
+
+def reference_closure_seeds(draw):
+    """The `closure-fixpoint` seeds drawn level by level."""
+    small = [sum(1 << k for k in range(p) if draw() < 0.2) for p in range(1, 9)]
+    big = [s | sum(1 << k for k in range(p) if draw() < 0.2) for p, s in enumerate(small, 1)]
+    return small, big
+
+
+def test_random_mask_draws_as_reference():
+    for seed in (0, 1, 7, 2**40 + 3, "15:correspondence", "3:hausdorff-metric"):
+        for n in range(41):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert checks.random_mask(ours, n) == reference_random_mask(theirs, n), (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
+
+
+def test_closure_seeds_draw_as_reference():
+    seen = {"big adds indices": 0, "empty small level": 0, "full big level": 0}
+    for seed in range(250):
+        ours, theirs = (random.Random(f"{seed}:closure-fixpoint") for _ in range(2))
+        for _ in range(3):
+            small, big = checks._closure_seeds(ours.random)
+            assert (small, big) == reference_closure_seeds(theirs.random), seed
+            seen["big adds indices"] += small != big
+            seen["empty small level"] += 0 in small
+            seen["full big level"] += any(m == (1 << p) - 1 for p, m in enumerate(big, 1))
+        assert ours.getstate() == theirs.getstate(), seed
+    assert min(seen.values()) > 50, seen
+
+
 def runs() -> list:
     return [("test_digests_cover_every_suite", test_digests_cover_every_suite, ())] + [
         (f"test_suite_leaves_pinned_rng_state[{name}]", test_suite_leaves_pinned_rng_state,
          (name, suite)) for name, suite in checks.SUITES] + [
         ("test_generators_draw_pinned_values", test_generators_draw_pinned_values, ()),
-        ("test_sampler_draws_as_random_does", test_sampler_draws_as_random_does, ())]
+        ("test_sampler_draws_as_random_does", test_sampler_draws_as_random_does, ()),
+        ("test_random_mask_draws_as_reference", test_random_mask_draws_as_reference, ()),
+        ("test_closure_seeds_draw_as_reference", test_closure_seeds_draw_as_reference, ())]
 
 
 if __name__ == "__main__":

@@ -6,13 +6,14 @@ they replaced are kept here as references, and both must agree on every
 set with head <= 4 and period <= 3 (with and without 0, and the empty
 set) and on 400 seeded sets.
 
-The mutation tests break one kernel as `check` sees it, one per suite
-that a passing run leaves untested, run the CLI's `check --seed 1`, and
-require exit 2 with the matching suite's FAIL line, no FAIL line counting
-more failed cases than the suite ran, at most five failure lines whose
-literals (closed sets, ideal descriptors, words, level index sets, ints)
-read back to values that show the same mismatch under the broken kernel
-and none under the real one, and the failed result line: a failure is
+The mutation tests break one kernel as `check` sees it, each aimed at
+one failure message of one suite, run the CLI's `check --seed 1`, and
+require exit 2 with the matching suite's FAIL line, no FAIL line
+counting more failed cases than the suite ran, at most five failure
+lines, among them the message aimed at, whose literals
+(closed sets, ideal descriptors, words, level index sets, ints) read back
+to values that show the same mismatch under the broken kernel and none
+under the real one, and the failed result line: a failure is
 reproducible from its transcript alone.
 """
 
@@ -28,12 +29,13 @@ from afideals import checks, cli
 from afideals.bratteli import (
     EventualDescriptor,
     FiniteDescriptor,
+    ideal_closure,
     is_ideal,
     qi_diagram,
     to_finite,
 )
 from afideals.exact import BinaryWord, pow2, word_weight, word_xor
-from afideals.metrics import CertifiedValue, d_beta_truncated
+from afideals.metrics import CertifiedValue, d_beta, d_beta_truncated, d_phi
 from afideals.qi import (
     ClosedSubsetQI,
     closed_set_of_ideal,
@@ -175,9 +177,40 @@ def closure(sets):
     return checks.ideal_closure(checks.qi_diagram(8), FiniteDescriptor(sets))
 
 
+def closes_again(sets):
+    """Whether closing the closure of the levels `sets` changes it."""
+    closed = closure(sets)
+    return checks.ideal_closure(checks.qi_diagram(8), closed) != closed
+
+
 def seed_as_closure(d, seed):
     """An ideal_closure that adds nothing to its seed."""
     return seed
+
+
+def left_grown_closure(d, seed):
+    """ideal_closure of the seed with index k-1 added beside each index k:
+    monotone and an ideal, but it grows again on its own result."""
+    return ideal_closure(d, FiniteDescriptor(s | {k - 1 for k in s if k > 1}
+                                             for s in seed.all_sets))
+
+
+def whole_as_zero_closure(d, seed):
+    """ideal_closure that gives the zero ideal in place of the whole algebra:
+    idempotent and an ideal, but no longer monotone."""
+    closed = ideal_closure(d, seed)
+    whole = FiniteDescriptor(range(1, d.width(n) + 1) for n in range(1, seed.depth + 1))
+    return FiniteDescriptor([()] * seed.depth) if closed == whole else closed
+
+
+def halved_d_phi(i, j):
+    """d_phi at half its value: a metric, but 5*d_phi/2 falls below 3*d_beta."""
+    return d_phi(i, j) / 2
+
+
+def doubled_d_phi(i, j):
+    """d_phi at twice its value: a metric, but it passes its sup 1/2."""
+    return 2 * d_phi(i, j)
 
 
 def tail_weight_difference(i, j):
@@ -185,6 +218,13 @@ def tail_weight_difference(i, j):
     in the tail words."""
     return (word_weight(word_xor(i.excluded, j.excluded), 1, 4)
             + word_weight(i.tail, 1, 4) - word_weight(j.tail, 1, 4))
+
+
+def exact_ended_truncation(i, j, depth):
+    """A bracket of the right width around d_beta that ends at the exact
+    value at odd depths and starts there at even ones: never nested."""
+    x, w = d_beta(i, j), pow2(-depth)
+    return CertifiedValue(x - w, x) if depth % 2 else CertifiedValue(x, x + w)
 
 
 def doubled_width(i, j, depth):
@@ -203,6 +243,14 @@ def zero_dropped_closed_set(e):
     return ClosedSubsetQI(closed_set_of_ideal(e).word)
 
 
+def whole_when_holding_one(e, depth):
+    """to_finite that fills every level at depth 32 when the set holds the
+    point 1 (E_1 = 1): still an ideal, but a larger set may get a larger one."""
+    if depth < 32 or not e.excluded.bit(1):
+        return to_finite(e, depth)
+    return FiniteDescriptor(range(1, n + 1) for n in range(1, depth + 1))
+
+
 # Per suite, each failure message's prefix with the mismatch it reports,
 # recomputed from the values its line names through the kernels `check` sees.
 MISMATCHES = {
@@ -212,6 +260,8 @@ MISMATCHES = {
     },
     "closure-fixpoint": {
         "closure of": lambda small: not checks.is_ideal(checks.qi_diagram(8), closure(small)),
+        "closure not idempotent on": closes_again,
+        "closure not monotone on": lambda small, big: not closure(small) <= closure(big),
     },
     "hausdorff-cutoff": {
         "cutoff unsound for": lambda s, t: checks.hausdorff(s, t) != max(
@@ -224,6 +274,9 @@ MISMATCHES = {
         "triangle fails for": lambda i, j, k: (
             checks.d_phi(i, j) > checks.d_phi(i, k) + checks.d_phi(j, k)
             or checks.d_beta(i, j) > checks.d_beta(i, k) + checks.d_beta(j, k)),
+        "3*d_beta > 5*d_phi for": lambda i, j: 3 * checks.d_beta(i, j) > 5 * checks.d_phi(i, j),
+        "global bound broken for": lambda i, j: (
+            checks.d_beta(i, j) > Fraction(2, 3) or checks.d_phi(i, j) > Fraction(1, 2)),
     },
     "correspondence": {
         "support-disjointness oracle disagrees for": lambda s: (
@@ -236,6 +289,9 @@ MISMATCHES = {
     "truncation": {
         "interval width wrong at depth": lambda depth, i, j: (
             checks.d_beta_truncated(i, j, depth).width != pow2(-depth)),
+        "intervals not nested at depth": lambda depth, i, j: not (
+            checks.d_beta_truncated(i, j, depth).encloses(
+                checks.d_beta_truncated(i, j, depth + 1))),
     },
 }
 
@@ -273,18 +329,27 @@ def shows_mismatch(suite, line):
     return MISMATCHES[suite][prefix](*values)
 
 
-@pytest.mark.parametrize("name,mutant,suite", [
-    ("hausdorff", one_directed_hausdorff, "hausdorff-cutoff"),
-    ("to_finite", tail_dropped_to_finite, "correspondence"),
-    ("ideal_closure", seed_as_closure, "closure-fixpoint"),
-    ("d_beta", tail_weight_difference, "ideal-metrics"),
-    ("d_beta_truncated", doubled_width, "truncation"),
-    ("word_weight", one_late_word_weight, "exact-arithmetic"),
-    ("closed_set_of_ideal", zero_dropped_closed_set, "correspondence"),
+@pytest.mark.parametrize("name,mutant,suite,message", [
+    ("hausdorff", one_directed_hausdorff, "hausdorff-cutoff", "cutoff unsound for"),
+    ("to_finite", tail_dropped_to_finite, "correspondence",
+     "support-disjointness oracle disagrees for"),
+    ("ideal_closure", seed_as_closure, "closure-fixpoint", "closure of"),
+    ("d_beta", tail_weight_difference, "ideal-metrics", "symmetry fails for"),
+    ("d_beta_truncated", doubled_width, "truncation", "interval width wrong at depth"),
+    ("word_weight", one_late_word_weight, "exact-arithmetic", "word_weight recurrence fails at"),
+    ("closed_set_of_ideal", zero_dropped_closed_set, "correspondence", "round trip fails for"),
+    ("ideal_closure", left_grown_closure, "closure-fixpoint", "closure not idempotent on"),
+    ("ideal_closure", whole_as_zero_closure, "closure-fixpoint", "closure not monotone on"),
+    ("d_phi", halved_d_phi, "ideal-metrics", "3*d_beta > 5*d_phi for"),
+    ("d_phi", doubled_d_phi, "ideal-metrics", "global bound broken for"),
+    ("to_finite", whole_when_holding_one, "correspondence", "antitone correspondence fails for"),
+    ("d_beta_truncated", exact_ended_truncation, "truncation", "intervals not nested at depth"),
 ], ids=["hausdorff-one-direction", "to-finite-drops-a-tail", "closure-adds-nothing",
         "d-beta-asymmetric", "truncated-width-doubled", "word-weight-one-late",
-        "closed-set-drops-zero"])
-def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys):
+        "closed-set-drops-zero", "closure-grows-again", "closure-whole-as-zero",
+        "d-phi-halved", "d-phi-doubled", "to-finite-whole-when-holding-one",
+        "truncation-ends-at-exact"])
+def test_broken_kernel_fails_its_suite(name, mutant, suite, message, monkeypatch, capsys):
     monkeypatch.setattr(checks, name, mutant)
     assert cli.main(["check", "--seed", "1"]) == 2
     transcript, err = capsys.readouterr()
@@ -297,6 +362,7 @@ def test_broken_kernel_fails_its_suite(name, mutant, suite, monkeypatch, capsys)
         assert int(failed) <= int(cases), transcript
     lines = failure_lines(transcript, suite)
     assert 0 < min(5, int(verdict.group(1))) <= len(lines) <= 5
+    assert any(line.strip().startswith(message) for line in lines), transcript
     assert transcript.splitlines()[-1] == "result: suite failures detected"
     for line in lines:
         assert shows_mismatch(suite, line), line
