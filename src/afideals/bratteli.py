@@ -270,9 +270,9 @@ def ideal_closure(d: BratteliDiagram, seed: FiniteDescriptor) -> FiniteDescripto
     level ends saturated.  Saturation adds only k whose successors are
     already present, so forward closure still holds.  Both rules add only
     indices that every ideal holding the seed contains, so the result is
-    the smallest.  Per offset d, level n+1 receives level n's M_d moved up
-    by d, and level n keeps out only M_d's meet with level n+1's complement
-    moved down by d.
+    the smallest.  Over gap n's (d, M_d), level n+1 gains each (level n &
+    M_d) moved up by d, and level n each summand in no M_d & (level n+1's
+    complement moved down by d).
     """
     _check_widths(d, seed)
     if d._offsets is None:
