@@ -347,16 +347,17 @@ def first_disagreement(i: EventualDescriptor, j: EventualDescriptor):
     """
     t = first_diff_index(i.tail, j.tail)
     k = first_diff_index(i.excluded, j.excluded)
-    if k is not None:
-        k += 1
-    return min((p for p in (t, k) if p is not None), default=None)
+    if k is None:
+        return t
+    return k + 1 if t is None or k < t else t
 
 
 def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
     """Levels 1..depth, as level_set gives them, from one prefix of each word:
     level p is ~E on bits below p - 1, plus bit p - 1 of T."""
     kept, tail = ~e.excluded.prefix(depth), e.tail.prefix(depth)
-    return FiniteDescriptor._of_masks(kept & ((1 << p) - 1) | tail & 1 << p for p in range(depth))
+    levels = [kept & ((1 << p) - 1) | tail & 1 << p for p in range(depth)]
+    return FiniteDescriptor._of_masks(levels)
 
 
 def serialize_diagram(d: BratteliDiagram) -> str:

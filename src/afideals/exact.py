@@ -257,24 +257,21 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     return BinaryWord.from_masks(x & ((1 << h) - 1), h, x >> h, length)
 
 
-def _lowest(x: int, n: int):
-    """Position of x's lowest set bit if it is at most n, else None."""
-    k = (x & -x).bit_length()
-    return k if 0 < k <= n else None
-
-
 def _first(u: BinaryWord, v: BinaryWord, hits):
     """Least position k whose bit k-1 is set in hits(a, b), a and b being
     the two words' bits as masks, or None.  Past both heads the pair repeats
     with the joint period, so the heads and one joint period suffice.  The
     heads and the longer period are tried first: a hit there costs only the
-    words' own bits, where the joint period can be their product."""
-    n = max(u._head_len, v._head_len) + max(u._period_len, v._period_len, 1)
-    k = _lowest(hits(u.prefix(n), v.prefix(n)), n)
-    if k is None:
-        h, length, a, b = _joint(u, v)
-        k = _lowest(hits(a, b), h + length)
-    return k
+    words' own bits, where the joint period can be their product.  The joint
+    period is read only when it is longer than the longer period."""
+    h = max(u._head_len, v._head_len)
+    n = h + max(u._period_len, v._period_len, 1)
+    x = hits(u.prefix(n), v.prefix(n))
+    if not x:
+        length = math.lcm(u._period_len or 1, v._period_len or 1)
+        if h + length > n:
+            x = hits(u.prefix(h + length), v.prefix(h + length))
+    return (x & -x).bit_length() or None
 
 
 def first_diff_index(u: BinaryWord, v: BinaryWord):
@@ -282,9 +279,22 @@ def first_diff_index(u: BinaryWord, v: BinaryWord):
     return _first(u, v, operator.xor)
 
 
-def first_outside(u: BinaryWord, v: BinaryWord):
-    """Least position where u has bit 1 and v bit 0, or None."""
-    return _first(u, v, lambda a, b: a & ~b)
+def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
+    """(k, l): the least position where u has bit 1 and v bit 0, and the
+    least where v has 1 and u 0, each None when there is none.  Both come
+    from one read of the heads and the longer period, as in `_first`; the
+    joint period is read once, and only when it is longer and a direction
+    found nothing in that window."""
+    h = max(u._head_len, v._head_len)
+    n = h + max(u._period_len, v._period_len, 1)
+    a, b = u.prefix(n), v.prefix(n)
+    x, y = a & ~b, b & ~a
+    if not (x and y):
+        length = math.lcm(u._period_len or 1, v._period_len or 1)
+        if h + length > n:
+            a, b = u.prefix(h + length), v.prefix(h + length)
+            x, y = x or a & ~b, y or b & ~a
+    return (x & -x).bit_length() or None, (y & -y).bit_length() or None
 
 
 def _weight(x: int, h: int, length: int, base: int) -> tuple:

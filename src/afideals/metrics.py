@@ -19,16 +19,22 @@ class MalformedComparisonError(ValueError):
     """Paper-convention inputs must be a singleton or a two-point set."""
 
 
+def _endpoint(x) -> Fraction:
+    """x as an exact Fraction; a Fraction is kept as it is."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"endpoints must be int or Fraction, got {type(x).__name__}")
+
+
 class CertifiedValue:
     """A bracket [lo, hi] certified to contain a limit."""
 
     __slots__ = ("_lo", "_hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        for x in (lo, hi):
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"endpoints must be int or Fraction, got {type(x).__name__}")
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _endpoint(lo), _endpoint(hi)
         if lo > hi:
             raise ValueError("lo must not exceed hi")
         self._lo = lo
@@ -104,23 +110,26 @@ def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     return Fraction(num * tail_den + tail_num * den, den * tail_den)
 
 
-def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> Fraction:
-    """The partial sum S_n from the first n bits of the two XOR words.
+def _word_sum(i: EventualDescriptor, j: EventualDescriptor, n: int) -> int:
+    """The numerator N of the partial sum S_n = N / 4**n, from the first n
+    bits of the two XOR words.
 
     Levels p <= n weigh a D-bit at k < n by 2**-k (2**-k - 2**-n) and a tail
-    difference at p by 4**-p; the sum is one integer numerator over 2**(2n).
+    difference at p by 4**-p, so every term is a whole number of 4**-n.
     """
     diff = bit_text(i.excluded.prefix(n - 1) ^ j.excluded.prefix(n - 1), n - 1) or "0"
     tails = bit_text(i.tail.prefix(n) ^ j.tail.prefix(n), n)
-    return Fraction(4 * int(diff, 4) - 2 * int(diff, 2) + int(tails, 4), 1 << 2 * n)
+    return 4 * int(diff, 4) - 2 * int(diff, 2) + int(tails, 4)
 
 
 def d_beta_truncated(i: EventualDescriptor, j: EventualDescriptor, depth: int) -> CertifiedValue:
-    """Partial sum through `depth` levels, bracketed by the 2**-depth tail bound."""
+    """Partial sum through `depth` levels, bracketed by the 2**-depth tail
+    bound: both endpoints share the partial sum's numerator N over 4**depth,
+    N for the low end and N + 2**depth for the high one."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    partial = _word_sum(i, j, depth)
-    return CertifiedValue(partial, partial + pow2(-depth))
+    num, den = _word_sum(i, j, depth), 1 << 2 * depth
+    return CertifiedValue(Fraction(num, den), Fraction(num + (1 << depth), den))
 
 
 def closed_form_dphi(m: int, n: int, k: int) -> Fraction:

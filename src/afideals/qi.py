@@ -146,13 +146,15 @@ def hausdorff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> Fraction:
     """
     if s.is_empty() or t.is_empty():
         raise EmptySetError("Hausdorff distance to the empty set is undefined")
-
-    def directed(a: ClosedSubsetQI, b: ClosedSubsetQI) -> tuple:
-        k0 = first_outside(a.word, b.word)
-        far = _distance(None if a.contains_zero else a.word.last_one(), b)
-        return far if k0 is None else _larger(_distance(k0, b), far)
-
-    n, e = _larger(directed(s, t), directed(t, s))
+    # Both directions' first points outside come from one read of the pair.
+    k, l = first_outside(s.word, t.word)
+    best = _larger(_distance(None if s.contains_zero else s.word.last_one(), t),
+                   _distance(None if t.contains_zero else t.word.last_one(), s))
+    if k is not None:
+        best = _larger(best, _distance(k, t))
+    if l is not None:
+        best = _larger(best, _distance(l, s))
+    n, e = best
     return Fraction(n, 1 << e)
 
 

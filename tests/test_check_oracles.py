@@ -34,7 +34,7 @@ from afideals.bratteli import (
     qi_diagram,
     to_finite,
 )
-from afideals.exact import BinaryWord, pow2, word_weight, word_xor
+from afideals.exact import BinaryWord, pow2, word_weight, word_xor, xor_weight
 from afideals.metrics import CertifiedValue, d_beta, d_beta_truncated, d_phi
 from afideals.qi import (
     ClosedSubsetQI,
@@ -153,6 +153,38 @@ def one_directed_hausdorff(s, t):
     return hausdorff(s, union(s, t))
 
 
+def near_as_zero_hausdorff(s, t):
+    """hausdorff read as 0 below 1/8: symmetric, but 0 for distinct sets."""
+    d = hausdorff(s, t)
+    return Fraction(0) if d < Fraction(1, 8) else d
+
+
+def half_return_hausdorff(s, t):
+    """The larger of the directed distance from s to t and half the one back:
+    0 only for equal sets, but no longer symmetric."""
+    both = union(s, t)
+    return max(hausdorff(t, both), hausdorff(s, both) / 2)
+
+
+def squared_hausdorff(s, t):
+    """hausdorff squared: symmetric and 0 only for equal sets, but the
+    triangle inequality fails."""
+    return hausdorff(s, t) ** 2
+
+
+def tail_blind_d_beta(i, j):
+    """d_beta without the tail words' term: 0 for ideals that differ only
+    in their tail summands."""
+    return Fraction(*xor_weight(i.excluded, j.excluded, 4))
+
+
+def shifted_truncation(i, j, depth):
+    """d_beta_truncated moved up by 1: the right width and nested, but the
+    exact value lies outside."""
+    value = d_beta_truncated(i, j, depth)
+    return CertifiedValue(value.lo + 1, value.hi + 1)
+
+
 def tail_dropped_to_finite(e, depth, level=3):
     """to_finite without index `level` in level `level`: its tail summand."""
     f = to_finite(e, depth)
@@ -263,12 +295,20 @@ MISMATCHES = {
         "closure not idempotent on": closes_again,
         "closure not monotone on": lambda small, big: not closure(small) <= closure(big),
     },
+    "hausdorff-metric": {
+        "coincidence fails for": lambda s, t: (checks.hausdorff(s, t) == 0) != (s == t),
+        "symmetry fails for": lambda s, t: checks.hausdorff(s, t) != checks.hausdorff(t, s),
+        "triangle fails for": lambda s, t, u: (
+            checks.hausdorff(s, t) > checks.hausdorff(s, u) + checks.hausdorff(t, u)),
+    },
     "hausdorff-cutoff": {
         "cutoff unsound for": lambda s, t: checks.hausdorff(s, t) != max(
             reference_brute_directed(s, t, checks._sup_cutoff(s, t) + 32),
             reference_brute_directed(t, s, checks._sup_cutoff(s, t) + 32)),
     },
     "ideal-metrics": {
+        "coincidence fails for": lambda i, j: (
+            (checks.d_phi(i, j) == 0) != (i == j) or (checks.d_beta(i, j) == 0) != (i == j)),
         "symmetry fails for": lambda i, j: (
             checks.d_phi(i, j) != checks.d_phi(j, i) or checks.d_beta(i, j) != checks.d_beta(j, i)),
         "triangle fails for": lambda i, j, k: (
@@ -292,6 +332,10 @@ MISMATCHES = {
         "intervals not nested at depth": lambda depth, i, j: not (
             checks.d_beta_truncated(i, j, depth).encloses(
                 checks.d_beta_truncated(i, j, depth + 1))),
+        # The line names no depth: any of the suite's depths 2..24 shows it.
+        "interval misses exact value for": lambda i, j: any(
+            not checks.d_beta_truncated(i, j, depth).contains(checks.d_beta(i, j))
+            for depth in range(2, 25)),
     },
 }
 
@@ -344,11 +388,17 @@ def shows_mismatch(suite, line):
     ("d_phi", doubled_d_phi, "ideal-metrics", "global bound broken for"),
     ("to_finite", whole_when_holding_one, "correspondence", "antitone correspondence fails for"),
     ("d_beta_truncated", exact_ended_truncation, "truncation", "intervals not nested at depth"),
+    ("hausdorff", near_as_zero_hausdorff, "hausdorff-metric", "coincidence fails for"),
+    ("hausdorff", half_return_hausdorff, "hausdorff-metric", "symmetry fails for"),
+    ("hausdorff", squared_hausdorff, "hausdorff-metric", "triangle fails for"),
+    ("d_beta", tail_blind_d_beta, "ideal-metrics", "coincidence fails for"),
+    ("d_beta_truncated", shifted_truncation, "truncation", "interval misses exact value for"),
 ], ids=["hausdorff-one-direction", "to-finite-drops-a-tail", "closure-adds-nothing",
         "d-beta-asymmetric", "truncated-width-doubled", "word-weight-one-late",
         "closed-set-drops-zero", "closure-grows-again", "closure-whole-as-zero",
         "d-phi-halved", "d-phi-doubled", "to-finite-whole-when-holding-one",
-        "truncation-ends-at-exact"])
+        "truncation-ends-at-exact", "hausdorff-near-as-zero", "hausdorff-half-return",
+        "hausdorff-squared", "d-beta-tail-blind", "truncation-shifted"])
 def test_broken_kernel_fails_its_suite(name, mutant, suite, message, monkeypatch, capsys):
     monkeypatch.setattr(checks, name, mutant)
     assert cli.main(["check", "--seed", "1"]) == 2

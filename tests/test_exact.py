@@ -112,9 +112,10 @@ def test_first_diff_index():
     assert BinaryWord((1,), (0, 0, 1)).next_one(1) == 4
     # The first hit lies past both periods (2 and 3) but inside the joint one.
     u, v = BinaryWord((), (0, 1)), BinaryWord((), (1, 1, 0))
-    assert first_outside(u, v) == 6
-    assert first_outside(v, u) == 1
-    assert first_outside(v, BinaryWord((), (1,))) is None
+    assert first_outside(u, v) == (6, 1)
+    assert first_outside(v, u) == (1, 6)
+    assert first_outside(v, BinaryWord((), (1,))) == (None, 3)
+    assert first_outside(v, v) == (None, None)
 
     def scan(k, found):
         return next((i for i in range(k, 400) if found(i)), None)
@@ -126,7 +127,8 @@ def test_first_diff_index():
                 for _ in range(2))
         for i in rng.sample(range(0, 30), 4):
             assert u.next_one(i) == scan(i + 1, u.bit)
-        assert first_outside(u, v) == scan(1, lambda k: u.bit(k) > v.bit(k))
+        assert first_outside(u, v) == (scan(1, lambda k: u.bit(k) > v.bit(k)),
+                                       scan(1, lambda k: v.bit(k) > u.bit(k)))
         assert first_diff_index(u, v) == scan(1, lambda k: u.bit(k) != v.bit(k))
 
 

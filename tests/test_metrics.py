@@ -89,10 +89,32 @@ class TestCertifiedValue:
             CertifiedValue(1, 0)
 
     @pytest.mark.parametrize("lo, hi", [(0.1, 0.2), (0, 0.5), (Fraction(1, 3), 1.0),
-                                        ("1/3", 1)],
-                             ids=["floats", "float-hi", "float-hi-fraction-lo", "text"])
+                                        ("1/3", 1), (Fraction(1, 3), "1")],
+                             ids=["floats", "float-hi", "float-hi-fraction-lo", "text",
+                                  "text-hi-fraction-lo"])
     def test_rejects_non_exact_endpoints(self, lo, hi):
         with pytest.raises(TypeError, match="^endpoints must be int or Fraction, got "):
+            CertifiedValue(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (False, True), (True, 2), (-3, Fraction(1, 2)),
+                                        (Fraction(1, 4), 1)],
+                             ids=["ints", "bools", "bool-int", "int-fraction", "fraction-int"])
+    def test_int_and_bool_endpoints_become_fractions(self, lo, hi):
+        v = CertifiedValue(lo, hi)
+        assert (type(v.lo), type(v.hi)) == (Fraction, Fraction)
+        assert (v.lo, v.hi) == (lo, hi)
+        assert type(v.width) is Fraction
+
+    def test_fraction_endpoints_are_kept(self):
+        lo, hi = Fraction(1, 3), Fraction(5, 12)
+        v = CertifiedValue(lo, hi)
+        assert v.lo is lo and v.hi is hi
+
+    @pytest.mark.parametrize("lo, hi", [(1, 0), (True, False), (Fraction(1, 2), Fraction(1, 3)),
+                                        (1, Fraction(1, 2))],
+                             ids=["ints", "bools", "fractions", "int-fraction"])
+    def test_reversed_endpoints_raise(self, lo, hi):
+        with pytest.raises(ValueError, match="^lo must not exceed hi$"):
             CertifiedValue(lo, hi)
 
 

@@ -128,7 +128,9 @@ def assert_canonical(w: BinaryWord):
 def assert_pair_agrees(u, v, tu, tv, probes=()):
     assert_same_word(word_xor(u, v), tuple_xor(tu, tv))
     assert first_diff_index(u, v) == tuple_first_index(tu, tv, operator.ne)
-    assert first_outside(u, v) == tuple_first_index(tu, tv, operator.gt)
+    outside = (tuple_first_index(tu, tv, operator.gt), tuple_first_index(tv, tu, operator.gt))
+    assert first_outside(u, v) == outside
+    assert first_outside(v, u) == outside[::-1]
     for i in probes:
         assert u.next_one(i) == tu.next_one(i)
 
