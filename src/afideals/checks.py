@@ -299,7 +299,8 @@ def _suite_truncation(rng: random.Random):
         if not lo_iv.encloses(hi_iv):
             failures.append((cases, f"intervals not nested at depth {depth} for {i!r}, {j!r}"))
         if not lo_iv.contains(exact):
-            failures.append((cases, f"interval misses exact value for {i!r}, {j!r}"))
+            failures.append(
+                (cases, f"interval misses exact value at depth {depth} for {i!r}, {j!r}"))
     return cases, failures
 
 

@@ -332,10 +332,8 @@ MISMATCHES = {
         "intervals not nested at depth": lambda depth, i, j: not (
             checks.d_beta_truncated(i, j, depth).encloses(
                 checks.d_beta_truncated(i, j, depth + 1))),
-        # The line names no depth: any of the suite's depths 2..24 shows it.
-        "interval misses exact value for": lambda i, j: any(
-            not checks.d_beta_truncated(i, j, depth).contains(checks.d_beta(i, j))
-            for depth in range(2, 25)),
+        "interval misses exact value at depth": lambda depth, i, j: not (
+            checks.d_beta_truncated(i, j, depth).contains(checks.d_beta(i, j))),
     },
 }
 
@@ -392,7 +390,7 @@ def shows_mismatch(suite, line):
     ("hausdorff", half_return_hausdorff, "hausdorff-metric", "symmetry fails for"),
     ("hausdorff", squared_hausdorff, "hausdorff-metric", "triangle fails for"),
     ("d_beta", tail_blind_d_beta, "ideal-metrics", "coincidence fails for"),
-    ("d_beta_truncated", shifted_truncation, "truncation", "interval misses exact value for"),
+    ("d_beta_truncated", shifted_truncation, "truncation", "interval misses exact value at depth"),
 ], ids=["hausdorff-one-direction", "to-finite-drops-a-tail", "closure-adds-nothing",
         "d-beta-asymmetric", "truncated-width-doubled", "word-weight-one-late",
         "closed-set-drops-zero", "closure-grows-again", "closure-whole-as-zero",

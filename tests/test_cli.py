@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import afideals
 from afideals.cli import MAX_DEPTH, build_parser, main
 from afideals.metrics import d_beta
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
@@ -307,6 +312,62 @@ class TestCheck:
         assert out1 == out2
         assert "result: all suites passed" in out1
         assert out1.count("PASS") == 7
+
+
+# Runs each command of argv[2] in one fresh interpreter, after importing
+# `afideals.checks` first when argv[1] says so, and reports how many times
+# checks.py had executed after each.  The "exec" audit event fires for every
+# module body, whether or not a .pyc exists.
+PROBE = """
+import contextlib, io, json, os, sys
+executed = []
+def record(event, args):
+    if event == "exec":
+        executed.append(getattr(args[0], "co_filename", ""))
+sys.addaudithook(record)
+first = None
+if sys.argv[1] == "checks-first":
+    from afideals import checks as first
+import afideals.cli
+report = {
+    "registered": "afideals.checks" in sys.modules,
+    "shared": afideals.cli.checks is sys.modules.get("afideals.checks")
+              and first in (None, afideals.cli.checks),
+    "runs": [],
+}
+suites = os.path.join("afideals", "checks.py")
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = afideals.cli.main(argv)
+    report["runs"].append([rc, sum(name.endswith(suites) for name in executed)])
+print(json.dumps(report))
+"""
+
+
+class TestLazyChecks:
+    """`cli` registers `afideals.checks` in sys.modules without running it
+    (benchmarks/run.py looks it up there), and only `check` runs it."""
+
+    def probe(self, order, commands):
+        env = {**os.environ, "PYTHONPATH": str(Path(afideals.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", PROBE, order, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_only_check_executes_the_suites(self):
+        report = self.probe("cli-first", [
+            ["distance", "1/2", "1/4,1/8"], ["descriptor", "1/2"], ["diagram", "--depth", "3"],
+            ["paper-table"], ["check", "--seed", "1"]])
+        assert report["registered"] and report["shared"]
+        assert report["runs"] == [[0, 0]] * 4 + [[0, 1]]
+
+    def test_cli_keeps_a_module_imported_before_it(self):
+        # A replaced entry would load the suites twice, and a test patching
+        # the first module object would not reach the one `check` runs.
+        report = self.probe("checks-first", [["check", "--seed", "1"]])
+        assert report["registered"] and report["shared"]
+        assert report["runs"] == [[0, 1]]
 
 
 class TestUsage:

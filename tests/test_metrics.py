@@ -183,6 +183,11 @@ class TestDBeta:
     def test_full_vs_vanish_at_zero(self):
         assert d_beta(FULL, VANISH_AT_ZERO) == Fraction(1, 3)
 
+    def test_full_vs_zero_ideal(self):
+        # The zero ideal vanishes on the whole interval, so every index differs.
+        zero = ideal_of_closed_set(parse_closed_set("head=;period=1"))
+        assert d_beta(FULL, zero) == Fraction(2, 3)
+
     def test_singleton_vs_zero(self):
         for r in (1, 2, 5):
             e = ideal_of_closed_set(parse_closed_set(f"1/{2**r}"))
@@ -374,6 +379,38 @@ def test_metric_comparison_constants():
         point = f"1/{2**(k - 1)}"
         h, _, beta = values(parse_closed_set(point), parse_closed_set(point + ",0"))
         assert h**2 == 12 * beta and h == 6 * 2**k * beta, k
+
+
+def test_whole_algebra_is_isolated():
+    """The whole algebra, the ideal of the empty set, lies at d_phi = 1/2,
+    the global bound, from the ideal of every nonempty short set: it differs
+    from each at level 1.  Its d_beta to them ranges over [1/3, 2/3], least
+    at {0} and greatest at the zero ideal head=;period=1."""
+    beta = {}
+    for s in small_closed_sets():
+        e = ideal_of_closed_set(s)
+        assert e != FULL and d_phi(FULL, e) == Fraction(1, 2), s
+        beta[s] = d_beta(FULL, e)
+    assert len(beta) == 175
+    low, high = min(beta.values()), max(beta.values())
+    assert (low, high) == (Fraction(1, 3), Fraction(2, 3))
+    assert [s for s, value in beta.items() if value == low] == [parse_closed_set("0")]
+    assert ([s for s, value in beta.items() if value == high]
+            == [parse_closed_set("head=;period=1")])
+
+
+def test_paper_convention_breaks_hausdorff_bound():
+    """{2^-n} vs {2^-n, 2^-(n+k)} at n = 3: d_H / d_phi is 2^(k+1) - 2 under
+    the paper convention, which grows without bound in k, and 4 - 2^(2-k),
+    below the d_H <= 4 d_phi of the derived convention, under that one."""
+    for k in range(1, 9):
+        a, b = parse_closed_set("1/8"), parse_closed_set(f"1/8,1/{2**(3 + k)}")
+        h = hausdorff(a, b)
+        paper, derived = (h / d_phi(*descriptors(a, b, convention))
+                          for convention in ("paper", "derived"))
+        assert paper == 2**(k + 1) - 2, k
+        assert derived == 4 - pow2(2 - k), k
+    assert (paper, derived) == (510, Fraction(255, 64))
 
 
 def test_level_sets_match_set_builder():
