@@ -184,7 +184,7 @@ class TestDBeta:
         assert d_beta(FULL, VANISH_AT_ZERO) == Fraction(1, 3)
 
     def test_full_vs_zero_ideal(self):
-        # The zero ideal vanishes on the whole interval, so every index differs.
+        # The zero ideal vanishes at every point: both words differ everywhere.
         zero = ideal_of_closed_set(parse_closed_set("head=;period=1"))
         assert d_beta(FULL, zero) == Fraction(2, 3)
 
@@ -401,8 +401,8 @@ def test_whole_algebra_is_isolated():
 
 def test_paper_convention_breaks_hausdorff_bound():
     """{2^-n} vs {2^-n, 2^-(n+k)} at n = 3: d_H / d_phi is 2^(k+1) - 2 under
-    the paper convention, which grows without bound in k, and 4 - 2^(2-k),
-    below the d_H <= 4 d_phi of the derived convention, under that one."""
+    the paper convention, without bound in k, and 4 - 2^(2-k) < 4 under the
+    derived one, where d_H <= 4 d_phi holds."""
     for k in range(1, 9):
         a, b = parse_closed_set("1/8"), parse_closed_set(f"1/8,1/{2**(3 + k)}")
         h = hausdorff(a, b)
