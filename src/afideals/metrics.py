@@ -4,6 +4,67 @@ d_phi scores only the first level where two ideals disagree; d_beta weights
 every disagreeing summand at every level by 2**-(level+index); the dual
 Hausdorff metric (`qi.hausdorff`) measures the vanishing sets.  All values
 are exact rationals, with certified intervals for truncated evaluation.
+
+How the three compare, for the ideals that the support-disjointness rule
+(`qi.ideal_of_closed_set`) gives two nonempty closed sets S and S'.  Write
+x_k = 2**(1-k), L for the index of a set's last point (infinite when it
+holds 0), D and Delta for the XORs of the two excluded words E and of the
+two tail words T, k* and t* for their first 1s, and W4 for the sum of
+4**-k over a word's 1s.  E_k = 1 iff x_k is in the set, and T_p = 1 iff
+L < p.  Level p differs in each k < p with D_k = 1 and in p when
+Delta_p = 1, so d_phi = 2**-m with m = min(k* + 1, t*), and
+d_beta = W4(D) + W4(Delta).  A nonempty set has T_1 = 0, so m >= 2.
+
+* d_phi <= d_H / 2.  If m = k* + 1, x_k* lies in one set only, and every
+  other point is at least x_k* / 2 = 2**(1-m) from it.  If m = t* <= k*,
+  one set has L < m, so it lies in {x_1 ... x_(m-1)}.  The other has
+  T_m = 0, so a point in [0, x_m], at least x_(m-1) - x_m = 2**(1-m) from
+  the first set.
+* d_H <= 4 d_phi.  The sets share their points x_k with k <= m - 2, and
+  T_(m-1).  If T_(m-1) = 1, both lie in {x_1 ... x_(m-2)} and are equal.
+  Otherwise each has a point in [0, x_(m-1)], so each of its points is
+  shared or lies within x_(m-1) = 2**(2-m) of the other set.
+* 4 d_phi**2 <= 3 d_beta, that is d_beta >= (4/3) 4**-m.  If m = k* + 1,
+  W4(D) >= 4**-k* = 4 * 4**-m.  If m = t* <= k*, say T_m = 1 and
+  T'_m = 0; then Delta is 1 from m through L'.  For infinite L' that is
+  W4(Delta) = (4/3) 4**-m.  Otherwise x_L' is in S' only, and D_L' = 1
+  adds 4**-L', more than the (4/3) 4**-(L'+1) that Delta lacks past L'.
+* d_H**2 <= 12 d_beta: d_H**2 <= 16 d_phi**2 <= 12 d_beta.
+* 3 d_beta <= 5 d_phi.  D is 0 below m - 1 and Delta below m, so
+  d_beta <= (4/3)(4**(1-m) + 4**-m) = (20/3) 4**-m, which is (5/3) d_phi
+  at m = 2 and less past it.  (For the empty set, m = 1 and
+  d_beta <= 2/3 = (4/3) d_phi.)
+* d_beta <= (3/4) d_H.  For m >= 3, d_beta <= (20/3) 4**-m
+  <= (5/6) 2**-m <= (5/12) d_H by the bounds above.  At m = 2, either
+  x_1 = 1 is in one set only, or one set is {1} and the other holds more.
+
+  - 1 in S only: unless 1/2 is in S', d_H >= d(1, S') >= 3/4, and
+    (3/4) d_H >= 9/16 > 5/12 >= d_beta.  If it is, d_H >= 1/2, and
+    Delta_2 = 1 only for S = {1}.  For S != {1},
+    d_beta <= 1/4 + 1/16 + 1/48 + 1/48 = 17/48 < 3/8.  For S = {1},
+    d_beta <= 1/4 + 2 (4**-2 + ... + 4**-L') < 5/12, and d_H = 1 - x_L':
+    S' = {1/2} gives d_beta = 3/8 = (3/4) d_H, the equality case, and
+    L' >= 3 gives d_H >= 3/4.
+  - S = {1} inside S': d_H = 1 - x_L', and D and Delta are 0 outside
+    2..L', so d_beta <= (1/6)(1 - 4**(1-L')) <= (1/4) d_H.
+
+The empty set, whose ideal is the whole algebra, has T = 1 throughout.
+Against a nonempty S, Delta_1 = 1, so d_phi = 1/2, and as in the third
+bullet d_beta >= 1/3, with equality only at {0}; d_beta <= 2/3, with
+equality only when S holds every point.
+
+So d_phi is within a factor 4 of d_H, d_beta <= (3/4) d_H and
+d_H <= sqrt(12 d_beta): on nonempty sets all three give the topology of
+d_H, and the empty set is isolated in each.  The quantized interval is
+compact, so its compact sets are its closed sets, and Fell's topology on
+closed subsets (J. M. G. Fell, A Hausdorff topology for the closed subsets
+of a locally compact non-Hausdorff space, Proc. Amer. Math. Soc. 13 (1962),
+472-476) is the Vietoris topology: on nonempty sets it is the topology of
+d_H, and the empty set is isolated.  Through the hull map, which takes an
+ideal of the algebra to the closed set where it vanishes, d_phi and d_beta
+therefore both metrize the Fell topology of the ideal space.  No constant
+bounds d_H by d_beta: {x_k} against {x_k, 0} has d_H = 6 * 2**k * d_beta,
+so d_beta is uniformly but not Lipschitz equivalent to d_H.
 """
 
 from __future__ import annotations

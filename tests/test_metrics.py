@@ -413,6 +413,25 @@ def test_paper_convention_breaks_hausdorff_bound():
     assert (paper, derived) == (510, Fraction(255, 64))
 
 
+def test_paper_convention_extremes():
+    """Over the paper's triples (m, n, k) with m, n, k <= 8, {2^-m} against
+    {2^-n, 2^-(n+k)}: d_beta / d_phi peaks at 21/32 and d_beta / d_phi**2
+    bottoms out at 2, each at the triples named."""
+    over_phi, over_phi_squared = {}, {}
+    for m, n, k in product(range(1, 9), repeat=3):
+        a = parse_closed_set(str(pow2(-m)))
+        b = parse_closed_set(f"{pow2(-n)},{pow2(-(n + k))}")
+        i, j = descriptors(a, b, "paper")
+        phi, beta = d_phi(i, j), d_beta(i, j)
+        over_phi[m, n, k], over_phi_squared[m, n, k] = beta / phi, beta / phi**2
+    top, bottom = max(over_phi.values()), min(over_phi_squared.values())
+    assert top == Fraction(21, 32)
+    assert sorted(t for t, r in over_phi.items() if r == top) == [(1, 2, 1), (2, 1, 2), (3, 1, 1)]
+    assert bottom == 2
+    at_bottom = sorted(t for t, r in over_phi_squared.items() if r == bottom)
+    assert len(at_bottom) == 92 and at_bottom[0] == (1, 1, 1)
+
+
 def test_level_sets_match_set_builder():
     rng = random.Random(37)
     for _ in range(200):

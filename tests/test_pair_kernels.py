@@ -1,11 +1,13 @@
 """The pair kernels against the one-direction code they replaced.
 
 `first_outside` gives both directions' first points outside from one read
-of a pair, `hausdorff` takes both directed distances from that pair, and
-`d_beta_truncated` builds both endpoints from the partial sum's one
-numerator.  The earlier code is kept here as references: a one-direction
-first point outside, a Hausdorff distance from two calls of it, and a
-truncation that adds the tail bound 2**-depth to a `Fraction` partial sum.
+of a pair, `first_diff_index` is the lesser of that pair, `hausdorff` takes
+both directed distances from it, and `d_beta_truncated` builds both
+endpoints from the partial sum's one numerator.  The earlier code is kept
+here as references: a one-direction first point outside, a first
+difference from its own XOR scan, a Hausdorff distance from two calls of
+the first, and a truncation that adds the tail bound 2**-depth to a
+`Fraction` partial sum.
 They must agree on every ordered pair of the 176 sets with head <= 4 and
 period <= 3 (with and without 0), on the long-period ladder and on
 literals at the 2,048-bit cap.
@@ -18,7 +20,7 @@ from itertools import product
 
 import pytest
 
-from afideals.exact import BinaryWord, bit_text, first_outside, pow2
+from afideals.exact import BinaryWord, bit_text, first_diff_index, first_outside, pow2
 from afideals.metrics import CertifiedValue, d_beta_truncated
 from afideals.qi import (
     MAX_LITERAL_BITS,
@@ -32,16 +34,27 @@ from afideals.qi import (
 from test_check_oracles import SHORT
 
 
-def reference_first_outside(u, v):
-    """Least position where u has bit 1 and v bit 0, or None: the heads and
-    the longer period first, then the heads and the joint period."""
+def reference_first_hit(u, v, hits):
+    """Least position whose bit is set in hits(a, b), a and b being the
+    words' bits as masks, or None: the heads and the longer period first,
+    then the heads and the joint period."""
     h = max(u.head_len, v.head_len)
     for n in (h + max(u.period_len, v.period_len, 1),
               h + math.lcm(u.period_len or 1, v.period_len or 1)):
-        x = u.prefix(n) & ~v.prefix(n)
+        x = hits(u.prefix(n), v.prefix(n))
         if x:
             return (x & -x).bit_length()
     return None
+
+
+def reference_first_outside(u, v):
+    """Least position where u has bit 1 and v bit 0, or None."""
+    return reference_first_hit(u, v, lambda a, b: a & ~b)
+
+
+def reference_first_diff_index(u, v):
+    """Least position where the two words differ, or None."""
+    return reference_first_hit(u, v, lambda a, b: a ^ b)
 
 
 def reference_hausdorff(s, t):
@@ -68,6 +81,7 @@ def reference_truncated(i, j, depth):
 def assert_pair_agrees(s, t, depths, i=None, j=None):
     assert first_outside(s.word, t.word) == (reference_first_outside(s.word, t.word),
                                              reference_first_outside(t.word, s.word))
+    assert first_diff_index(s.word, t.word) == reference_first_diff_index(s.word, t.word)
     if not (s.is_empty() or t.is_empty()):
         assert hausdorff(s, t) == reference_hausdorff(s, t), (s, t)
     i, j = i or ideal_of_closed_set(s), j or ideal_of_closed_set(t)
