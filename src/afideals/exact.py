@@ -278,7 +278,10 @@ def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
 def first_diff_index(u: BinaryWord, v: BinaryWord):
     """Least position where the two words differ, or None when equal: the
     lesser of the two first points outside."""
-    return min(filter(None, first_outside(u, v)), default=None)
+    k, l = first_outside(u, v)
+    if k is None:
+        return l
+    return k if l is None or k < l else l
 
 
 def _weight(x: int, h: int, length: int, base: int) -> tuple:

@@ -6,7 +6,7 @@ both directed distances from it, and `d_beta_truncated` builds both
 endpoints from the partial sum's one numerator.  The earlier code is kept
 here as references: a one-direction first point outside, a first
 difference from its own XOR scan, a Hausdorff distance from two calls of
-the first, and a truncation that adds the tail bound 2**-depth to a
+the one-direction scan, and a truncation that adds the tail bound 2**-depth to a
 `Fraction` partial sum.
 They must agree on every ordered pair of the 176 sets with head <= 4 and
 period <= 3 (with and without 0), on the long-period ladder and on
