@@ -7,6 +7,7 @@ nothing on the value path ever touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import compress, count
 
@@ -256,13 +257,34 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     return BinaryWord.from_masks(x & ((1 << h) - 1), h, x >> h, length)
 
 
+def _first(u: BinaryWord, v: BinaryWord, hits):
+    """Least position k whose bit k-1 is set in hits(a, b), a and b being
+    the two words' bits as masks, or None.  Past both heads the pair repeats
+    with the joint period, so the heads and one joint period suffice.  The
+    heads and the longer period are tried first: a hit there costs only the
+    words' own bits, where the joint period can be their product.  The joint
+    period is read only when it is longer than the longer period."""
+    h = max(u._head_len, v._head_len)
+    n = h + max(u._period_len, v._period_len, 1)
+    x = hits(u.prefix(n), v.prefix(n))
+    if not x:
+        length = math.lcm(u._period_len or 1, v._period_len or 1)
+        if h + length > n:
+            x = hits(u.prefix(h + length), v.prefix(h + length))
+    return (x & -x).bit_length() or None
+
+
+def first_diff_index(u: BinaryWord, v: BinaryWord):
+    """Least position where the two words differ, or None when equal."""
+    return _first(u, v, operator.xor)
+
+
 def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
     """(k, l): the least position where u has bit 1 and v bit 0, and the
-    least where v has 1 and u 0, each None when there is none.  Past both
-    heads the pair repeats with the joint period, so the heads and one joint
-    period decide both.  The heads and the longer period are read first, as
-    the joint period can be their product; the joint period is read once,
-    and only when it is longer and a direction found nothing there."""
+    least where v has 1 and u 0, each None when there is none.  Both come
+    from one read of the heads and the longer period, as in `_first`; the
+    joint period is read once, and only when it is longer and a direction
+    found nothing in that window."""
     h = max(u._head_len, v._head_len)
     n = h + max(u._period_len, v._period_len, 1)
     a, b = u.prefix(n), v.prefix(n)
@@ -273,15 +295,6 @@ def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
             a, b = u.prefix(h + length), v.prefix(h + length)
             x, y = x or a & ~b, y or b & ~a
     return (x & -x).bit_length() or None, (y & -y).bit_length() or None
-
-
-def first_diff_index(u: BinaryWord, v: BinaryWord):
-    """Least position where the two words differ, or None when equal: the
-    lesser of the two first points outside."""
-    k, l = first_outside(u, v)
-    if k is None:
-        return l
-    return k if l is None or k < l else l
 
 
 def _weight(x: int, h: int, length: int, base: int) -> tuple:

@@ -383,6 +383,13 @@ class TestUsage:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [["-h"], ["distance", "--help"], ["check", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        # argparse ends the process after --help; main returns its code instead.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: afideals")
+
     def test_no_hidden_options(self):
         # A test hook hidden from --help would still ship in the CLI.
         def parsers(parser):

@@ -108,10 +108,7 @@ def call(argv, monkeypatch, rng) -> tuple:
         monkeypatch.setenv("AFIDEALS_SEED", seed)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as stop:  # argparse's --help, which exits 0 in a process
-            rc = stop.code
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 

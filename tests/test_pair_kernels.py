@@ -1,13 +1,12 @@
 """The pair kernels against the one-direction code they replaced.
 
 `first_outside` gives both directions' first points outside from one read
-of a pair, `first_diff_index` is the lesser of that pair, `hausdorff` takes
-both directed distances from it, and `d_beta_truncated` builds both
-endpoints from the partial sum's one numerator.  The earlier code is kept
-here as references: a one-direction first point outside, a first
-difference from its own XOR scan, a Hausdorff distance from two calls of
-the one-direction scan, and a truncation that adds the tail bound 2**-depth to a
-`Fraction` partial sum.
+of a pair, `hausdorff` takes both directed distances from that pair, and
+`d_beta_truncated` builds both endpoints from the partial sum's one
+numerator.  The earlier code is kept here as references: a one-direction
+first point outside, a Hausdorff distance from two calls of it, and a
+truncation that adds the tail bound 2**-depth to a `Fraction` partial sum.
+`first_diff_index` is checked beside them against a plain XOR scan.
 They must agree on every ordered pair of the 176 sets with head <= 4 and
 period <= 3 (with and without 0), on the long-period ladder and on
 literals at the 2,048-bit cap.
@@ -160,6 +159,17 @@ def test_cap_literals():
     k, l = first_outside(sets[0].word, sets[1].word)
     assert (sets[0].word.period_len, sets[1].word.period_len) == (2039, 2029)
     assert 2039 + 2029 < k < 2039 * 2029 and l == 1
+
+
+def test_first_difference_in_the_short_window_reads_no_joint_period(monkeypatch):
+    # Bit 1 tells the cap pair apart.  first_outside reads their joint period
+    # of 2039 * 2029 bits for the other direction; the first difference must
+    # stop at the heads and the longer period.
+    u, v = (parse_closed_set(text).word for text in cap_literals()[:2])
+    reads, prefix = [], BinaryWord.prefix
+    monkeypatch.setattr(BinaryWord, "prefix", lambda w, n: reads.append(n) or prefix(w, n))
+    assert first_diff_index(u, v) == first_diff_index(v, u) == 1
+    assert max(reads) == max(u.head_len, v.head_len) + max(u.period_len, v.period_len) == 2039
 
 
 def test_one_read_with_no_joint_window():
