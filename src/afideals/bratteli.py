@@ -102,8 +102,9 @@ class BratteliDiagram:
         (size, full, ((d, J_d), ...)): J_d holds every gap's M_d at a stride
         of `size` bytes, wider than every level, gap n at byte (n-1)*size,
         and `full` every level's full mask at the same stride.  One pass over
-        the edges fills a row of '0'/'1' per offset, read as one int and cut
-        into gaps through its bytes, so this is linear in the masks' size.
+        the edges fills a row of '0'/'1' per offset: J_d reads the whole row
+        and each M_d its gap's stretch of it, so this is linear in the
+        masks' size.
         """
         size = max(map(len, self._dims)) // 8 + 1
         stride, gaps = 8 * size, len(self._edges)
@@ -113,10 +114,8 @@ class BratteliDiagram:
             for k, j in gap:
                 rows[j - k][end - k] = 49  # '1'
         joined = tuple((d, int(row, 2)) for d, row in rows.items())
-        columns = [[(d, int.from_bytes(blob[i:i + size], "little"))
-                    for i in range(0, size * gaps, size)]
-                   for d, m in joined for blob in [m.to_bytes(size * gaps, "little")]]
-        self._offsets = tuple(zip(*columns)) if columns else ((),) * gaps
+        self._offsets = tuple(tuple((d, int(row[end - stride:end], 2)) for d, row in rows.items())
+                              for end in range(stride * gaps, 0, -stride))
         self._joined = size, _join(((1 << len(level)) - 1 for level in self._dims), size), joined
 
     def __repr__(self):

@@ -79,14 +79,10 @@ def random_closed_set(rng: random.Random, nonempty: bool = True,
             return s
 
 
-def random_finite_or_zero_set(rng: random.Random) -> ClosedSubsetQI:
-    """Finite sets, with or without 0: their ideals' excluded words are
-    eventually zero, so every pair's d_beta has a short exact value."""
-    return random_closed_set(rng, nonempty=False, allow_infinite=False)
-
-
 def random_ideal(rng: random.Random) -> EventualDescriptor:
-    return ideal_of_closed_set(random_finite_or_zero_set(rng))
+    """The ideal of a finite set, with or without 0: its excluded word is
+    eventually zero, so every pair's d_beta has a short exact value."""
+    return ideal_of_closed_set(random_closed_set(rng, nonempty=False, allow_infinite=False))
 
 
 def member_values(s: ClosedSubsetQI, upto: int) -> frozenset:

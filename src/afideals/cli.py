@@ -172,24 +172,17 @@ def cmd_paper_table(args) -> int:
     sets gives 21/128 and 81/512 instead; `distance --convention paper`
     reports those.  This command reproduces the publication as printed.
     """
-    rows = []
-    for m, n, k in _PAPER_ROWS:
-        rows.append(
-            {
-                "m": m,
-                "n": n,
-                "k": k,
-                "d_hausdorff": str(closed_form_dhausdorff(m, n, k)),
-                "d_phi": str(closed_form_dphi(m, n, k)),
-                "d_beta": str(closed_form_dbeta(m, n, k)),
-            }
-        )
+    rows = [{"m": m, "n": n, "k": k,
+             "d_hausdorff": str(closed_form_dhausdorff(m, n, k)),
+             "d_phi": str(closed_form_dphi(m, n, k)),
+             "d_beta": str(closed_form_dbeta(m, n, k))}
+            for m, n, k in _PAPER_ROWS]
     if args.json:
         print(json.dumps(rows))
     else:
-        print("m n k d_hausdorff d_phi d_beta")
+        print(*rows[0])  # the column names
         for r in rows:
-            print(f"{r['m']} {r['n']} {r['k']} {r['d_hausdorff']} {r['d_phi']} {r['d_beta']}")
+            print(*r.values())
     return 0
 
 

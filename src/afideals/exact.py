@@ -7,7 +7,6 @@ nothing on the value path ever touches floating point.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import compress, count
 
@@ -141,8 +140,7 @@ class BinaryWord:
                 behind = _repeat(period, length, width) >> (width - h) & ((1 << h) - 1)
                 kept = (head ^ behind).bit_length()
                 shift = (h - kept) % length
-                if shift:
-                    period = (period << shift | period >> (length - shift)) & ((1 << length) - 1)
+                period = _rotate(period, length, length - shift)
                 head &= (1 << kept) - 1
                 h = kept
         self._head_mask, self._head_len = head, h
@@ -257,34 +255,30 @@ def word_xor(u: BinaryWord, v: BinaryWord) -> BinaryWord:
     return BinaryWord.from_masks(x & ((1 << h) - 1), h, x >> h, length)
 
 
-def _first(u: BinaryWord, v: BinaryWord, hits):
-    """Least position k whose bit k-1 is set in hits(a, b), a and b being
-    the two words' bits as masks, or None.  Past both heads the pair repeats
-    with the joint period, so the heads and one joint period suffice.  The
-    heads and the longer period are tried first: a hit there costs only the
-    words' own bits, where the joint period can be their product.  The joint
-    period is read only when it is longer than the longer period."""
+def first_diff_index(u: BinaryWord, v: BinaryWord):
+    """Least position where the two words differ, or None when equal.  Past
+    both heads the pair repeats with the joint period, so the heads and one
+    joint period suffice.  The heads and the longer period are tried first:
+    a difference there costs only the words' own bits, where the joint
+    period can be their product.  The joint period is read only when it is
+    longer than the longer period."""
     h = max(u._head_len, v._head_len)
     n = h + max(u._period_len, v._period_len, 1)
-    x = hits(u.prefix(n), v.prefix(n))
+    x = u.prefix(n) ^ v.prefix(n)
     if not x:
         length = math.lcm(u._period_len or 1, v._period_len or 1)
         if h + length > n:
-            x = hits(u.prefix(h + length), v.prefix(h + length))
+            x = u.prefix(h + length) ^ v.prefix(h + length)
     return (x & -x).bit_length() or None
-
-
-def first_diff_index(u: BinaryWord, v: BinaryWord):
-    """Least position where the two words differ, or None when equal."""
-    return _first(u, v, operator.xor)
 
 
 def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
     """(k, l): the least position where u has bit 1 and v bit 0, and the
-    least where v has 1 and u 0, each None when there is none.  Both come
-    from one read of the heads and the longer period, as in `_first`; the
-    joint period is read once, and only when it is longer and a direction
-    found nothing in that window."""
+    least where v has 1 and u 0, each None when there is none.  Past both
+    heads the pair repeats with the joint period, so the heads and one joint
+    period suffice.  Both come from one read of the heads and the longer
+    period; the joint period is read once, and only when it is longer and a
+    direction found nothing in that window."""
     h = max(u._head_len, v._head_len)
     n = h + max(u._period_len, v._period_len, 1)
     a, b = u.prefix(n), v.prefix(n)
@@ -309,12 +303,12 @@ def _weight(x: int, h: int, length: int, base: int) -> tuple:
     return digits - digits // block, base**h * (block - 1)
 
 
-def xor_weight(u: BinaryWord, v: BinaryWord, base: int) -> tuple:
-    """Numerator and denominator of the sum of base**-k over the positions k
+def xor_weight(u: BinaryWord, v: BinaryWord) -> tuple:
+    """Numerator and denominator of the sum of 4**-k over the positions k
     where the two words differ, read off their joint bits: past the longer
     head their XOR repeats with the joint period."""
     h, length, a, b = _joint(u, v)
-    return _weight(a ^ b, h, length, base)
+    return _weight(a ^ b, h, length, 4)
 
 
 def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:

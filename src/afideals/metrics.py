@@ -166,8 +166,8 @@ def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     first, a D-bit at k weighs 4**-k and a tail difference at p weighs 4**-p.
     Both sums come from the words' masks, and are added as one fraction.
     """
-    num, den = xor_weight(i.excluded, j.excluded, 4)
-    tail_num, tail_den = xor_weight(i.tail, j.tail, 4)
+    num, den = xor_weight(i.excluded, j.excluded)
+    tail_num, tail_den = xor_weight(i.tail, j.tail)
     return Fraction(num * tail_den + tail_num * den, den * tail_den)
 
 

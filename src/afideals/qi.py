@@ -39,7 +39,7 @@ MAX_LITERAL_BITS = 2048
 # Longest rendering of a user's value that an error message echoes whole.
 CLIP_LIMIT = 64
 
-_POINT_TOKEN = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?")
+_POINT_TOKEN = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
 
 
 class EmptySetError(ValueError):

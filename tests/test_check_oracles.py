@@ -175,7 +175,7 @@ def squared_hausdorff(s, t):
 def tail_blind_d_beta(i, j):
     """d_beta without the tail words' term: 0 for ideals that differ only
     in their tail summands."""
-    return Fraction(*xor_weight(i.excluded, j.excluded, 4))
+    return Fraction(*xor_weight(i.excluded, j.excluded))
 
 
 def shifted_truncation(i, j, depth):

@@ -3,7 +3,8 @@ input must end in exit 1 or 3 with one `error:` line, never a traceback.
 
 Each argv mixes the closed-set grammar's atoms, every option and
 subcommand, integers past the 4,300 digits int() reads, full-width and
-Arabic-Indic digits (which int() and the point grammar's \\d accept) and
+Arabic-Indic digits (which int() accepts in numeric options and the point
+grammar, ASCII digits only, refuses) and
 literals one bit past the 2,048-bit cap.  Depths stay small, so `diagram`
 and `descriptor` print little, and `check` is drawn rarely, since one run
 takes tens of milliseconds.
@@ -29,9 +30,9 @@ OVER_CAP = [
 SETS = (
     ["", "0", "1", "1/2", "1/4,1/8", "1,0", "1/2,0", "1/8,1/64", "1,1/2,1/8", " 1/2 ",
      "head=1;period=01", "head=;period=011", "head=0;period=1", "head=101;period=",
-     "head=11;period=;zero=1", "head=;period=1", "head=0110;period=101", "١/2", "１,0"],
+     "head=11;period=;zero=1", "head=;period=1", "head=0110;period=101"],
     ["1/3", "-1/2", "2", "1/0", "1/2,,1/4", "1/2;1/4", "head=2;period=1", "head=1",
-     "head=1;period=1;zero=1", "period=1", "x", "١/٢", "١/٨,٠", "１/４", "１/٢",
+     "head=1;period=1;zero=1", "period=1", "x", "١/2", "١/٢", "١/٨,٠", "１/４", "１/٢", "１,0",
      HUGE, "1/" + HUGE, HUGE + "/1", *OVER_CAP],
 )
 # Depths stay small in every digit script, so diagrams and descriptors stay short.

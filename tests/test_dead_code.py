@@ -1,7 +1,9 @@
 """No function or method in the library goes uncalled.
 
 Every function and method defined in `src/afideals` must be named somewhere
-in the library outside its own body, by a name or an attribute; the
+in the library outside its own body: a function by a name or an attribute,
+a method (a `def` directly in a class body) by an attribute only, since a
+bare name such as a same-named parameter is not a call to it.  The
 package's `__init__` re-exports, `__all__` strings and implicitly called
 dunder methods do not count.  The few that no library code names are
 listed in ALLOWED with the reason each stays, and the list must match the
@@ -22,13 +24,17 @@ ALLOWED = {
     "qi.point_distance": "the one public d(x, S), kept public by decision",
     "cli._Parser.error": "argparse hook: ArgumentParser calls it on a usage error",
     "cli._Parser._check_value": "argparse hook: ArgumentParser calls it for each choice value",
+    "bratteli.FiniteDescriptor.sets": "the scaling report in benchmarks/run.py reads it",
+    "metrics.CertifiedValue.lo": "the certified bracket's public lower endpoint",
+    "metrics.CertifiedValue.hi": "the certified bracket's public upper endpoint",
 }
 
 
 def scan(tree: ast.Module, module: str):
     """(definitions, uses) of one module: each function or method as
-    (qualified name, bare name, node), and each name or attribute as
-    (identifier, the definition nodes enclosing it)."""
+    (qualified name, bare name, node, whether it is a method), and each name
+    or attribute as (identifier, whether it is an attribute, the definition
+    nodes enclosing it)."""
     definitions, uses = [], []
 
     def visit(node, prefix, enclosing):
@@ -36,13 +42,13 @@ def scan(tree: ast.Module, module: str):
             inner, within = prefix, enclosing
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner, within = f"{prefix}.{child.name}", enclosing | {child}
-                definitions.append((inner, child.name, child))
+                definitions.append((inner, child.name, child, isinstance(node, ast.ClassDef)))
             elif isinstance(child, ast.ClassDef):
                 inner = f"{prefix}.{child.name}"
             elif isinstance(child, ast.Name):
-                uses.append((child.id, enclosing))
+                uses.append((child.id, False, enclosing))
             elif isinstance(child, ast.Attribute):
-                uses.append((child.attr, enclosing))
+                uses.append((child.attr, True, enclosing))
             visit(child, inner, within)
 
     visit(tree, module, frozenset())
@@ -59,9 +65,10 @@ def unnamed_functions(package: Path) -> set:
         found, named = scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         definitions += found
         uses += named
-    return {qualified for qualified, name, node in definitions
+    return {qualified for qualified, name, node, method in definitions
             if not (name.startswith("__") and name.endswith("__"))
-            and not any(used == name and node not in enclosing for used, enclosing in uses)}
+            and not any(used == name and (attribute or not method) and node not in enclosing
+                        for used, attribute, enclosing in uses)}
 
 
 def test_every_library_function_is_named():
@@ -73,7 +80,11 @@ def test_an_orphaned_helper_is_found(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def orphan():\n    return orphan()\n\n\n"
         "class Box:\n    def __repr__(self):\n        return used()\n\n"
-        "    def unused(self):\n        return self.unused\n",
+        "    def unused(self):\n        return self.unused\n\n"
+        "    def shadowed(self):\n        return 2\n\n\n"
+        "def make(shadowed):\n    return Box(), shadowed\n\n\n"
+        "make(used)\n",
         encoding="utf-8")
     (tmp_path / "__init__.py").write_text("from .helpers import orphan, unused\n", encoding="utf-8")
-    assert unnamed_functions(tmp_path) == {"helpers.orphan", "helpers.Box.unused"}
+    assert unnamed_functions(tmp_path) == {"helpers.orphan", "helpers.Box.unused",
+                                           "helpers.Box.shadowed"}

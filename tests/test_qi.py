@@ -317,7 +317,9 @@ class TestSerialization:
         assert parse_closed_set("2/4") == parse_closed_set("01/2") == parse_closed_set("1/2")
         assert parse_closed_set("1,3/24") == ClosedSubsetQI(BinaryWord((1, 0, 0, 1)))
 
-    @pytest.mark.parametrize("token", ["1/3", "2", "5/8", "-1/2", "1/0", "0/0", "0.5", "+1/2", ""])
+    # Both parts take ASCII digits only, though int() reads any Unicode digit.
+    @pytest.mark.parametrize("token", ["1/3", "2", "5/8", "-1/2", "1/0", "0/0", "0.5", "+1/2", "",
+                                       "١/2", "１/4"])
     def test_bad_point_token_message(self, token):
         with pytest.raises(ValueError) as info:
             parse_closed_set("1/2," + token)
