@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bratteli import level_set, qi_diagram, serialize_diagram
+from .bratteli import qi_diagram, serialize_diagram, to_finite
 from .metrics import (
     MalformedComparisonError,
     closed_form_dbeta,
@@ -192,7 +192,8 @@ def _format_set(s) -> str:
 
 def cmd_descriptor(args) -> int:
     e = descriptor(_parse_set(args.set), args.convention)
-    levels = {p: _format_set(level_set(e, p)) for p in range(1, args.depth + 1)}
+    sets = to_finite(e, args.depth).all_sets
+    levels = {p: _format_set(s) for p, s in enumerate(sets, 1)}
     if args.json:
         print(json.dumps({str(p): v for p, v in levels.items()}))
     else:
@@ -224,51 +225,73 @@ def cmd_check(args) -> int:
     return 0 if ok else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand and its line in the top-level --help.
+_COMMANDS = {
+    "distance": "metric distances between two closed sets' ideals",
+    "paper-table": "reproduce the two published comparison rows",
+    "descriptor": "print level index sets of a closed set's ideal",
+    "diagram": "emit the quantized-interval diagram",
+    "check": "run the seeded randomized invariant suites",
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, listing every subcommand but giving options only to
+    `command`'s.
+
+    A line whose first token names a subcommand reaches no other
+    subcommand's parser, so main builds only that one's options.  When
+    `command` names none (None, an option, a typo), argparse may hand the
+    rest of the line to any subcommand, so all of them get their options.
+    """
     # --depth and --seed default to None; main fills them in from the
     # environment, so a variable is read only by the commands it configures.
     parser = _Parser(prog="afideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    if command in parsers:
+        parsers = {command: parsers[command]}
 
     def add_common(p, depth_help=None):
         p.add_argument("--convention", choices=("paper", "derived"), default="derived")
         p.add_argument("--depth", type=_int, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    p = sub.add_parser("distance", help="metric distances between two closed sets' ideals")
-    add_common(p, depth_help="levels summed when beta is printed as an interval "
-                             "[S_N, S_N + 2^-N], because the excluded words never agree")
-    p.add_argument("--metric", choices=("phi", "beta", "hausdorff", "all"), default="all")
-    p.add_argument("--decimal", type=_int, metavar="N",
-                   help="add an approximate decimal column with N digits")
-    p.add_argument("set_a")
-    p.add_argument("set_b")
-    p.set_defaults(func=cmd_distance)
+    if p := parsers.get("distance"):
+        add_common(p, depth_help="levels summed when beta is printed as an interval "
+                                 "[S_N, S_N + 2^-N], because the excluded words never agree")
+        p.add_argument("--metric", choices=("phi", "beta", "hausdorff", "all"), default="all")
+        p.add_argument("--decimal", type=_int, metavar="N",
+                       help="add an approximate decimal column with N digits")
+        p.add_argument("set_a")
+        p.add_argument("set_b")
+        p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("paper-table", help="reproduce the two published comparison rows")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(func=cmd_paper_table)
+    if p := parsers.get("paper-table"):
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.set_defaults(func=cmd_paper_table)
 
-    p = sub.add_parser("descriptor", help="print level index sets of a closed set's ideal")
-    add_common(p)
-    p.add_argument("set")
-    p.set_defaults(func=cmd_descriptor)
+    if p := parsers.get("descriptor"):
+        add_common(p)
+        p.add_argument("set")
+        p.set_defaults(func=cmd_descriptor)
 
-    p = sub.add_parser("diagram", help="emit the quantized-interval diagram")
-    p.add_argument("--depth", type=_int)
-    p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
-    p.set_defaults(func=cmd_diagram)
+    if p := parsers.get("diagram"):
+        p.add_argument("--depth", type=_int)
+        p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
+        p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("check", help="run the seeded randomized invariant suites")
-    p.add_argument("--seed", type=_int)
-    p.set_defaults(func=cmd_check)
+    if p := parsers.get("check"):
+        p.add_argument("--seed", type=_int)
+        p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if getattr(args, "depth", 1) is None:
             args.depth = _env_int("AFIDEALS_DEPTH", 32)
         if getattr(args, "seed", 0) is None:

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import afideals
-from afideals.cli import MAX_DEPTH, build_parser, main
-from afideals.metrics import d_beta
+from afideals.cli import MAX_DEPTH, CliUsageError, _HelpShown, build_parser, main
+from afideals.bratteli import level_set
+from afideals.metrics import d_beta, descriptor
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
+from test_cli_fuzz import random_argv
 
 COVERS = "error: paper convention covers only singletons and pairs of isolated points\n"
 SINGLETON = "error: first set must be a singleton {2**-m}\n"
@@ -249,6 +254,21 @@ class TestDescriptor:
         assert code == 0
         assert json.loads(out) == {"1": "{}", "2": "{1}"}
 
+    @pytest.mark.parametrize("convention, literal", [
+        ("derived", "head=0110;period=101"), ("derived", "1,1/2,1/8"), ("derived", ""),
+        ("derived", "head=11;period=;zero=1"), ("paper", "1/4"), ("paper", "1/2,1/8"),
+    ])
+    def test_levels_match_level_set(self, capsys, convention, literal):
+        # the command reads all levels from one to_finite; level_set reads each alone
+        e = descriptor(parse_closed_set(literal), convention)
+        for depth in (1, 9, 40):
+            code, out, err = run(capsys, "descriptor", "--json", "--convention", convention,
+                                 "--depth", str(depth), literal)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {
+                str(p): "{" + ",".join(map(str, sorted(level_set(e, p)))) + "}"
+                for p in range(1, depth + 1)}
+
     def test_paper_rejects_triple(self, capsys):
         code, _, err = run(capsys, "descriptor", "--convention", "paper",
                            "1/2,1/4,1/8")
@@ -433,6 +453,70 @@ class TestUsage:
         code, out, err = run(capsys, "distance", "1/2", "1/4,1/8")
         assert (code, err) == (0, "")
         assert out.splitlines() == ["hausdorff: 3/8", "phi: 1/8", "beta: 13/128"]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # main picks the subcommand to build from sys.argv when given no argv
+        monkeypatch.setattr(sys, "argv", ["afideals", "distance", "1/2", "1/4,1/8"])
+        code = main()
+        assert (code, *capsys.readouterr()) == run(capsys, "distance", "1/2", "1/4,1/8")
+        assert code == 0
+
+
+def subcommands(parser) -> dict:
+    """The top-level parser's subcommand parsers by name."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options(parser) -> tuple:
+    """What a parser accepts: each action's attributes and the defaults, with
+    `func` by name."""
+    actions = [(a.option_strings, a.dest, a.default, a.type, a.choices, a.metavar, a.help)
+               for a in parser._actions]
+    defaults = {k: getattr(v, "__name__", v) for k, v in parser._defaults.items()}
+    return actions, defaults
+
+
+def outcome(parser, argv) -> tuple:
+    """The parsed namespace (`func` by name), the usage error, or --help's
+    exit code and text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+    except CliUsageError as exc:
+        return "error", str(exc)
+    except _HelpShown as shown:
+        return "help", shown.args[0], out.getvalue()
+    return "args", {k: getattr(v, "__name__", v) for k, v in vars(args).items()}
+
+
+class TestNamedParser:
+    """build_parser(command) gives options only to `command`'s subcommand;
+    these compare it with build_parser(), which gives them to all."""
+
+    @pytest.mark.parametrize("name", list(subcommands(build_parser())))
+    def test_named_subcommand_keeps_every_option(self, name):
+        full, named = build_parser(), build_parser(name)
+        assert options(subcommands(named)[name]) == options(subcommands(full)[name])
+        assert list(subcommands(named)) == list(subcommands(full))
+        assert named.format_help() == full.format_help()
+
+    def test_unnamed_subcommands_get_no_options(self):
+        named = subcommands(build_parser("distance"))
+        empty = [name for name, p in named.items()
+                 if [a.dest for a in p._actions] == ["help"] and not p._defaults]
+        assert empty == ["paper-table", "descriptor", "diagram", "check"]
+
+    def test_first_token_parser_parses_like_the_full_one(self):
+        golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+        rng = random.Random(2049)
+        lines = [run["argv"] for run in golden] + [random_argv(rng) for _ in range(500)]
+        # the fuzzer's edits put an option, a set or a typo first in some lines
+        assert any(a and a[0] not in subcommands(build_parser()) for a in lines)
+        for argv in lines:
+            named = build_parser(argv[0] if argv else None)
+            assert outcome(named, argv) == outcome(build_parser(), argv), [a[:40] for a in argv]
 
 
 class TestLongValues:
