@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import afideals
-from afideals.cli import MAX_DEPTH, CliUsageError, _HelpShown, build_parser, main
 from afideals.bratteli import level_set
+from afideals.cli import MAX_DEPTH, CliUsageError, _HelpShown, build_parser, main
 from afideals.metrics import d_beta, descriptor
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
 from test_cli_fuzz import random_argv
@@ -509,9 +509,9 @@ class TestNamedParser:
         assert empty == ["paper-table", "descriptor", "diagram", "check"]
 
     def test_first_token_parser_parses_like_the_full_one(self):
-        golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+        golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
         rng = random.Random(2049)
-        lines = [run["argv"] for run in golden] + [random_argv(rng) for _ in range(500)]
+        lines = [case["argv"] for case in golden] + [random_argv(rng) for _ in range(500)]
         # the fuzzer's edits put an option, a set or a typo first in some lines
         assert any(a and a[0] not in subcommands(build_parser()) for a in lines)
         for argv in lines:
