@@ -1,9 +1,14 @@
 """Seeded randomized invariant suites backing the `check` command.
 
 Every suite is a pure function of the RNG it is handed, so a fixed seed
-yields a byte-identical transcript.  A suite returns its number of cases
-and a (case, message) pair per broken property, so a FAIL line counts
-each failing case once however many of its properties break.
+yields a byte-identical transcript.  Each stays a plain function that
+returns (cases, failures): its number of cases and a (case, message) pair
+per broken property, so a FAIL line counts each failing case once however
+many of its properties break.  `run_check` reads that pair,
+`benchmarks/tracer.py` times the suites through `SUITES`, and the mutant
+tests in `tests/test_check_oracles.py` read the FAIL lines built from it.
+A suite with one case per loop iteration numbers its cases with the loop
+variable and returns SCALE.
 """
 
 from __future__ import annotations
@@ -58,13 +63,14 @@ def random_mask(rng: random.Random, n: int) -> int:
     return mask
 
 
-def random_word(rng: random.Random, max_head: int = 5, max_period: int = 3,
-                periodic_prob: float = 0.4) -> BinaryWord:
-    h = _below(rng.getrandbits, max_head + 1)  # randint(0, max_head)
+def random_word(rng: random.Random, periodic_prob: float = 0.4) -> BinaryWord:
+    """A head of at most 5 bits, then with probability periodic_prob a
+    period of 1 to 3 bits."""
+    h = _below(rng.getrandbits, 6)  # randint(0, 5)
     head = random_mask(rng, h)
     period = length = 0
     if rng.random() < periodic_prob:
-        length = 1 + _below(rng.getrandbits, max_period)  # randint(1, max_period)
+        length = 1 + _below(rng.getrandbits, 3)  # randint(1, 3)
         period = random_mask(rng, length)
     return BinaryWord.from_masks(head, h, period, length)
 
@@ -148,39 +154,35 @@ def _closure_seeds(draw):
 
 def _suite_closure(rng: random.Random):
     failures = []
-    cases = 0
     diagram = qi_diagram(8)
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         small, big = _closure_seeds(rng.random)
         c_small = ideal_closure(diagram, FiniteDescriptor._of_masks(small))
         c_big = ideal_closure(diagram, FiniteDescriptor._of_masks(big))
-        cases += 1
         if not is_ideal(diagram, c_small):
-            failures.append((cases, f"closure of {_level_sets(small)} is not an ideal"))
+            failures.append((case, f"closure of {_level_sets(small)} is not an ideal"))
         if ideal_closure(diagram, c_small) != c_small:
-            failures.append((cases, f"closure not idempotent on {_level_sets(small)}"))
+            failures.append((case, f"closure not idempotent on {_level_sets(small)}"))
         if not c_small <= c_big:
-            failures.append((cases, f"closure not monotone on {_level_sets(small)} "
-                                    f"vs {_level_sets(big)}"))
-    return cases, failures
+            failures.append((case, f"closure not monotone on {_level_sets(small)} "
+                                   f"vs {_level_sets(big)}"))
+    return SCALE, failures
 
 
 def _suite_hausdorff_metric(rng: random.Random):
     failures = []
-    cases = 0
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         s = random_closed_set(rng)
         t = random_closed_set(rng)
         u = random_closed_set(rng)
         dst, dsu, dtu = hausdorff(s, t), hausdorff(s, u), hausdorff(t, u)
-        cases += 1
         if (dst == 0) != (s == t):
-            failures.append((cases, f"coincidence fails for {s!r}, {t!r}"))
+            failures.append((case, f"coincidence fails for {s!r}, {t!r}"))
         if dst != hausdorff(t, s):
-            failures.append((cases, f"symmetry fails for {s!r}, {t!r}"))
+            failures.append((case, f"symmetry fails for {s!r}, {t!r}"))
         if dst > dsu + dtu:
-            failures.append((cases, f"triangle fails for {s!r}, {t!r}, {u!r}"))
-    return cases, failures
+            failures.append((case, f"triangle fails for {s!r}, {t!r}, {u!r}"))
+    return SCALE, failures
 
 
 def _brute_directed(a: ClosedSubsetQI, b: ClosedSubsetQI, depth: int) -> Fraction:
@@ -207,16 +209,14 @@ def _sup_cutoff(s: ClosedSubsetQI, t: ClosedSubsetQI) -> int:
 
 def _suite_hausdorff_cutoff(rng: random.Random):
     failures = []
-    cases = 0
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         s = random_closed_set(rng)
         t = random_closed_set(rng)
         depth = _sup_cutoff(s, t) + 32
         brute = max(_brute_directed(s, t, depth), _brute_directed(t, s, depth))
-        cases += 1
         if hausdorff(s, t) != brute:
-            failures.append((cases, f"cutoff unsound for {s!r}, {t!r}"))
-    return cases, failures
+            failures.append((case, f"cutoff unsound for {s!r}, {t!r}"))
+    return SCALE, failures
 
 
 # d_beta and d_phi at most, attained against the whole algebra.
@@ -225,34 +225,30 @@ BETA_SUP, PHI_SUP = Fraction(2, 3), Fraction(1, 2)
 
 def _suite_ideal_metrics(rng: random.Random):
     failures = []
-    cases = 0
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         i, j, k = (random_ideal(rng) for _ in range(3))
         dij, dik, djk = d_phi(i, j), d_phi(i, k), d_phi(j, k)
         bij, bik, bjk = d_beta(i, j), d_beta(i, k), d_beta(j, k)
-        cases += 1
         if (dij == 0) != (i == j) or (bij == 0) != (i == j):
-            failures.append((cases, f"coincidence fails for {i!r}, {j!r}"))
+            failures.append((case, f"coincidence fails for {i!r}, {j!r}"))
         if dij != d_phi(j, i) or bij != d_beta(j, i):
-            failures.append((cases, f"symmetry fails for {i!r}, {j!r}"))
+            failures.append((case, f"symmetry fails for {i!r}, {j!r}"))
         if dij > dik + djk or bij > bik + bjk:
-            failures.append((cases, f"triangle fails for {i!r}, {j!r}, {k!r}"))
+            failures.append((case, f"triangle fails for {i!r}, {j!r}, {k!r}"))
         if 3 * bij > 5 * dij:
-            failures.append((cases, f"3*d_beta > 5*d_phi for {i!r}, {j!r}"))
+            failures.append((case, f"3*d_beta > 5*d_phi for {i!r}, {j!r}"))
         if bij > BETA_SUP or dij > PHI_SUP:
-            failures.append((cases, f"global bound broken for {i!r}, {j!r}"))
-    return cases, failures
+            failures.append((case, f"global bound broken for {i!r}, {j!r}"))
+    return SCALE, failures
 
 
 def _suite_correspondence(rng: random.Random):
     failures = []
-    cases = 0
     diagram = qi_diagram(32)
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         s = random_closed_set(rng, nonempty=False)
         e = ideal_of_closed_set(s)
         finite = to_finite(e, 32)
-        cases += 1
         # Listed as far as the deepest probe, the tail summand of level 12.
         upto = s.word.head_len + 2 * (s.word.period_len or 1) + 14
         members = member_values(s, upto)
@@ -263,11 +259,11 @@ def _suite_correspondence(rng: random.Random):
         oracle = FiniteDescriptor._of_masks(points & (1 << p) - 1 | tails & 1 << p
                                             for p in range(12))
         if to_finite(e, 12) != oracle:
-            failures.append((cases, f"support-disjointness oracle disagrees for {s!r}"))
+            failures.append((case, f"support-disjointness oracle disagrees for {s!r}"))
         if closed_set_of_ideal(e) != s:
-            failures.append((cases, f"round trip fails for {s!r}"))
+            failures.append((case, f"round trip fails for {s!r}"))
         if not is_ideal(diagram, finite):
-            failures.append((cases, f"derived descriptor not an ideal for {s!r}"))
+            failures.append((case, f"derived descriptor not an ideal for {s!r}"))
         # t holds s: s's first h bits with random ones added, then s's period.
         h, length = s.word.head_len + 2, s.word.period_len
         added = random_mask(rng, h)
@@ -276,28 +272,26 @@ def _suite_correspondence(rng: random.Random):
         t = ClosedSubsetQI(word, include_zero=s.contains_zero)
         f = ideal_of_closed_set(t)
         if not to_finite(f, 32) <= finite:
-            failures.append((cases, f"antitone correspondence fails for {s!r} inside {t!r}"))
-    return cases, failures
+            failures.append((case, f"antitone correspondence fails for {s!r} inside {t!r}"))
+    return SCALE, failures
 
 
 def _suite_truncation(rng: random.Random):
     failures = []
-    cases = 0
-    for _ in range(SCALE):
+    for case in range(1, SCALE + 1):
         i, j = random_ideal(rng), random_ideal(rng)
         exact = d_beta(i, j)
         depth = rng.randint(2, 24)
         lo_iv = d_beta_truncated(i, j, depth)
         hi_iv = d_beta_truncated(i, j, depth + 1)
-        cases += 1
         if lo_iv.width != pow2(-depth):
-            failures.append((cases, f"interval width wrong at depth {depth} for {i!r}, {j!r}"))
+            failures.append((case, f"interval width wrong at depth {depth} for {i!r}, {j!r}"))
         if not lo_iv.encloses(hi_iv):
-            failures.append((cases, f"intervals not nested at depth {depth} for {i!r}, {j!r}"))
+            failures.append((case, f"intervals not nested at depth {depth} for {i!r}, {j!r}"))
         if not lo_iv.contains(exact):
             failures.append(
-                (cases, f"interval misses exact value at depth {depth} for {i!r}, {j!r}"))
-    return cases, failures
+                (case, f"interval misses exact value at depth {depth} for {i!r}, {j!r}"))
+    return SCALE, failures
 
 
 SUITES = [

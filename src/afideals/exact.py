@@ -1,7 +1,8 @@
 """Exact dyadic arithmetic and eventually periodic binary words.
 
-Every metric value produced by this package is a `fractions.Fraction`;
-nothing on the value path ever touches floating point.
+Every metric value produced by this package is an exact Fraction, or a
+`metrics.CertifiedValue` bracket of two; nothing on the value path ever
+touches floating point.
 """
 
 from __future__ import annotations

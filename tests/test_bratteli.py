@@ -446,10 +446,13 @@ class TestToFinite:
 
     def test_random_general_tails(self):
         rng = random.Random(23)
-        from afideals.checks import random_word
+        from afideals.checks import random_mask
 
         for _ in range(300):
-            excluded = random_word(rng, max_head=40, max_period=9)
+            h = rng.randint(0, 40)
+            head = random_mask(rng, h)
+            length = rng.randint(1, 9) if rng.random() < 0.4 else 0
+            excluded = BinaryWord.from_masks(head, h, random_mask(rng, length), length)
             tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 40))],
                               (1,) if rng.random() < 0.5 else ())
             self.assert_levels_match(EventualDescriptor(excluded, tail))

@@ -9,12 +9,15 @@ the suites still draw the same cases.  `check_draws.json` holds:
 * the reprs of 50 `random_word`, 50 `random_closed_set(nonempty=False)`
   and 50 `random_ideal` values drawn from one RNG seeded with `DRAW_SEED`.
 
-The suites draw their integers through `checks._below`, which copies the
-rejection loop behind `randrange` and `randint`; a test here requires the
-same values and the same RNG state as those methods.  `random_mask` and
-the `closure-fixpoint` seeds draw in one loop each; the per-bit and
-per-level draws they replaced are kept here as references, and must give
-the same values and leave the same RNG state.
+`random_word` draws its head and period lengths through `checks._below`,
+which copies the rejection loop behind `randrange` and `randint`; a test
+here requires the same values and the same RNG state as those methods.
+The suites' other draws (`rng.sample` positions in `exact-arithmetic`,
+`rng.randint` depths in `truncation`) are pinned by the per-suite
+RNG-state digests.  `random_mask` and the `closure-fixpoint` seeds draw
+in one loop each; the per-bit and per-level draws they replaced are kept
+here as references, and must give the same values and leave the same RNG
+state.
 
 The module needs no pytest (see `pins.py`):
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from afideals.bratteli import EventualDescriptor, level_set
-from afideals.checks import random_ideal, random_word
+from afideals.checks import random_ideal, random_mask
 from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
     CertifiedValue,
@@ -40,18 +40,27 @@ def truncation_oracle(i, j, depth: int) -> Fraction:
     )
 
 
+def random_word_upto_6(rng: random.Random, periodic_prob: float) -> BinaryWord:
+    """A head of at most 6 bits, then with probability periodic_prob a
+    period of 1 to 6 bits, drawn as `random_word` draws its shorter ones."""
+    h = rng.randint(0, 6)
+    head = random_mask(rng, h)
+    length = rng.randint(1, 6) if rng.random() < periodic_prob else 0
+    return BinaryWord.from_masks(head, h, random_mask(rng, length), length)
+
+
 def random_eventual(rng: random.Random) -> EventualDescriptor:
     """A derived descriptor of an infinite set, a paper-table descriptor, or
     a random excluded word with a random eventually constant tail word
     (heads up to 6); periods up to 6."""
     kind = rng.randrange(3)
     if kind == 0:
-        word = random_word(rng, max_head=6, max_period=6, periodic_prob=1.0)
+        word = random_word_upto_6(rng, periodic_prob=1.0)
         return ideal_of_closed_set(ClosedSubsetQI(word))
     if kind == 1:
         n = rng.randint(1, 5)
         return table(n) if rng.random() < 0.5 else table(n, rng.randint(1, 4))
-    word = random_word(rng, max_head=6, max_period=6, periodic_prob=0.7)
+    word = random_word_upto_6(rng, periodic_prob=0.7)
     tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
                       (1,) if rng.random() < 0.5 else ())
     return EventualDescriptor(word, tail)
