@@ -14,10 +14,9 @@ Likewise every parameter with a default must be passed, by position or by
 keyword, at some library call outside the function's own body.  A call
 matches a definition by its name, bare or as an attribute; a method's calls
 skip its first parameter, and a class's calls are the calls of its
-`__init__`.  A `*args`
-reaches every positional parameter from its place on, a `**kwargs` every
-parameter.  The defaults no library call passes are listed in
-ALLOWED_DEFAULTS, which must match that scan exactly too.
+`__init__`.  A `*args` reaches every positional parameter from its place
+on, a `**kwargs` every parameter.  The defaults no library call passes are
+listed in ALLOWED_DEFAULTS, which must match that scan exactly too.
 """
 
 import ast
