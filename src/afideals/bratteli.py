@@ -38,13 +38,15 @@ class BratteliDiagram:
     __slots__ = ("_dims", "_edges", "_offsets", "_joined")
 
     def __init__(self, dims, edges):
-        self._dims = tuple(tuple(int(d) for d in level) for level in dims)
+        self._dims = tuple(map(tuple, dims))
         edges = tuple(edges)
         if not self._dims:
             raise ValueError("a diagram needs at least one level")
         if len(edges) != len(self._dims) - 1:
             raise ValueError("need exactly depth-1 edge maps")
         for n, level in enumerate(self._dims, 1):
+            if not all(type(d) is int for d in level):
+                raise ValueError(f"non-int dimension at level {n}")
             if any(d < 1 for d in level):
                 raise ValueError(f"nonpositive dimension at level {n}")
         maps = []
@@ -52,7 +54,8 @@ class BratteliDiagram:
             width, below = len(self._dims[n - 1]), len(self._dims[n])
             kept = {}
             for (k, j), m in gap.items():
-                k, j, m = int(k), int(j), int(m)
+                if not (type(k) is int and type(j) is int and type(m) is int):
+                    raise ValueError(f"non-int edge entry ({k!r},{j!r}): {m!r} at level {n}")
                 if m == 0:
                     continue
                 if not (1 <= k <= width and 1 <= j <= below):

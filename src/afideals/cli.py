@@ -289,7 +289,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        # Flushed here, so that a reader who closed the pipe early is met in
+        # this block and not by the interpreter's own flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The SIGPIPE recipe of the `signal` docs: send what is left of stdout
+        # to devnull, so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list) -> int:
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         if getattr(args, "depth", 1) is None:

@@ -17,37 +17,13 @@ def pow2(e: int) -> Fraction:
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
-# bytes.translate table from the bytes 0 and 1 to the characters '0' and '1';
-# every other byte becomes '?'.
-_BIT_TEXT = b"01" + b"?" * 254
-
-
-def _bit_char(b) -> str:
-    """'0' or '1' for one allowed bit of any type, else '?'."""
-    if type(b) is str:
-        return b if len(b) == 1 else "?"
-    if isinstance(b, int) and 0 <= b <= 1:
-        return "01"[b]
-    return "?"
-
-
-def _read_bits(bits) -> tuple:
-    """(mask, length) of a bit sequence, position k as bit k-1.  Bits are
-    0/1 ints, bools or '0'/'1' characters; a string is read as characters."""
-    if isinstance(bits, str):
-        text = bits
-    else:
-        bits = tuple(bits)
-        if not bits:
-            return 0, 0
-        try:
-            # bytes() takes ints and bools, and refuses floats and strings.
-            text = bytes(bits).translate(_BIT_TEXT).decode()
-        except (TypeError, ValueError):
-            text = "".join(map(_bit_char, bits))
-    if text.strip("01"):
+def _read_bits(bits: str) -> tuple:
+    """(mask, length) of '0'/'1' text, position k as bit k-1."""
+    if not isinstance(bits, str):
+        raise TypeError(f"bits must be a str of 0s and 1s, got {type(bits).__name__}")
+    if bits.strip("01"):
         raise ValueError("bits must be 0 or 1")
-    return int(text[::-1] or "0", 2), len(text)
+    return int(bits[::-1] or "0", 2), len(bits)
 
 
 def bit_text(mask: int, n: int) -> str:
@@ -106,12 +82,13 @@ class BinaryWord:
     bit k-1; an empty period means every later bit is zero.  Construction
     canonicalizes (primitive period, shortest possible head), so two words
     denote the same bit stream if and only if they compare equal
-    structurally.  `head` and `period` give the parts as bit tuples.
+    structurally.  The parts are read and shown as '0'/'1' text, position 1
+    first: `BinaryWord("1011", "01")` is 1011 followed by 01 repeated.
     """
 
     __slots__ = ("_head_mask", "_head_len", "_period_mask", "_period_len")
 
-    def __init__(self, head=(), period=()):
+    def __init__(self, head: str = "", period: str = ""):
         self._canonicalize(*_read_bits(head), *_read_bits(period))
 
     @classmethod
@@ -148,12 +125,12 @@ class BinaryWord:
         self._period_mask, self._period_len = period, length
 
     @property
-    def head(self) -> tuple:
-        return tuple(map(int, bit_text(self._head_mask, self._head_len)))
+    def head(self) -> str:
+        return bit_text(self._head_mask, self._head_len)
 
     @property
-    def period(self) -> tuple:
-        return tuple(map(int, bit_text(self._period_mask, self._period_len)))
+    def period(self) -> str:
+        return bit_text(self._period_mask, self._period_len)
 
     @property
     def head_mask(self) -> int:
@@ -326,6 +303,4 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
 
 
 def format_word(w: BinaryWord) -> str:
-    head = bit_text(w._head_mask, w._head_len)
-    period = bit_text(w._period_mask, w._period_len)
-    return f"head={head};period={period}"
+    return f"head={w.head};period={w.period}"

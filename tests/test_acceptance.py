@@ -161,7 +161,7 @@ class TestCriterion4GlobalBound:
             for _ in range(1000)
         )
         # sum over n >= 1, k = 1..n of 2**-(n+k), assembled exactly
-        ones = BinaryWord((), (1,))
+        ones = BinaryWord("", "1")
         series = word_weight(ones) - word_weight(ones, 1, 4)
         ok = ok and series == Fraction(2, 3)
         report(4, "d_beta <= 2/3 and double series equals 2/3 exactly", ok)

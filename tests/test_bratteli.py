@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -18,6 +17,7 @@ from afideals.bratteli import (
 from afideals.exact import BinaryWord
 from afideals.metrics import descriptor
 from afideals.qi import ideal_of_closed_set, parse_closed_set
+from bits import bit_strings, random_bits
 
 
 def brute_closure(d, seed):
@@ -120,7 +120,16 @@ class TestQiDiagram:
         ([(1,), (1, 0)], [{(1, 1): 1}], "nonpositive dimension at level 2"),
         ([(1,), (1,)], [{(1, 2): 1}], "edge (1,2) out of range between levels 1 and 2"),
         ([(1,), (1,)], [{(1, 1): -1}], "negative number of edges (1,1) at level 1"),
-    ], ids=["no-levels", "edge-map-count", "dimension", "edge-range", "multiplicity"])
+        # Entries that int() would truncate or parse are refused, not coerced.
+        ([(1.9,), ("2", 1)], [{(1.7, "2"): 2.5}], "non-int dimension at level 1"),
+        ([(1,), ("2", 1)], [{(1, 2): 2}], "non-int dimension at level 2"),
+        ([(1,), (2, 1)], [{(1.7, "2"): 2.5}], "non-int edge entry (1.7,'2'): 2.5 at level 1"),
+        ([(1,), (2, 1)], [{(1, 2): 2.5}], "non-int edge entry (1,2): 2.5 at level 1"),
+        ([(1,), (1,), (1,)], [{(1, 1): 1}, {(1, True): 1}],
+         "non-int edge entry (1,True): 1 at level 2"),
+    ], ids=["no-levels", "edge-map-count", "dimension", "edge-range", "multiplicity",
+            "float-dimension", "text-dimension", "float-and-text-edge", "float-multiplicity",
+            "bool-index"])
     def test_constructor_rejects_bad_input(self, dims, edges, message):
         with pytest.raises(ValueError) as info:
             BratteliDiagram(dims, edges)
@@ -410,7 +419,7 @@ class TestLevelSet:
                 )
 
     def test_full_algebra(self):
-        e = EventualDescriptor(BinaryWord(), BinaryWord((), (1,)))
+        e = EventualDescriptor(BinaryWord(), BinaryWord("", "1"))
         for p in (1, 2, 7, 30):
             assert level_set(e, p) == frozenset(range(1, p + 1))
 
@@ -426,8 +435,7 @@ class TestLevelSet:
 def all_words(max_head: int, max_period: int) -> set:
     """Every canonical word with head and period at most these lengths."""
     return {BinaryWord(head, period)
-            for h in range(max_head + 1) for head in product((0, 1), repeat=h)
-            for p in range(max_period + 1) for period in product((0, 1), repeat=p)}
+            for head in bit_strings(max_head) for period in bit_strings(max_period)}
 
 
 class TestToFinite:
@@ -439,7 +447,7 @@ class TestToFinite:
             assert to_finite(e, n).all_sets == levels[:n]
 
     def test_exhaustive_short_descriptors(self):
-        tails = [w for w in all_words(4, 1) if w.period in ((), (1,))]
+        tails = [w for w in all_words(4, 1) if w.period in ("", "1")]
         for excluded in all_words(4, 3):
             for tail in tails:
                 self.assert_levels_match(EventualDescriptor(excluded, tail))
@@ -453,8 +461,8 @@ class TestToFinite:
             head = random_mask(rng, h)
             length = rng.randint(1, 9) if rng.random() < 0.4 else 0
             excluded = BinaryWord.from_masks(head, h, random_mask(rng, length), length)
-            tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 40))],
-                              (1,) if rng.random() < 0.5 else ())
+            tail = BinaryWord(random_bits(rng, rng.randint(0, 40)),
+                              "1" if rng.random() < 0.5 else "")
             self.assert_levels_match(EventualDescriptor(excluded, tail))
 
 
@@ -470,14 +478,14 @@ class TestToFinite:
 class TestEventualDescriptor:
     def test_rejects_tail_word_that_never_settles(self):
         with pytest.raises(ValueError, match="eventually constant"):
-            EventualDescriptor(BinaryWord(), BinaryWord((), (1, 0)))
+            EventualDescriptor(BinaryWord(), BinaryWord("", "10"))
 
     def test_repr_names_both_words(self):
         e = descriptor(parse_closed_set("1/4,1/8"), "paper")
         text = repr(e)
         assert text == (
-            "EventualDescriptor(excluded=BinaryWord(head=(0, 0, 1, 1), period=()), "
-            "tail=BinaryWord(head=(1, 1, 0, 0), period=(1,)))"
+            "EventualDescriptor(excluded=BinaryWord(head='0011', period=''), "
+            "tail=BinaryWord(head='1100', period='1'))"
         )
         assert eval(text) == e
 
@@ -507,8 +515,7 @@ def test_eventual_descriptor_prefix_ideal_extends():
     d = qi_diagram(64)
     for _ in range(400):
         word = random_word(rng)
-        tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 3))],
-                          (1,) if rng.random() < 0.5 else ())
+        tail = BinaryWord(random_bits(rng, rng.randint(0, 3)), "1" if rng.random() < 0.5 else "")
         e = EventualDescriptor(word, tail)
         check_depth = (len(e.tail.head) + len(e.excluded.head)
                        + 2 * max(1, len(e.excluded.period)) + 4)

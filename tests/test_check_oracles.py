@@ -44,6 +44,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
+from bits import bit_strings
 
 
 def reference_member_values(s, upto):
@@ -71,14 +72,10 @@ def reference_brute_directed(a, b, depth):
     return best
 
 
-def bit_lists(n):
-    return [list(bits) for m in range(n + 1) for bits in itertools.product((0, 1), repeat=m)]
-
-
 def short_sets():
     """Every set whose word has head <= 4 and period <= 3, with and without
     0; the empty set is among them."""
-    words = {BinaryWord(head, period) for head in bit_lists(4) for period in bit_lists(3)}
+    words = {BinaryWord(head, period) for head in bit_strings(4) for period in bit_strings(3)}
     return sorted({ClosedSubsetQI(w, z) for w in words for z in (False, True)}, key=repr)
 
 
@@ -339,7 +336,7 @@ MISMATCHES = {
 
 # The values a failure line names, each as its repr: a closed set, an ideal
 # descriptor, a word, a list of level index sets, or an int.
-WORD = r"BinaryWord\(head=\([\d, ]*\), period=\([\d, ]*\)\)"
+WORD = r"BinaryWord\(head='[01]*', period='[01]*'\)"
 LITERAL = re.compile("|".join([
     r"ClosedSubsetQI\('[^']*'\)",
     rf"EventualDescriptor\(excluded={WORD}, tail={WORD}\)",

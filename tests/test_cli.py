@@ -392,6 +392,28 @@ class TestLazyChecks:
         assert report["runs"] == [[0, 1]]
 
 
+# What the `afideals` console script runs.
+ENTRY = "import sys; from afideals.cli import main; sys.exit(main())"
+
+
+class TestClosedPipe:
+    """A reader that stops after the first line ends the command quietly:
+    exit 1, as Python exits on EPIPE, with nothing on stderr."""
+
+    @pytest.mark.parametrize("argv, first", [
+        (["descriptor", "--depth", "1024", "1/2"], b"u_1 = {}\n"),
+        (["diagram", "--depth", "1024", "--dot"], b"digraph bratteli {\n"),
+    ], ids=["descriptor", "diagram-dot"])
+    def test_exits_quietly(self, argv, first):
+        env = {**os.environ, "PYTHONPATH": str(Path(afideals.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (line, proc.returncode, err) == (first, 1, b"")
+
+
 class TestUsage:
     def test_missing_command(self, capsys):
         code, _, err = run(capsys, )

@@ -29,6 +29,7 @@ from afideals.qi import (
     ideal_of_closed_set,
     parse_closed_set,
 )
+from bits import bit_strings, random_bits
 
 
 def truncation_oracle(i, j, depth: int) -> Fraction:
@@ -61,8 +62,7 @@ def random_eventual(rng: random.Random) -> EventualDescriptor:
         n = rng.randint(1, 5)
         return table(n) if rng.random() < 0.5 else table(n, rng.randint(1, 4))
     word = random_word_upto_6(rng, periodic_prob=0.7)
-    tail = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                      (1,) if rng.random() < 0.5 else ())
+    tail = BinaryWord(random_bits(rng, rng.randint(0, 6)), "1" if rng.random() < 0.5 else "")
     return EventualDescriptor(word, tail)
 
 
@@ -204,7 +204,7 @@ class TestDBeta:
             assert d_phi(e, VANISH_AT_ZERO) == pow2(-(r + 2))
 
     def test_periodic_difference_inside_truncation_brackets(self):
-        i = ideal_of_closed_set(ClosedSubsetQI(BinaryWord((), (1, 0))))
+        i = ideal_of_closed_set(ClosedSubsetQI(BinaryWord("", "10")))
         assert not settles(i, FULL)
         # the tail flags differ and D has a 1 at every odd k
         assert d_beta(i, FULL) == Fraction(4, 15) + Fraction(1, 3)
@@ -234,7 +234,7 @@ class TestDBetaTruncated:
         assert iv.encloses(d_beta_truncated(a, b, 13))
 
     def test_periodic_difference_supported(self):
-        i = ideal_of_closed_set(ClosedSubsetQI(BinaryWord((), (1, 0))))
+        i = ideal_of_closed_set(ClosedSubsetQI(BinaryWord("", "10")))
         iv = d_beta_truncated(i, FULL, 40)
         assert iv.width == pow2(-40)
 
@@ -458,20 +458,18 @@ def test_settles_matches_xor_word():
     rng = random.Random(41)
     words = []
     for p, q in ((3, 2), (6, 6), (31, 29), (61, 61), (127, 113), (113, 113)):
-        u = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 9))],
-                       [rng.randint(0, 1) for _ in range(p)])
-        v = BinaryWord([rng.randint(0, 1) for _ in range(rng.randint(0, 9))],
-                       [rng.randint(0, 1) for _ in range(q)])
+        u = BinaryWord(random_bits(rng, rng.randint(0, 9)), random_bits(rng, p))
+        v = BinaryWord(random_bits(rng, rng.randint(0, 9)), random_bits(rng, q))
         # a word with u's tail from past u's head on, after a different head
         h = len(u.head) + rng.randint(0, 4)
-        tail = BinaryWord([rng.randint(0, 1) for _ in range(h)],
-                          [u.bit(k) for k in range(h + 1, h + 1 + len(u.period))])
+        tail = BinaryWord(random_bits(rng, h), "".join(
+            str(u.bit(k)) for k in range(h + 1, h + 1 + len(u.period))))
         words += [(u, v), (u, tail), (tail, u)]
     pairs = [(i.excluded, j.excluded) for i, j in eventual_pairs(41, 300)] + words
     seen = set()
     for u, v in pairs:
         i = EventualDescriptor(u, BinaryWord())
-        j = EventualDescriptor(v, BinaryWord((), (1,)))
+        j = EventualDescriptor(v, BinaryWord("", "1"))
         expected = word_xor(u, v).is_eventually_zero()
         assert settles(i, j) == settles(j, i) == expected
         seen.add(expected)
@@ -481,9 +479,7 @@ def test_settles_matches_xor_word():
 def small_closed_sets() -> list:
     """Every nonempty closed set whose word has a head of at most 4 bits and
     a period of at most 3."""
-    words = {BinaryWord(head, period)
-             for h in range(5) for head in product((0, 1), repeat=h)
-             for q in range(4) for period in product((0, 1), repeat=q)}
+    words = {BinaryWord(head, period) for head in bit_strings(4) for period in bit_strings(3)}
     sets = {ClosedSubsetQI(w, zero) for w in words for zero in (False, True)}
     return sorted((s for s in sets if not s.is_empty()), key=repr)
 
@@ -543,7 +539,7 @@ def test_two_word_descriptors_against_level_sets():
     pairs = eventual_pairs(43, 240)
     # A tail word that is 1 somewhere but eventually 0 comes from neither
     # convention.
-    assert sum(1 in e.tail.head and not e.tail.period for pair in pairs for e in pair) > 40
+    assert sum("1" in e.tail.head and not e.tail.period for pair in pairs for e in pair) > 40
     for n, (i, j) in enumerate(pairs):
         mi, mj = level_masks(i, 80), level_masks(j, 80)
         check_against_levels(i, j, mi, mj, 80, (1 + n % 16, 17 + n % 24, 80))

@@ -174,7 +174,7 @@ def test_first_difference_in_the_short_window_reads_no_joint_period(monkeypatch)
 
 def test_one_read_with_no_joint_window():
     # Eventually zero words share the window of the heads and one bit.
-    u, v = BinaryWord((1, 0, 1)), BinaryWord((0, 1, 1))
+    u, v = BinaryWord("101"), BinaryWord("011")
     assert first_outside(u, v) == (1, 2)
     assert first_outside(u, u) == (None, None)
     s = ClosedSubsetQI(u)

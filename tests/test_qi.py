@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -19,6 +18,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
+from bits import bit_strings
 
 
 def enumerate_values(s: ClosedSubsetQI, depth: int):
@@ -34,19 +34,18 @@ def value(i) -> Fraction:
     return Fraction(0) if i is None else pow2(1 - i)
 
 
-def random_bits(rng, n: int, one: bool = False):
+def random_bits(rng, n: int, one: bool = False) -> str:
     """n random bits; with `one`, at least one of them is 1."""
-    bits = [rng.randint(0, 1) for _ in range(n)]
-    if one and not any(bits):
-        bits[rng.randrange(n)] = 1
-    return bits
+    bits = [str(rng.randint(0, 1)) for _ in range(n)]
+    if one and "1" not in bits:
+        bits[rng.randrange(n)] = "1"
+    return "".join(bits)
 
 
 def all_words(max_head: int, max_period: int) -> set:
     """Every canonical word with head and period at most these lengths."""
     return {BinaryWord(head, period)
-            for h in range(max_head + 1) for head in product((0, 1), repeat=h)
-            for p in range(max_period + 1) for period in product((0, 1), repeat=p)}
+            for head in bit_strings(max_head) for period in bit_strings(max_period)}
 
 
 class TestPointIndex:
@@ -71,7 +70,7 @@ class TestPointIndex:
 
 class TestClosedSubset:
     def test_infinite_sets_contain_zero(self):
-        s = ClosedSubsetQI(BinaryWord((), (1, 0)))
+        s = ClosedSubsetQI(BinaryWord("", "10"))
         assert s.contains_zero and not s.is_finite
 
     def test_finite_set_with_explicit_zero(self):
@@ -84,10 +83,10 @@ class TestClosedSubset:
         assert parse_closed_set("").is_empty()
         assert not parse_closed_set("0").is_empty()
         assert ClosedSubsetQI().is_empty()
-        assert ClosedSubsetQI(BinaryWord((0, 0), (0,))).is_empty()
+        assert ClosedSubsetQI(BinaryWord("00", "0")).is_empty()
         assert not ClosedSubsetQI(BinaryWord(), include_zero=True).is_empty()
-        assert not ClosedSubsetQI(BinaryWord((), (1,))).is_empty()
-        assert not ClosedSubsetQI(BinaryWord((0, 1))).is_empty()
+        assert not ClosedSubsetQI(BinaryWord("", "1")).is_empty()
+        assert not ClosedSubsetQI(BinaryWord("01")).is_empty()
 
     def test_point_list_order_independent(self):
         assert parse_closed_set("1/8,1,1/2") == parse_closed_set("1,1/2,1/8")
@@ -159,14 +158,14 @@ class TestHausdorff:
                 s = ClosedSubsetQI(BinaryWord(random_bits(rng, 2), random_bits(rng, p, one=True)))
                 # A period of q with a single 0: s may first leave t only after
                 # both periods, inside the joint one.
-                dense = [1] * q
-                dense[rng.randrange(q)] = 0
+                gap = rng.randrange(q)
+                dense = "1" * gap + "0" + "1" * (q - 1 - gap)
                 # t covers every point of s for more than one joint period
                 # (p*q positions) before its own words take over.
-                cover = [s.word.bit(k) | rng.randint(0, 1)
-                         for k in range(1, 3 + p * q + rng.randint(1, p * q))]
-                period = random_bits(rng, q, one=True) if rng.random() < 0.5 else ()
-                for t in (ClosedSubsetQI(BinaryWord((), dense)),
+                cover = "".join(str(s.word.bit(k) | rng.randint(0, 1))
+                                for k in range(1, 3 + p * q + rng.randint(1, p * q)))
+                period = random_bits(rng, q, one=True) if rng.random() < 0.5 else ""
+                for t in (ClosedSubsetQI(BinaryWord("", dense)),
                           ClosedSubsetQI(BinaryWord(cover, period), rng.random() < 0.5)):
                     pairs += [(s, t), (t, s)]
         for s, t in pairs:
@@ -204,7 +203,7 @@ class TestIdealOfClosedSet:
 
     def test_infinite_set(self):
         # members at every odd index: tail summand never enters
-        e = ideal_of_closed_set(ClosedSubsetQI(BinaryWord((), (1, 0))))
+        e = ideal_of_closed_set(ClosedSubsetQI(BinaryWord("", "10")))
         assert level_set(e, 5) == frozenset({2, 4})
 
     def test_antitone(self):
@@ -227,7 +226,7 @@ class TestClosedSetOfIdeal:
 
     def test_rejects_inconsistent_tail_flag(self):
         # Excluded points recur forever, yet the tail summand is eventually in.
-        e = EventualDescriptor(BinaryWord((), (1, 0)), BinaryWord((), (1,)))
+        e = EventualDescriptor(BinaryWord("", "10"), BinaryWord("", "1"))
         with pytest.raises(DescriptorConventionError,
                            match=r"^level 1 is \[1\], support rule gives \[\]$"):
             closed_set_of_ideal(e)
@@ -236,14 +235,14 @@ class TestClosedSetOfIdeal:
 def table_singleton(m: int) -> EventualDescriptor:
     """The published table's descriptor of {2**-m}, by its formula:
     excluded word 0^m 1, tail word 1^m 0 1 1 ..."""
-    return EventualDescriptor(BinaryWord([0] * m + [1]), BinaryWord([1] * m + [0], [1]))
+    return EventualDescriptor(BinaryWord("0" * m + "1"), BinaryWord("1" * m + "0", "1"))
 
 
 def table_pair(n: int, k: int) -> EventualDescriptor:
     """The published table's descriptor of {2**-n, 2**-(n+k)}, by its formula:
     excluded word 0^n 1 0^(k-1) 1, tail word 1^n 0 1^(k-1) 0 1 1 ..."""
-    return EventualDescriptor(BinaryWord([0] * n + [1] + [0] * (k - 1) + [1]),
-                              BinaryWord([1] * n + [0] + [1] * (k - 1) + [0], [1]))
+    return EventualDescriptor(BinaryWord("0" * n + "1" + "0" * (k - 1) + "1"),
+                              BinaryWord("1" * n + "0" + "1" * (k - 1) + "0", "1"))
 
 
 class TestPaperTableDescriptor:
@@ -301,7 +300,7 @@ class TestSerialization:
 
     def test_word_form(self):
         s = parse_closed_set("head=;period=10")
-        assert s == ClosedSubsetQI(BinaryWord((), (1, 0)))
+        assert s == ClosedSubsetQI(BinaryWord("", "10"))
         assert format_closed_set(s) == "head=;period=10"
 
     def test_empty(self):
@@ -315,7 +314,7 @@ class TestSerialization:
     def test_point_tokens(self):
         assert parse_closed_set("0") == parse_closed_set("0/5") == ClosedSubsetQI(include_zero=True)
         assert parse_closed_set("2/4") == parse_closed_set("01/2") == parse_closed_set("1/2")
-        assert parse_closed_set("1,3/24") == ClosedSubsetQI(BinaryWord((1, 0, 0, 1)))
+        assert parse_closed_set("1,3/24") == ClosedSubsetQI(BinaryWord("1001"))
 
     # Both parts take ASCII digits only, though int() reads any Unicode digit.
     @pytest.mark.parametrize("token", ["1/3", "2", "5/8", "-1/2", "1/0", "0/0", "0.5", "+1/2", "",

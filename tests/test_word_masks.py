@@ -25,6 +25,7 @@ from afideals.exact import (
     word_xor,
 )
 from afideals.metrics import d_beta
+from bits import bit_strings, random_bits
 
 
 def _primitive(period: tuple) -> tuple:
@@ -106,23 +107,27 @@ def tuple_weight(w: TupleWord, from_index: int = 1, base: int = 2) -> Fraction:
                     base ** (start - 1) * repunit)
 
 
+def text(bits) -> str:
+    return "".join(map(str, bits))
+
+
 def both(head, period):
     return BinaryWord(head, period), TupleWord(head, period)
 
 
 def assert_same_word(w: BinaryWord, t: TupleWord):
-    assert (w.head, w.period) == (t.head, t.period)
+    assert (w.head, w.period) == (text(t.head), text(t.period))
     assert (w.head_len, w.period_len) == (len(t.head), len(t.period))
 
 
 def assert_canonical(w: BinaryWord):
     period = w.period
     assert _primitive(period) == period
-    assert not period or 1 in period
+    assert not period or "1" in period
     if period and w.head:
         assert w.head[-1] != period[-1]
     if not period and w.head:
-        assert w.head[-1] == 1
+        assert w.head[-1] == "1"
 
 
 def assert_pair_agrees(u, v, tu, tv, probes=()):
@@ -135,8 +140,7 @@ def assert_pair_agrees(u, v, tu, tv, probes=()):
         assert u.next_one(i) == tu.next_one(i)
 
 
-SHORT = [(head, period) for h in range(5) for head in product((0, 1), repeat=h)
-         for p in range(4) for period in product((0, 1), repeat=p)]
+SHORT = [(head, period) for head in bit_strings(4) for period in bit_strings(3)]
 
 
 def test_every_short_word_is_canonical_like_the_tuple_word():
@@ -161,7 +165,7 @@ def test_every_short_pair_against_tuple_words():
 
 def test_d_beta_is_the_weight_of_both_xors_on_every_short_pair():
     words = sorted({BinaryWord(*hp) for hp in SHORT}, key=format_word)
-    tails = [w for w in words if w.period in ((), (1,))]
+    tails = [w for w in words if w.period in ("", "1")]
     rng = random.Random(41)
     for e, f in product(words, repeat=2):
         for t, u in ((rng.choice(tails), rng.choice(tails)) for _ in range(3)):
@@ -174,13 +178,13 @@ def random_parts(rng, max_head, max_period):
     """Random head and period bits.  Some periods repeat a shorter block, and
     some heads end with the period continued backwards, which canonical form
     absorbs into the period."""
-    head = [rng.randint(0, 1) for _ in range(rng.randint(0, max_head))]
-    period = [rng.randint(0, 1) for _ in range(rng.randint(0, max_period))]
+    head = random_bits(rng, rng.randint(0, max_head))
+    period = random_bits(rng, rng.randint(0, max_period))
     if rng.random() < 0.3:
-        block = [rng.randint(0, 1) for _ in range(rng.randint(1, 5))]
+        block = random_bits(rng, rng.randint(1, 5))
         period = block * rng.randint(2, max_period // len(block))
     if period and rng.random() < 0.3:
-        run = [period[-1 - k % len(period)] for k in range(rng.randint(0, max_head))]
+        run = text(period[-1 - k % len(period)] for k in range(rng.randint(0, max_head)))
         head = head[:rng.randint(0, 3)] + run[::-1]
     return head, period
 
@@ -204,51 +208,79 @@ LADDER = [(17, 11), (19, 13), (23, 17), (31, 29), (57, 55), (61, 59), (127, 113)
 def test_long_period_ladder_against_tuple_words(p, q):
     rng = random.Random(p * q)
     for _ in range(3):
-        parts = [([rng.randint(0, 1) for _ in range(rng.randint(0, 4))],
-                  [rng.randint(0, 1) for _ in range(n)]) for n in (p, q)]
+        parts = [(random_bits(rng, rng.randint(0, 4)), random_bits(rng, n)) for n in (p, q)]
         (u, tu), (v, tv) = (both(*hp) for hp in parts)
         assert_pair_agrees(u, v, tu, tv, probes=(0, 3, p + 5))
         assert word_weight(word_xor(u, v), 1, 4) == tuple_weight(tuple_xor(tu, tv), 1, 4)
 
 
 def test_absorbed_head_is_canonicalized_whole():
-    w = BinaryWord((1, 0) * 1024, (1, 0))
-    assert w == BinaryWord((), (1, 0))
-    assert BinaryWord((0,) + (1, 1, 0) * 300, (1, 1, 0)) == BinaryWord((0,), (1, 1, 0))
+    w = BinaryWord("10" * 1024, "10")
+    assert w == BinaryWord("", "10")
+    assert BinaryWord("0" + "110" * 300, "110") == BinaryWord("0", "110")
 
 
 class TestBitValidation:
-    @pytest.mark.parametrize("head, period", [
-        ((0.5, 1.9), ()),
-        ((1.0,), ()),
-        ((), (Fraction(1),)),
-        ("1a", ""),
-        ("", "0 1"),
-        ((2,), ()),
-        ((-1,), ()),
-        (("01",), ()),
-        ((None,), ()),
-        ((48, 49), ()),
-        ((1, "0", 0.0), ()),
-        (("1", 2), ()),
-        ((True, "x"), ()),
+    # Each part is '0'/'1' text: other characters raise ValueError, and
+    # anything but a str, sequences of bits included, raises TypeError.
+    @pytest.mark.parametrize("head, period, error", [
+        ((0.5, 1.9), "", TypeError),
+        ((1.0,), "", TypeError),
+        ("", (Fraction(1),), TypeError),
+        ("1a", "", ValueError),
+        ("", "0 1", ValueError),
+        ((2,), "", TypeError),
+        ((-1,), "", TypeError),
+        (("01",), "", TypeError),
+        ((None,), "", TypeError),
+        ((48, 49), "", TypeError),
+        ((1, "0", 0.0), "", TypeError),
+        (("1", 2), "", TypeError),
+        ((True, "x"), "", TypeError),
+        ((1, 0), "", TypeError),
+        ("", [0, 1], TypeError),
+        (b"01", "", TypeError),
+        (None, "", TypeError),
+        ("2", "", ValueError),
+        ("-1", "", ValueError),
+        ("1.0", "", ValueError),
+        ("\x00\x01", "", ValueError),
     ], ids=["floats", "integral-float", "fraction", "letter", "space", "two", "minus-one",
             "two-characters", "none", "character-codes", "mixed-float", "mixed-two",
-            "mixed-letter"])
-    def test_rejects_anything_but_bits(self, head, period):
-        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            "mixed-letter", "int-tuple", "int-list", "bytes", "none-part", "text-two",
+            "text-minus-one", "text-float", "text-character-codes"])
+    def test_rejects_anything_but_bits(self, head, period, error):
+        message = "^bits must be 0 or 1$" if error is ValueError else "^bits must be a str"
+        with pytest.raises(error, match=message):
             BinaryWord(head, period)
 
-    def test_accepts_ints_bools_and_characters(self):
-        expected = BinaryWord((1, 0, 1), (0, 1))
-        assert BinaryWord((True, False, True), [False, True]) == expected
-        assert BinaryWord("101", "01") == expected
-        assert BinaryWord(("1", "0", "1"), iter((0, 1))) == expected
-        assert BinaryWord((1, "0", True), ("0", 1)) == expected
-        assert BinaryWord((True, "0", 1), [False, "1"]) == expected
+    def test_reads_text_position_one_first(self):
+        w = BinaryWord("1011", "10")
+        assert w == BinaryWord.from_masks(0b1101, 4, 0b01, 2)
+        assert (w.head, w.period) == ("1011", "10")
+        assert repr(w) == "BinaryWord(head='1011', period='10')"
+        assert BinaryWord() == BinaryWord("", "") == BinaryWord.from_masks(0, 0)
 
     def test_from_masks_rejects_bits_past_the_length(self):
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
             BinaryWord.from_masks(0b100, 2)
         with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
             BinaryWord.from_masks(0, 0, 0b10, 1)
+
+
+def assert_repr_round_trips(w: BinaryWord):
+    assert eval(repr(w)) == w
+    assert BinaryWord(w.head, w.period) == w
+
+
+def test_repr_round_trips_on_short_and_seeded_words():
+    short = {BinaryWord(*hp) for hp in SHORT}
+    for w in short:
+        assert_repr_round_trips(w)
+    rng = random.Random(1618)
+    for _ in range(200):
+        assert_repr_round_trips(BinaryWord(*random_parts(rng, 30, 23)))
+    tails = [w for w in short if w.period in ("", "1")]
+    for excluded, tail in product(short, tails):
+        e = EventualDescriptor(excluded, tail)
+        assert eval(repr(e)) == e
