@@ -5,16 +5,15 @@ from .bratteli import (
     EventualDescriptor,
     FiniteDescriptor,
     WidthMismatchError,
+    first_disagreement,
     ideal_closure,
     is_ideal,
     level_set,
     qi_diagram,
-    serialize_diagram,
     to_finite,
 )
 from .exact import (
     BinaryWord,
-    format_word,
     pow2,
     word_weight,
     word_xor,
@@ -28,7 +27,6 @@ from .metrics import (
     d_beta,
     d_beta_truncated,
     d_phi,
-    first_disagreement,
 )
 from .qi import (
     ClosedSubsetQI,

@@ -154,6 +154,8 @@ class FiniteDescriptor:
         for n, s in enumerate(sets, 1):
             mask = 0
             for k in s:
+                if type(k) is not int:
+                    raise ValueError(f"non-int index {k!r} at level {n}")
                 if k < 1:
                     raise ValueError(f"nonpositive index at level {n}")
                 mask |= 1 << (k - 1)
@@ -360,13 +362,3 @@ def to_finite(e: EventualDescriptor, depth: int) -> FiniteDescriptor:
     kept, tail = ~e.excluded.prefix(depth), e.tail.prefix(depth)
     levels = [kept & ((1 << p) - 1) | tail & 1 << p for p in range(depth)]
     return FiniteDescriptor._of_masks(levels)
-
-
-def serialize_diagram(d: BratteliDiagram) -> str:
-    lines = []
-    for n in range(1, d.depth + 1):
-        lines.append("dims: " + " ".join(str(x) for x in d.dims(n)))
-        if n < d.depth:
-            parts = [f"{k}>{j}:{m}" for (k, j), m in sorted(d.edges(n).items())]
-            lines.append("edges: " + " ".join(parts))
-    return "\n".join(lines) + "\n"

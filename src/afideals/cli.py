@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bratteli import qi_diagram, serialize_diagram, to_finite
+from .bratteli import qi_diagram, to_finite
 from .metrics import (
     MalformedComparisonError,
     closed_form_dbeta,
@@ -213,9 +213,14 @@ def cmd_diagram(args) -> int:
             for (k, j), m in sorted(d.edges(n).items()):
                 lines.append(f'  "v{n}_{k}" -> "v{n + 1}_{j}" [label="{m}"];')
         lines.append("}")
-        print("\n".join(lines))
     else:
-        sys.stdout.write(serialize_diagram(d))
+        lines = []
+        for n in range(1, d.depth + 1):
+            lines.append("dims: " + " ".join(map(str, d.dims(n))))
+            if n < d.depth:
+                edges = sorted(d.edges(n).items())
+                lines.append("edges: " + " ".join(f"{k}>{j}:{m}" for (k, j), m in edges))
+    print("\n".join(lines))
     return 0
 
 

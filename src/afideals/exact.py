@@ -300,7 +300,3 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     length = w._period_len or 1
     num, den = _weight(w.prefix(skip + h + length) >> skip, h, length, base)
     return Fraction(num, den * base**skip)
-
-
-def format_word(w: BinaryWord) -> str:
-    return f"head={w.head};period={w.period}"

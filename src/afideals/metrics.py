@@ -65,6 +65,17 @@ ideal of the algebra to the closed set where it vanishes, d_phi and d_beta
 therefore both metrize the Fell topology of the ideal space.  No constant
 bounds d_H by d_beta: {x_k} against {x_k, 0} has d_H = 6 * 2**k * d_beta,
 so d_beta is uniformly but not Lipschitz equivalent to d_H.
+
+Digit lemma: d_beta = sum of c_k 4**-k over k >= 1, with digits
+c_k = D_k + Delta_k in {0, 1, 2}, and two pairs of descriptors have equal
+d_beta exactly when their digit words c agree.  Let c and c' first differ
+at k.  Their k-th terms differ by at least 4**-k, while the digits are
+below 3, so the rest adds at most 2 (4**-(k+1) + 4**-(k+2) + ...)
+= (2/3) 4**-k: the values differ by at least (1/3) 4**-k.  So a d_beta
+value and its digit word determine each other.  On the 175 nonempty sets
+with heads <= 4 and periods <= 3, d_beta takes 663 values on the 15,225
+pairs, one per digit word, against 26 for d_H and 8 for d_phi
+(tests/test_metrics.py::test_how_much_each_metric_resolves).
 """
 
 from __future__ import annotations

@@ -15,20 +15,7 @@ import sys
 from fractions import Fraction
 
 from .bratteli import EventualDescriptor, first_disagreement, level_set
-from .exact import BinaryWord, first_outside, format_word, pow2
-
-__all__ = [
-    "ClosedSubsetQI",
-    "EmptySetError",
-    "DescriptorConventionError",
-    "point_distance",
-    "hausdorff",
-    "ideal_of_closed_set",
-    "closed_set_of_ideal",
-    "parse_closed_set",
-    "format_closed_set",
-    "clip",
-]
+from .exact import BinaryWord, first_outside, pow2
 
 # Largest closed-set literal parse_closed_set accepts, in bits: head plus
 # period of a word, or the largest point index of a point list.  At this
@@ -266,4 +253,4 @@ def format_closed_set(s: ClosedSubsetQI) -> str:
             parts.append("0")
         if parts:
             return ",".join(parts)
-    return format_word(s.word)
+    return f"head={s.word.head};period={s.word.period}"

@@ -11,13 +11,12 @@ from afideals.bratteli import (
     is_ideal,
     level_set,
     qi_diagram,
-    serialize_diagram,
     to_finite,
 )
 from afideals.exact import BinaryWord
 from afideals.metrics import descriptor
 from afideals.qi import ideal_of_closed_set, parse_closed_set
-from bits import bit_strings, random_bits
+from bits import all_words, random_bits
 
 
 def brute_closure(d, seed):
@@ -200,6 +199,18 @@ class TestLevelAccessors:
     def test_descriptor_rejects_nonpositive_index(self, levels):
         with pytest.raises(ValueError, match="^nonpositive index at level 2$"):
             FiniteDescriptor(levels)
+
+    # Indices that int() or a shift would truncate, parse or crash on are refused.
+    @pytest.mark.parametrize("levels, message", [
+        ([[True, 2]], "non-int index True at level 1"),
+        ([[2.0]], "non-int index 2.0 at level 1"),
+        ([["1"]], "non-int index '1' at level 1"),
+        ([(1,), (1, False)], "non-int index False at level 2"),
+    ], ids=["bool", "float", "text", "bool-at-level-2"])
+    def test_descriptor_rejects_non_int_index(self, levels, message):
+        with pytest.raises(ValueError) as info:
+            FiniteDescriptor(levels)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     @pytest.mark.parametrize("n", [0, 4, -1])
     def test_descriptor_sets_rejects_out_of_range(self, n):
@@ -432,12 +443,6 @@ class TestLevelSet:
             level_set(ideal_of_closed_set(parse_closed_set("1/2")), 0)
 
 
-def all_words(max_head: int, max_period: int) -> set:
-    """Every canonical word with head and period at most these lengths."""
-    return {BinaryWord(head, period)
-            for head in bit_strings(max_head) for period in bit_strings(max_period)}
-
-
 class TestToFinite:
     DEPTHS = (1, 2, 7, 32)
 
@@ -524,8 +529,3 @@ def test_eventual_descriptor_prefix_ideal_extends():
             assert is_ideal(d, to_finite(e, 64))
     assert found > 10
 
-
-class TestSerialization:
-    def test_diagram_format_shape(self):
-        text = serialize_diagram(qi_diagram(2))
-        assert text == "dims: 1\nedges: 1>1:1 1>2:1\ndims: 1 1\n"

@@ -44,7 +44,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
-from bits import bit_strings
+from bits import short_sets
 
 
 def reference_member_values(s, upto):
@@ -70,13 +70,6 @@ def reference_brute_directed(a, b, depth):
     if a.contains_zero:
         best = max(best, point_distance(None, b))
     return best
-
-
-def short_sets():
-    """Every set whose word has head <= 4 and period <= 3, with and without
-    0; the empty set is among them."""
-    words = {BinaryWord(head, period) for head in bit_strings(4) for period in bit_strings(3)}
-    return sorted({ClosedSubsetQI(w, z) for w in words for z in (False, True)}, key=repr)
 
 
 def seeded_sets():

@@ -5,8 +5,8 @@ Every function and method defined in `src/afideals` must be named somewhere
 in the library outside its own body: a function by a name or an attribute,
 a method (a `def` directly in a class body) by an attribute only, since a
 bare name such as a same-named parameter is not a call to it.  The
-package's `__init__` re-exports, `__all__` strings and implicitly called
-dunder methods do not count.  The few that no library code names are
+package's `__init__` re-exports and implicitly called dunder methods do
+not count.  The few that no library code names are
 listed in ALLOWED with the reason each stays, and the list must match the
 scan exactly, so an entry goes once its function is called or deleted.
 
@@ -17,6 +17,10 @@ skip its first parameter, and a class's calls are the calls of its
 `__init__`.  A `*args` reaches every positional parameter from its place
 on, a `**kwargs` every parameter.  The defaults no library call passes are
 listed in ALLOWED_DEFAULTS, which must match that scan exactly too.
+
+The package's `__init__` imports is its one list of public names: no
+module assigns `__all__`, and `__init__` imports each name from the module
+that defines it, not through a module that imports it in turn.
 """
 
 import ast
@@ -126,6 +130,38 @@ def unpassed_defaults(package: Path) -> set:
     return unpassed
 
 
+def defined_names(tree: ast.Module) -> set:
+    """Names a module's top level binds by `def`, `class` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def second_name_lists(package: Path) -> set:
+    """`module.__all__` for each module that assigns `__all__`, and
+    `from .module import name` for each name the package's `__init__`
+    imports from a module that does not define it."""
+    found, defined = set(), {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined[path.stem] = defined_names(tree)
+        for node in ast.walk(tree):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                found.add(f"{path.stem}.__all__")
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {f"from .{node.module} import {alias.name}" for alias in node.names
+                      if alias.name not in defined[node.module]}
+    return found
+
+
 def test_every_library_function_is_named():
     assert unnamed_functions(PACKAGE) == set(ALLOWED)
 
@@ -162,3 +198,26 @@ def test_an_unpassed_default_is_found(tmp_path):
         "never(1)\nBox(5).grow(2)\n",
         encoding="utf-8")
     assert unpassed_defaults(tmp_path) == {"defaults.never(unused)"}
+
+
+def test_one_list_of_public_names():
+    assert second_name_lists(PACKAGE) == set()
+
+
+def test_a_second_name_list_is_found(tmp_path):
+    (tmp_path / "helpers.py").write_text(
+        "__all__ = ['used']\n\n\n"
+        "def used():\n    return 1\n\n\n"
+        "class Box:\n    pass\n\n\n"
+        "LIMIT: int = 2\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "from .helpers import used\n\n\n"
+        "def spare():\n    global __all__\n    __all__ += ['spare']\n\n\n"
+        "NAMES = ['spare']\n",
+        encoding="utf-8")
+    (tmp_path / "__init__.py").write_text(
+        "from .helpers import LIMIT, Box, used\nfrom .other import NAMES, spare, used\n",
+        encoding="utf-8")
+    assert second_name_lists(tmp_path) == {"helpers.__all__", "other.__all__",
+                                           "from .other import used"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import EventualDescriptor, level_set
+from afideals.bratteli import EventualDescriptor, first_disagreement, level_set
 from afideals.checks import random_ideal, random_mask
 from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
@@ -18,7 +18,6 @@ from afideals.metrics import (
     d_phi,
     descriptor,
     descriptors,
-    first_disagreement,
     settles,
 )
 from afideals.qi import (
@@ -29,7 +28,7 @@ from afideals.qi import (
     ideal_of_closed_set,
     parse_closed_set,
 )
-from bits import bit_strings, random_bits
+from bits import random_bits, short_sets
 
 
 def truncation_oracle(i, j, depth: int) -> Fraction:
@@ -80,6 +79,8 @@ def table(m: int, k: int = 0) -> EventualDescriptor:
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
 VANISH_AT_ZERO = ideal_of_closed_set(parse_closed_set("0"))
+# The 175 nonempty closed sets whose words have heads <= 4 and periods <= 3.
+SMALL_SETS = [s for s in short_sets() if not s.is_empty()]
 
 
 class TestCertifiedValue:
@@ -355,7 +356,7 @@ def test_beta_over_phi_peaks_at_five_thirds():
     over k >= max(m - 1, 1) plus that of 4**-p over p >= m: 5/3 d_phi at
     m = 2, less at every other m.  The short sets attain 5/3 at {1} against
     head=0;period=1."""
-    ideals = [ideal_of_closed_set(s) for s in small_closed_sets()]
+    ideals = [ideal_of_closed_set(s) for s in SMALL_SETS]
     assert len(ideals) == 175
     ratios = [d_beta(i, j) / d_phi(i, j) for i, j in product(ideals, repeat=2) if i != j]
     assert max(ratios) == Fraction(5, 3)
@@ -374,7 +375,7 @@ def test_metric_comparison_constants():
         i, j = ideal_of_closed_set(s), ideal_of_closed_set(t)
         return hausdorff(s, t), d_phi(i, j), d_beta(i, j)
 
-    for s, t in combinations(small_closed_sets(), 2):
+    for s, t in combinations(SMALL_SETS, 2):
         h, phi, beta = values(s, t)
         assert 2 * phi <= h <= 4 * phi and 4 * beta <= 3 * h, (s, t)
         assert 4 * phi**2 <= 3 * beta and h**2 <= 12 * beta, (s, t)
@@ -390,13 +391,45 @@ def test_metric_comparison_constants():
         assert h**2 == 12 * beta and h == 6 * 2**k * beta, k
 
 
+def test_how_much_each_metric_resolves():
+    """Over the 15,225 unordered pairs of the short sets: how many distinct
+    values each metric takes, and how many pairs share its most common
+    value.  d_beta refines neither other metric, nor does either refine it:
+    486 of its fibres hold more than one d_H value and 75 more than one
+    d_phi value.  Its values and the digit words c_k = D_k + Delta_k
+    correspond one to one, as the digit lemma in the `metrics` docstring
+    says; 24 digits decide every pair here."""
+    ideals = [ideal_of_closed_set(s) for s in SMALL_SETS]
+    values = {"phi": {}, "hausdorff": {}, "beta": {}}
+    words, digits_of = {}, {}
+    for (s, i), (t, j) in combinations(zip(SMALL_SETS, ideals), 2):
+        h, phi, beta = hausdorff(s, t), d_phi(i, j), d_beta(i, j)
+        for name, value in (("phi", phi), ("hausdorff", h), ("beta", beta)):
+            values[name].setdefault(value, []).append((h, phi))
+        d = i.excluded.prefix(24) ^ j.excluded.prefix(24)
+        delta = i.tail.prefix(24) ^ j.tail.prefix(24)
+        c = tuple((d >> k & 1) + (delta >> k & 1) for k in range(24))
+        words.setdefault(beta, set()).add(c)
+        digits_of.setdefault(c, set()).add(beta)
+    assert sum(map(len, values["beta"].values())) == 15_225
+    resolved = {name: (len(fibres), max(map(len, fibres.values())))
+                for name, fibres in values.items()}
+    assert resolved == {"phi": (8, 7_743), "hausdorff": (26, 4_076), "beta": (663, 95)}
+    fibres = values["beta"].values()
+    assert sum(len({h for h, _ in pairs}) > 1 for pairs in fibres) == 486
+    assert sum(len({phi for _, phi in pairs}) > 1 for pairs in fibres) == 75
+    assert len(words) == len(digits_of) == 663
+    assert all(len(c) == 1 for c in words.values())
+    assert all(len(beta) == 1 for beta in digits_of.values())
+
+
 def test_whole_algebra_is_isolated():
     """The whole algebra, the ideal of the empty set, lies at d_phi = 1/2,
     the global bound, from the ideal of every nonempty short set: it differs
     from each at level 1.  Its d_beta to them ranges over [1/3, 2/3], least
     at {0} and greatest at the zero ideal head=;period=1."""
     beta = {}
-    for s in small_closed_sets():
+    for s in SMALL_SETS:
         e = ideal_of_closed_set(s)
         assert e != FULL and d_phi(FULL, e) == Fraction(1, 2), s
         beta[s] = d_beta(FULL, e)
@@ -476,14 +509,6 @@ def test_settles_matches_xor_word():
     assert seen == {True, False}
 
 
-def small_closed_sets() -> list:
-    """Every nonempty closed set whose word has a head of at most 4 bits and
-    a period of at most 3."""
-    words = {BinaryWord(head, period) for head in bit_strings(4) for period in bit_strings(3)}
-    sets = {ClosedSubsetQI(w, zero) for w in words for zero in (False, True)}
-    return sorted((s for s in sets if not s.is_empty()), key=repr)
-
-
 def level_masks(e: EventualDescriptor, depth: int) -> list:
     """Levels 1..depth of e, each as the integer sum of 2**(depth-k) over its indices k."""
     return [sum(1 << (depth - k) for k in level_set(e, p)) for p in range(1, depth + 1)]
@@ -521,7 +546,7 @@ def test_exhaustive_small_sets_against_level_sets():
     # Excluded words with heads <= 4 and joint periods <= 6 differ first by
     # position 10, and tail words (0 up to a last point <= 4, then 1) by 5,
     # so every disagreement shows by level 11.
-    sets = small_closed_sets()
+    sets = SMALL_SETS
     assert len(sets) == 175
     ideals = [ideal_of_closed_set(s) for s in sets]
     masks = [level_masks(e, 16) for e in ideals]

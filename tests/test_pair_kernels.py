@@ -30,7 +30,9 @@ from afideals.qi import (
     ideal_of_closed_set,
     parse_closed_set,
 )
-from test_check_oracles import SHORT
+from bits import short_sets
+
+SHORT = short_sets()
 
 
 def reference_first_hit(u, v, hits):

@@ -18,7 +18,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
-from bits import bit_strings
+from bits import all_words
 
 
 def enumerate_values(s: ClosedSubsetQI, depth: int):
@@ -40,12 +40,6 @@ def random_bits(rng, n: int, one: bool = False) -> str:
     if one and "1" not in bits:
         bits[rng.randrange(n)] = "1"
     return "".join(bits)
-
-
-def all_words(max_head: int, max_period: int) -> set:
-    """Every canonical word with head and period at most these lengths."""
-    return {BinaryWord(head, period)
-            for head in bit_strings(max_head) for period in bit_strings(max_period)}
 
 
 class TestPointIndex:
