@@ -54,9 +54,10 @@ def _lazy_import(name: str):
 # benchmarks/run.py looks it up in sys.modules after importing only `cli`.
 checks = _lazy_import(f"{__package__}.checks")
 
-# qi_diagram builds O(depth**2) edges, about 0.4 s at this depth, so larger
-# depths are refused rather than left to run; a truncated d_beta at this
-# depth takes about 0.5 ms (best of 5, Python 3.11, shared 2-vCPU host).
+# qi_diagram builds O(depth**2) edges, 0.25-0.38 s at this depth (in-process,
+# best of 3), so larger depths are refused rather than left to run; a
+# truncated d_beta at this depth takes 0.03-0.06 ms (best of 5 x 100).
+# Python 3.11.7 on 2 shared x86_64 vCPUs; the ranges are the host's drift.
 MAX_DEPTH = 1024
 
 # The decimal column goes through str(), which converts at most 4300 digits
@@ -105,16 +106,6 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)}") from None
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliUsageError(f"environment variable {name} must be an integer, got {clip(raw)}")
 
 
 def _decimal(x: Fraction, digits: int) -> str:
@@ -249,8 +240,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     `command` names none (None, an option, a typo), argparse may hand the
     rest of the line to any subcommand, so all of them get their options.
     """
-    # --depth and --seed default to None; main fills them in from the
-    # environment, so a variable is read only by the commands it configures.
     parser = _Parser(prog="afideals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
@@ -259,7 +248,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     def add_common(p, depth_help=None):
         p.add_argument("--convention", choices=("paper", "derived"), default="derived")
-        p.add_argument("--depth", type=_int, help=depth_help)
+        p.add_argument("--depth", type=_int, default=32, help=depth_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     if p := parsers.get("distance"):
@@ -282,12 +271,12 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_descriptor)
 
     if p := parsers.get("diagram"):
-        p.add_argument("--depth", type=_int)
+        p.add_argument("--depth", type=_int, default=32)
         p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
         p.set_defaults(func=cmd_diagram)
 
     if p := parsers.get("check"):
-        p.add_argument("--seed", type=_int)
+        p.add_argument("--seed", type=_int, default=0)
         p.set_defaults(func=cmd_check)
 
     return parser
@@ -311,10 +300,6 @@ def main(argv=None) -> int:
 def _run(argv: list) -> int:
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-        if getattr(args, "depth", 1) is None:
-            args.depth = _env_int("AFIDEALS_DEPTH", 32)
-        if getattr(args, "seed", 0) is None:
-            args.seed = _env_int("AFIDEALS_SEED", 0)
         if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
             raise CliUsageError(
                 f"depth must be between 1 and {MAX_DEPTH}, got {clip(str(args.depth), str)}")

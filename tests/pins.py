@@ -14,25 +14,15 @@ file after a deliberate change, which CHANGES.md then records.
 import argparse
 import contextlib
 import io
-import os
 import sys
 
 from afideals.cli import main as cli_main
 
-# Variables the CLI reads; a captured call runs without them.
-CLI_VARIABLES = ("AFIDEALS_DEPTH", "AFIDEALS_SEED")
-
-
 def capture(argv) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI call, made with
-    CLI_VARIABLES unset."""
-    saved = {name: os.environ.pop(name) for name in CLI_VARIABLES if name in os.environ}
+    """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli_main(list(argv))
-    finally:
-        os.environ.update(saved)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_main(list(argv))
     return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -313,15 +313,11 @@ class TestDiagram:
         assert code == 1
         assert "error" in err
 
-    def test_rejects_depth_above_cap(self, capsys, monkeypatch):
+    def test_rejects_depth_above_cap(self, capsys):
         # Rejected before any diagram is built, so this stays fast.
         code, out, err = run(capsys, "diagram", "--depth", str(MAX_DEPTH + 1))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and str(MAX_DEPTH) in err
-        monkeypatch.setenv("AFIDEALS_DEPTH", "100000")
-        code, out, err = run(capsys, "diagram")
-        assert (code, out) == (1, "")
-        assert err.startswith("error:")
 
 
 class TestCheck:
@@ -445,36 +441,18 @@ class TestUsage:
                   for a in p._actions if a.help == argparse.SUPPRESS]
         assert hidden == []
 
-    def test_env_depth_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("AFIDEALS_DEPTH", "2")
-        code, out, _ = run(capsys, "descriptor", "0")
-        assert code == 0
-        assert len(out.splitlines()) == 2
-
-    def test_env_depth_must_be_int(self, capsys, monkeypatch):
-        monkeypatch.setenv("AFIDEALS_DEPTH", "two")
-        code, _, err = run(capsys, "diagram")
-        assert code == 1
-        assert "AFIDEALS_DEPTH" in err
-
-    def test_env_seed_must_be_int(self, capsys, monkeypatch):
-        monkeypatch.setenv("AFIDEALS_SEED", "x")
-        assert run(capsys, "check") == (
-            1, "", "error: environment variable AFIDEALS_SEED must be an integer, got 'x'\n")
-
-    def test_unused_env_is_ignored(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("bare, explicit", [
+        (["check"], ["check", "--seed", "0"]),
+        (["diagram"], ["diagram", "--depth", "32"]),
+        (["descriptor", "1/2"], ["descriptor", "--depth", "32", "1/2"]),
+        (["distance", "--metric", "beta", "head=;period=10", ""],
+         ["distance", "--metric", "beta", "--depth", "32", "head=;period=10", ""]),
+    ], ids=["check", "diagram", "descriptor", "distance"])
+    def test_defaults_come_from_the_parser(self, capsys, monkeypatch, bare, explicit):
+        # The CLI reads no environment: former default variables change nothing.
         monkeypatch.setenv("AFIDEALS_DEPTH", "x")
-        code, out, err = run(capsys, "paper-table")
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1] == "1 2 1 3/8 1/4 37/128"
-        # an explicit flag leaves the variable unread as well
-        code, out, err = run(capsys, "descriptor", "--depth", "2", "0")
-        assert (code, out, err) == (0, "u_1 = {}\nu_2 = {1}\n", "")
-        monkeypatch.delenv("AFIDEALS_DEPTH")
         monkeypatch.setenv("AFIDEALS_SEED", "x")
-        code, out, err = run(capsys, "distance", "1/2", "1/4,1/8")
-        assert (code, err) == (0, "")
-        assert out.splitlines() == ["hausdorff: 3/8", "phi: 1/8", "beta: 13/128"]
+        assert run(capsys, *bare) == run(capsys, *explicit)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         # main picks the subcommand to build from sys.argv when given no argv
@@ -542,8 +520,8 @@ class TestNamedParser:
 
 
 class TestLongValues:
-    """An option or environment value is echoed whole only while short; a long
-    one is shown by its start and length, so no error line passes 200 characters."""
+    """An option value is echoed whole only while short; a long one is shown
+    by its start and length, so no error line passes 200 characters."""
 
     @pytest.mark.parametrize("argv, err", [
         (("distance", "--depth", "abc", "1/2", "1/4"),
@@ -587,20 +565,6 @@ class TestLongValues:
             "decimal-range", "metric-choice", "convention-choice"])
     def test_long_values_clipped(self, capsys, argv, err):
         assert run(capsys, *argv) == (1, "", f"error: {err}\n")
-
-    @pytest.mark.parametrize("name, value, err", [
-        ("AFIDEALS_DEPTH", "x", "environment variable AFIDEALS_DEPTH must be an integer, got 'x'"),
-        ("AFIDEALS_DEPTH", "x" * 5000, "environment variable AFIDEALS_DEPTH must be an integer, "
-                                       "got 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
-        ("AFIDEALS_DEPTH", BIG,
-         "depth must be between 1 and 1024, got 999999999999999999999999... (4000 characters)"),
-        ("AFIDEALS_SEED", NINES, "environment variable AFIDEALS_SEED must be an integer, "
-                                 "got '999999999999999999999999'... (5000 characters)"),
-    ], ids=["depth-short", "depth-int", "depth-range", "seed-int"])
-    def test_environment_values(self, capsys, monkeypatch, name, value, err):
-        monkeypatch.setenv(name, value)
-        command = "check" if name == "AFIDEALS_SEED" else "diagram"
-        assert run(capsys, command) == (1, "", f"error: {err}\n")
 
     def test_long_argparse_messages_keep_their_start(self, capsys):
         code, out, err = run(capsys, "distance", "--json=" + "1" * 3000, "1/2", "1/4")

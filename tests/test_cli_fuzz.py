@@ -4,10 +4,13 @@ input must end in exit 1 or 3 with one `error:` line, never a traceback.
 Each argv mixes the closed-set grammar's atoms, every option and
 subcommand, integers past the 4,300 digits int() reads, full-width and
 Arabic-Indic digits (which int() accepts in numeric options and the point
-grammar, ASCII digits only, refuses) and
-literals one bit past the 2,048-bit cap.  Depths stay small, so `diagram`
-and `descriptor` print little, and `check` is drawn rarely, since one run
-takes tens of milliseconds.
+grammar, ASCII digits only, refuses) and literals one bit past the
+2,048-bit cap.  `check` is drawn rarely, since one run takes tens of
+milliseconds.
+
+Each stderr line is held to README's 200 characters.  Stdout has no such
+bound: a successful command's lines grow with depth, and a bare `diagram`,
+at the default depth 32, prints a 244-character `edges:` line.
 """
 
 import contextlib
@@ -57,8 +60,6 @@ GRAMMAR = {
 FLAGS = ["--json", "--dot", "--help", "-h", "--", "-x", "--unknown", "--" + "z" * 300,
          "--dec", "--dep", "--met", "--con", "--s"]
 COMMANDS = ["", "dist", "check-", "Distance", "x" * 300, HUGE]
-ENV_DEPTHS = (["4", "٣"], ["0", "x", HUGE])
-ENV_SEEDS = ([None, "1"], ["x", HUGE])
 
 
 def pick(rng: random.Random, pool: tuple) -> str:
@@ -99,26 +100,20 @@ def random_argv(rng: random.Random) -> list:
     return argv
 
 
-def call(argv, monkeypatch, rng) -> tuple:
-    """(exit code, stdout, stderr) of one call, with random CLI variables."""
-    monkeypatch.setenv("AFIDEALS_DEPTH", pick(rng, ENV_DEPTHS))
-    seed = pick(rng, ENV_SEEDS)
-    if seed is None:
-        monkeypatch.delenv("AFIDEALS_SEED", raising=False)
-    else:
-        monkeypatch.setenv("AFIDEALS_SEED", seed)
+def call(argv) -> tuple:
+    """(exit code, stdout, stderr) of one call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_random_command_lines_never_escape(monkeypatch):
+def test_random_command_lines_never_escape():
     rng = random.Random(2049)
     codes, ran = set(), set()
     for _ in range(CASES):
         argv = random_argv(rng)
-        rc, out, err = call(argv, monkeypatch, rng)
+        rc, out, err = call(argv)
         shown = [a[:40] for a in argv]
         assert rc in (0, 1, 3), (shown, rc, err[:300])
         if rc:
@@ -126,7 +121,7 @@ def test_random_command_lines_never_escape(monkeypatch):
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (shown, err[:300])
         else:
             assert not err, shown
-        longest = max(map(len, (out + err).splitlines()), default=0)
+        longest = max(map(len, err.splitlines()), default=0)
         assert longest <= LINE_LIMIT, (shown, longest)
         codes.add(rc)
         if rc == 0 and not {"-h", "--help"} & set(argv):

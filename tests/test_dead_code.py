@@ -21,6 +21,9 @@ listed in ALLOWED_DEFAULTS, which must match that scan exactly too.
 The package's `__init__` imports is its one list of public names: no
 module assigns `__all__`, and `__init__` imports each name from the module
 that defines it, not through a module that imports it in turn.
+
+No module reads the process environment, so the CLI's settings come from
+its argv alone and each default has one home, its argparse option.
 """
 
 import ast
@@ -162,6 +165,25 @@ def second_name_lists(package: Path) -> set:
     return found
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(package: Path) -> set:
+    """`module: os.name` for each attribute read of the environment through
+    `os`, and `module: from os import name` for each such import, in every
+    module of the package."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.add(f"{path.stem}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found |= {f"{path.stem}: from os import {alias.name}" for alias in node.names
+                          if alias.name in ENVIRONMENT_READS}
+    return found
+
+
 def test_every_library_function_is_named():
     assert unnamed_functions(PACKAGE) == set(ALLOWED)
 
@@ -221,3 +243,24 @@ def test_a_second_name_list_is_found(tmp_path):
         encoding="utf-8")
     assert second_name_lists(tmp_path) == {"helpers.__all__", "other.__all__",
                                            "from .other import used"}
+
+
+def test_no_module_reads_the_environment():
+    assert environment_reads(PACKAGE) == set()
+
+
+def test_an_environment_read_is_found(tmp_path):
+    (tmp_path / "settings.py").write_text(
+        "import os\nfrom os import environ, getenvb as read, path\n\n"
+        "HOME = os.environ.get('HOME')\n\n\n"
+        "def depth():\n    return os.getenv('DEPTH'), os.environb, os.path.sep, os.getpid()\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "environ = {}\n\n\n"
+        "def seed(config):\n    return environ.get('SEED'), config.getenv('SEED')\n",
+        encoding="utf-8")
+    (tmp_path / "__init__.py").write_text("from os import getenv\n", encoding="utf-8")
+    assert environment_reads(tmp_path) == {
+        "settings: os.environ", "settings: os.getenv", "settings: os.environb",
+        "settings: from os import environ", "settings: from os import getenvb",
+        "__init__: from os import getenv"}
