@@ -18,6 +18,7 @@ import sys
 
 from afideals.cli import main as cli_main
 
+
 def capture(argv) -> dict:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()

@@ -449,7 +449,7 @@ class TestUsage:
          ["distance", "--metric", "beta", "--depth", "32", "head=;period=10", ""]),
     ], ids=["check", "diagram", "descriptor", "distance"])
     def test_defaults_come_from_the_parser(self, capsys, monkeypatch, bare, explicit):
-        # The CLI reads no environment: former default variables change nothing.
+        # Variables named after the settings are not read: each default is the parser's.
         monkeypatch.setenv("AFIDEALS_DEPTH", "x")
         monkeypatch.setenv("AFIDEALS_SEED", "x")
         assert run(capsys, *bare) == run(capsys, *explicit)
