@@ -14,15 +14,22 @@ file after a deliberate change, which CHANGES.md then records.
 import argparse
 import contextlib
 import io
+import os
 import sys
+from unittest import mock
 
 from afideals.cli import main as cli_main
 
 
 def capture(argv) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI call."""
+    """Exit code, stdout and stderr of one in-process CLI call.
+
+    COLUMNS is 80 during the call, since argparse wraps --help to the
+    terminal's width.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli_main(list(argv))
     return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -5,8 +5,10 @@ list in CASES.  The cases cover every subcommand, both conventions (the paper's
 singletons and pairs also as word literals, with points past index 1,000),
 `--json`/`--decimal`, the interval fallback of beta, a 127/113 period
 pair, a 2,048-bit head, each error exit (1 and 3), argparse messages cut to
-their start and length, and `check --seed 1`.  A change that alters any of
-these bytes fails here.  `check`'s FAIL transcript is covered by the
+their start and length, `check --seed 1`, and the seven `--help` texts (the
+top-level one, each subcommand's, and `--help distance`, which prints the
+top-level one) at 80 columns.  A change that alters any of these bytes
+fails here.  `check`'s FAIL transcript is covered by the
 mutation tests in `test_check_oracles.py`.
 
 The module needs no pytest (see `pins.py`):
@@ -72,6 +74,13 @@ CASES = (
     ("distance", "--json=" + "1" * 3000, "1/2", "1/4"),
     ("distance", "1/2", "1/4") + tuple(f"--x{i}" for i in range(100)),
     (),
+    ("-h",),
+    ("distance", "-h"),
+    ("paper-table", "-h"),
+    ("descriptor", "-h"),
+    ("diagram", "-h"),
+    ("check", "-h"),
+    ("--help", "distance"),
     ("paper-table",),
     ("paper-table", "--json"),
     ("descriptor", "1/2"),
