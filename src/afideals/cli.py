@@ -235,15 +235,23 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's parser, listing every subcommand but giving options only to
     `command`'s.
 
-    A line whose first token names a subcommand reaches no other
-    subcommand's parser, so main builds only that one's options.  When
-    `command` names none (None, an option, a typo), argparse may hand the
-    rest of the line to any subcommand, so all of them get their options.
+    argparse hands the whole line after a subcommand's name to that
+    subcommand's parser, so a line whose first token names one reaches no
+    other.  When `command` names one, the other four are bare entries, built
+    without -h or options: the invalid-choice message reads their names and
+    the top-level --help their help lines, both from the subparsers action,
+    never from the entries themselves.  When `command` names none (None, an
+    option, a typo), argparse may hand the rest of the line to any
+    subcommand, so all of them get -h and their options.
     """
     parser = _Parser(prog="afideals", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
-    if command in parsers:
+    # argparse would format the top-level usage without positionals to get
+    # this prefix of the subcommands' progs.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    named = command in _COMMANDS
+    parsers = {name: sub.add_parser(name, help=text, add_help=not named or name == command)
+               for name, text in _COMMANDS.items()}
+    if named:
         parsers = {command: parsers[command]}
 
     def add_common(p, depth_help=None):

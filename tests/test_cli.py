@@ -17,6 +17,7 @@ from afideals.bratteli import level_set
 from afideals.cli import MAX_DEPTH, CliUsageError, _HelpShown, build_parser, main
 from afideals.metrics import d_beta, descriptor
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
+import pins
 from test_cli_fuzz import random_argv
 
 COVERS = "error: paper convention covers only singletons and pairs of isolated points\n"
@@ -492,31 +493,93 @@ def outcome(parser, argv) -> tuple:
 
 
 class TestNamedParser:
-    """build_parser(command) gives options only to `command`'s subcommand;
-    these compare it with build_parser(), which gives them to all."""
+    """build_parser(command) gives -h and options only to `command`'s
+    subcommand; these compare it with build_parser(), which gives them to all."""
 
     @pytest.mark.parametrize("name", list(subcommands(build_parser())))
     def test_named_subcommand_keeps_every_option(self, name):
         full, named = build_parser(), build_parser(name)
         assert options(subcommands(named)[name]) == options(subcommands(full)[name])
         assert list(subcommands(named)) == list(subcommands(full))
+        assert ({n: p.prog for n, p in subcommands(named).items()}
+                == {n: p.prog for n, p in subcommands(full).items()})
         assert named.format_help() == full.format_help()
 
     def test_unnamed_subcommands_get_no_options(self):
-        named = subcommands(build_parser("distance"))
-        empty = [name for name, p in named.items()
-                 if [a.dest for a in p._actions] == ["help"] and not p._defaults]
-        assert empty == ["paper-table", "descriptor", "diagram", "check"]
+        # Each entry the first token does not name is bare: no action, not
+        # even -h, and no defaults.
+        names = list(subcommands(build_parser()))
+        for name in names:
+            others = {n: p for n, p in subcommands(build_parser(name)).items() if n != name}
+            assert list(others) == [n for n in names if n != name]
+            assert all(p._actions == [] and p._defaults == {} for p in others.values()), name
 
     def test_first_token_parser_parses_like_the_full_one(self):
         golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
         rng = random.Random(2049)
-        lines = [case["argv"] for case in golden] + [random_argv(rng) for _ in range(500)]
+        # A later token names another subcommand or asks for help: the lines
+        # that would reach a bare entry if argparse handed them on.
+        explicit = [
+            ["check", "distance", "-h"], ["distance", "check", "-h"], ["diagram", "--", "-h"],
+            ["paper-table", "--help", "check"], ["descriptor", "diagram", "-h"],
+            ["distance", "1/2", "descriptor", "--help"], ["diagram", "-h", "distance"],
+            ["check", "--seed", "1", "paper-table", "-h"], ["paper-table", "--", "check", "-h"],
+            ["descriptor", "--", "distance", "--help"], ["distance", "paper-table", "check"],
+        ]
+        lines = ([case["argv"] for case in golden] + explicit
+                 + [random_argv(rng) for _ in range(500)])
         # the fuzzer's edits put an option, a set or a typo first in some lines
         assert any(a and a[0] not in subcommands(build_parser()) for a in lines)
         for argv in lines:
             named = build_parser(argv[0] if argv else None)
             assert outcome(named, argv) == outcome(build_parser(), argv), [a[:40] for a in argv]
+
+
+# Runs each argv of argv[1] as pins.capture does, after dropping every
+# afideals module and pins (which holds cli.main), so that each call meets a
+# freshly imported afideals.cli.
+FRESH = """
+import importlib, json, sys
+records = []
+for argv in json.loads(sys.argv[1]):
+    for name in [n for n in sys.modules if n == "pins" or n.split(".")[0] == "afideals"]:
+        del sys.modules[name]
+    records.append(importlib.import_module("pins").capture(argv))
+print(json.dumps(records))
+"""
+
+# A success, a usage error, --help, a domain error, the other four
+# subcommands, a first-token typo, then the first success again.
+SEQUENCE = (
+    (["distance", "1/2", "1/4,1/8"], 0),
+    (["distance", "1/3", "1/2"], 1),
+    (["distance", "--help"], 0),
+    (["distance", "", "1/2"], 3),
+    (["paper-table", "--json"], 0),
+    (["descriptor", "--depth", "6", "--convention", "paper", "1/4,1/8"], 0),
+    (["diagram", "--depth", "3", "--dot"], 0),
+    (["check", "--seed", "1"], 0),
+    (["-h"], 0),
+    (["distnace", "1/2", "1/4,1/8"], 1),
+    (["distance", "1/2", "1/4,1/8"], 0),
+)
+
+
+class TestRepeatedMain:
+    """One process's cli.main answers each line as a fresh import does, so
+    nothing a request leaves behind reaches the next."""
+
+    def test_sequence_matches_fresh_imports(self):
+        argvs = [argv for argv, _ in SEQUENCE]
+        here = [pins.capture(argv) for argv in argvs]
+        assert [record["rc"] for record in here] == [rc for _, rc in SEQUENCE]
+        tests = Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(afideals.__file__).parents[1]), str(tests)])}
+        done = subprocess.run([sys.executable, "-c", FRESH, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert here == json.loads(done.stdout)
 
 
 class TestLongValues:
