@@ -1,6 +1,6 @@
-"""What the pinned-output test modules share: `test_cli_golden.py`,
-`test_check_transcripts.py` and `test_check_draws.py` each compare the
-package's output with a JSON file beside them.
+"""What the pinned-output test modules share: `test_cli_golden.py` and
+`test_check_draws.py` each compare the package's output with a JSON file
+beside them.
 
 The modules need no pytest, so each also runs as a script, under any
 interpreter the package supports:

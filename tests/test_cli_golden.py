@@ -5,10 +5,15 @@ list in CASES.  The cases cover every subcommand, both conventions (the paper's
 singletons and pairs also as word literals, with points past index 1,000),
 `--json`/`--decimal`, the interval fallback of beta, a 127/113 period
 pair, a 2,048-bit head, each error exit (1 and 3), argparse messages cut to
-their start and length, `check --seed 1`, and the seven `--help` texts (the
-top-level one, each subcommand's, and `--help distance`, which prints the
-top-level one) at 80 columns.  A change that alters any of these bytes
-fails here.  `check`'s FAIL transcript is covered by the
+their start and length, `check --seed S` for S = 1..20, and the seven
+`--help` texts (the top-level one, each subcommand's, and `--help distance`,
+which prints the top-level one) at 80 columns.  A change that alters any of
+these bytes fails here.
+
+For `check`, that means a change to a suite's case count, verdict or
+transcript wording.  A change to an RNG stream need not fail here: an
+all-PASS transcript shows only case counts.  The draws themselves are
+pinned in `test_check_draws.py`, and the FAIL transcript's shape by the
 mutation tests in `test_check_oracles.py`.
 
 The module needs no pytest (see `pins.py`):
@@ -97,7 +102,7 @@ CASES = (
     ("diagram", "--depth", "4"),
     ("diagram", "--depth", "3", "--dot"),
     ("diagram", "--depth", "0"),
-    ("check", "--seed", "1"),
+    *(("check", "--seed", str(seed)) for seed in range(1, 21)),
 )
 
 
@@ -112,6 +117,7 @@ def pytest_generate_tests(metafunc):
 
 def test_golden_covers_cases():
     assert [tuple(record["argv"]) for record in load_golden()] == list(CASES)
+    assert len(set(CASES)) == len(CASES)
 
 
 def test_cli_output_is_byte_identical(index):
