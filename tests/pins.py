@@ -2,20 +2,21 @@
 `test_check_draws.py` each compare the package's output with a JSON file
 beside them.
 
-The modules need no pytest, so each also runs as a script, under any
-interpreter the package supports:
+pytest checks the pins.  After a deliberate change of output, which
+CHANGES.md then records, each module run as a script regenerates its file:
 
-    PYTHONPATH=src python tests/test_cli_golden.py --verify
+    PYTHONPATH=src python tests/test_cli_golden.py --write
 
-checks the pins and exits 1 on a mismatch, and `--write` regenerates the
-file after a deliberate change, which CHANGES.md then records.
+To check the pins under another interpreter, run
+`python3.X -m pytest tests/test_cli_golden.py tests/test_check_draws.py`
+under it.
 """
 
 import argparse
 import contextlib
 import io
+import json
 import os
-import sys
 from unittest import mock
 
 from afideals.cli import main as cli_main
@@ -34,29 +35,11 @@ def capture(argv) -> dict:
     return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def verify(runs) -> bool:
-    """Run each (label, test, args) without pytest, one line each; True
-    when all pass."""
-    ok = True
-    for label, test, args in runs:
-        try:
-            test(*args)
-        except AssertionError as error:
-            ok = False
-            print(f"FAIL {label} {error}")
-        else:
-            print(f"PASS {label}")
-    return ok
-
-
-def script(path, runs, write):
-    """The command line of a pinned-output module: `--verify` runs `runs`
-    and exits 1 on a failure, `--write` calls `write` to regenerate `path`."""
-    parser = argparse.ArgumentParser(description=f"Check or regenerate {path.name}.")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--verify", action="store_true", help="check the pins; exit 1 on a mismatch")
-    mode.add_argument("--write", action="store_true", help=f"regenerate {path.name}")
-    if parser.parse_args().verify:
-        print(f"python {sys.version.split()[0]}")
-        sys.exit(0 if verify(runs()) else 1)
-    write()
+def script(path, pinned):
+    """The command line of a pinned-output module: `--write` writes
+    `pinned()` to `path` as JSON."""
+    parser = argparse.ArgumentParser(description=f"Regenerate {path.name}; pytest checks it.")
+    parser.add_argument("--write", action="store_true", required=True,
+                        help=f"regenerate {path.name}")
+    parser.parse_args()
+    path.write_text(json.dumps(pinned(), indent=1) + "\n")

@@ -19,18 +19,16 @@ in one loop each; the per-bit and per-level draws they replaced are kept
 here as references, and must give the same values and leave the same RNG
 state.
 
-The module needs no pytest (see `pins.py`):
-
-    PYTHONPATH=src python tests/test_check_draws.py --verify
-
-checks the pins, and `--write` regenerates the file after a deliberate
-change of the draws, which CHANGES.md then records.
+`python tests/test_check_draws.py --write` regenerates the file after a
+deliberate change of the draws (see `pins.py`).
 """
 
 import hashlib
 import json
 import random
 from pathlib import Path
+
+import pytest
 
 import pins
 from afideals import checks
@@ -68,16 +66,11 @@ def load_draws() -> dict:
     return json.loads(DRAWS.read_text())
 
 
-def pytest_generate_tests(metafunc):
-    if "suite" in metafunc.fixturenames:
-        metafunc.parametrize("name,suite", checks.SUITES,
-                             ids=[name for name, _ in checks.SUITES])
-
-
 def test_digests_cover_every_suite():
     assert list(load_draws()["states"]) == [name for name, _ in checks.SUITES]
 
 
+@pytest.mark.parametrize("name,suite", checks.SUITES, ids=[name for name, _ in checks.SUITES])
 def test_suite_leaves_pinned_rng_state(name, suite):
     assert state_digest(name, suite) == load_draws()["states"][name]
 
@@ -145,18 +138,8 @@ def test_closure_seeds_draw_as_reference():
     assert min(seen.values()) > 50, seen
 
 
-def runs() -> list:
-    return [("test_digests_cover_every_suite", test_digests_cover_every_suite, ())] + [
-        (f"test_suite_leaves_pinned_rng_state[{name}]", test_suite_leaves_pinned_rng_state,
-         (name, suite)) for name, suite in checks.SUITES] + [
-        ("test_generators_draw_pinned_values", test_generators_draw_pinned_values, ()),
-        ("test_sampler_draws_as_random_does", test_sampler_draws_as_random_does, ()),
-        ("test_random_mask_draws_as_reference", test_random_mask_draws_as_reference, ()),
-        ("test_closure_seeds_draw_as_reference", test_closure_seeds_draw_as_reference, ())]
-
-
 if __name__ == "__main__":
-    pins.script(DRAWS, runs, lambda: DRAWS.write_text(json.dumps({
+    pins.script(DRAWS, lambda: {
         "states": {name: state_digest(name, suite) for name, suite in checks.SUITES},
         "reprs": drawn_reprs(),
-    }, indent=1) + "\n"))
+    })

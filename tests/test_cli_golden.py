@@ -16,16 +16,14 @@ all-PASS transcript shows only case counts.  The draws themselves are
 pinned in `test_check_draws.py`, and the FAIL transcript's shape by the
 mutation tests in `test_check_oracles.py`.
 
-The module needs no pytest (see `pins.py`):
-
-    PYTHONPATH=src python tests/test_cli_golden.py --verify
-
-checks the file, and `--write` regenerates it after a deliberate change
-of output, which CHANGES.md then records.
+`python tests/test_cli_golden.py --write` regenerates the file (see
+`pins.py`).
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 import pins
 
@@ -110,26 +108,15 @@ def load_golden() -> list:
     return json.loads(GOLDEN.read_text())
 
 
-def pytest_generate_tests(metafunc):
-    if "index" in metafunc.fixturenames:
-        metafunc.parametrize("index", range(len(CASES)))
-
-
 def test_golden_covers_cases():
     assert [tuple(record["argv"]) for record in load_golden()] == list(CASES)
     assert len(set(CASES)) == len(CASES)
 
 
+@pytest.mark.parametrize("index", range(len(CASES)))
 def test_cli_output_is_byte_identical(index):
     assert pins.capture(CASES[index]) == load_golden()[index]
 
 
-def runs() -> list:
-    return [("test_golden_covers_cases", test_golden_covers_cases, ())] + [
-        (f"test_cli_output_is_byte_identical[{index}]", test_cli_output_is_byte_identical, (index,))
-        for index in range(len(CASES))]
-
-
 if __name__ == "__main__":
-    pins.script(GOLDEN, runs, lambda: GOLDEN.write_text(
-        json.dumps([pins.capture(argv) for argv in CASES], indent=1) + "\n"))
+    pins.script(GOLDEN, lambda: [pins.capture(argv) for argv in CASES])
