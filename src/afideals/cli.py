@@ -76,21 +76,11 @@ class CliUsageError(Exception):
     pass
 
 
-class _HelpShown(Exception):
-    """--help has printed; args[0] is the exit code argparse would end with."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         if len(message) > MAX_MESSAGE:
             message = f"{message[:MAX_MESSAGE - 32]}... ({len(message)} characters)"
         raise CliUsageError(message)
-
-    def exit(self, status=0, message=None):
-        # argparse ends the process here after --help; main returns the code
-        # instead.  Only --help gets here: error() above raises first, and
-        # there is no --version.
-        raise _HelpShown(status)
 
     def _check_value(self, action, value):
         # argparse's check, echoing a long rejected choice clipped
@@ -316,8 +306,11 @@ def _run(argv: list) -> int:
             bound = "at least 0" if decimal < 0 else f"at most {MAX_DECIMAL}"
             raise CliUsageError(f"--decimal must be {bound}, got {clip(str(decimal), str)}")
         return args.func(args)
-    except _HelpShown as shown:
-        return shown.args[0]
+    except SystemExit as shown:
+        # argparse ends with SystemExit after printing --help; main returns
+        # its code instead.  Only --help gets here: _Parser.error raises
+        # first, and there is no --version.
+        return shown.code
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import pytest
 
 import afideals
 from afideals.bratteli import level_set
-from afideals.cli import MAX_DEPTH, CliUsageError, _HelpShown, build_parser, main
+from afideals.cli import MAX_DEPTH, CliUsageError, build_parser, main
 from afideals.metrics import d_beta, descriptor
 from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
 import pins
@@ -487,8 +487,8 @@ def outcome(parser, argv) -> tuple:
             args = parser.parse_args(argv)
     except CliUsageError as exc:
         return "error", str(exc)
-    except _HelpShown as shown:
-        return "help", shown.args[0], out.getvalue()
+    except SystemExit as shown:
+        return "help", shown.code, out.getvalue()
     return "args", {k: getattr(v, "__name__", v) for k, v in vars(args).items()}
 
 

@@ -46,7 +46,6 @@ ALLOWED = {
 }
 
 ALLOWED_DEFAULTS = {
-    "cli._Parser.exit(message)": "argparse hook: ArgumentParser.exit's signature",
     "cli.main(argv)": "the console script passes nothing; in-process callers pass argv",
     "exact.word_weight(base)": "the tests' definition-level W4 reference for d_beta",
 }
