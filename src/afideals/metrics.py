@@ -76,6 +76,17 @@ value and its digit word determine each other.  On the 175 nonempty sets
 with heads <= 4 and periods <= 3, d_beta takes 663 values on the 15,225
 pairs, one per digit word, against 26 for d_H and 8 for d_phi
 (tests/test_metrics.py::test_how_much_each_metric_resolves).
+
+d_beta puts the meet between.  Read an ideal as the set of its summands,
+index k at level p, and let mu(X) sum 2**-(p+k) over a set X of them, so
+that d_beta(I, J) = mu(I ^ J), with ^ the symmetric difference.  The ideal
+M of the union of S and S', the functions that vanish on both sets, is the
+intersection of I and J, their meet.  M lies in both I and J, so I ^ J is
+the disjoint union of I ^ M = I - J and M ^ J = J - I, and mu(I ^ J) =
+mu(I ^ M) + mu(M ^ J): d_beta(I, J) = d_beta(I, M) + d_beta(M, J).  d_phi is an ultrametric, so d_phi(I, J) <=
+max(d_phi(I, M), d_phi(M, J)), and the sum equals d_phi(I, J) only when a
+term is 0: when M is I or J, that is, when one set holds the other
+(tests/test_metrics.py::test_beta_puts_the_meet_between).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules: bit strings, which the tests build
 their words from ('0'/'1' text, position 1 first, as `BinaryWord` reads
-them), and the exhaustive word and closed-set sweeps built from them."""
+them), the exhaustive word and closed-set sweeps built from them, and the
+union of two closed sets, built from their words' masks."""
 
+import math
 from itertools import product
 
 from afideals.exact import BinaryWord
@@ -30,3 +32,14 @@ def short_sets() -> list:
     set among them."""
     return sorted({ClosedSubsetQI(w, zero) for w in all_words(4, 3) for zero in (False, True)},
                   key=repr)
+
+
+def union(s: ClosedSubsetQI, t: ClosedSubsetQI) -> ClosedSubsetQI:
+    """S ∪ S': both words OR-ed over the longer head and the lcm of the
+    periods, past which both repeat, and the zero flags OR-ed."""
+    u, v = s.word, t.word
+    h = max(u.head_len, v.head_len)
+    length = math.lcm(u.period_len or 1, v.period_len or 1)
+    bits = u.prefix(h + length) | v.prefix(h + length)
+    word = BinaryWord.from_masks(bits & ((1 << h) - 1), h, bits >> h, length)
+    return ClosedSubsetQI(word, s.contains_zero or t.contains_zero)

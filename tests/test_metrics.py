@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import EventualDescriptor, first_disagreement, level_set
+from afideals.bratteli import EventualDescriptor, first_disagreement, level_set, qi_diagram
 from afideals.checks import random_ideal, random_mask
 from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
@@ -28,7 +28,7 @@ from afideals.qi import (
     ideal_of_closed_set,
     parse_closed_set,
 )
-from bits import random_bits, short_sets
+from bits import random_bits, short_sets, union
 
 
 def truncation_oracle(i, j, depth: int) -> Fraction:
@@ -75,6 +75,13 @@ def table(m: int, k: int = 0) -> EventualDescriptor:
     """Published table descriptor of {2**-m}, or with k of {2**-m, 2**-(m+k)}."""
     points = f"1/{2**m}" + (f",1/{2**(m + k)}" if k else "")
     return descriptor(parse_closed_set(points), "paper")
+
+
+def paper_descriptors(m: int, n: int, k: int) -> tuple:
+    """The paper-convention descriptors of {2**-m} and {2**-n, 2**-(n+k)}."""
+    a = parse_closed_set(str(pow2(-m)))
+    b = parse_closed_set(f"{pow2(-n)},{pow2(-(n + k))}")
+    return descriptors(a, b, "paper")
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -461,9 +468,7 @@ def test_paper_convention_extremes():
     bottoms out at 2, each at the triples named."""
     over_phi, over_phi_squared = {}, {}
     for m, n, k in product(range(1, 9), repeat=3):
-        a = parse_closed_set(str(pow2(-m)))
-        b = parse_closed_set(f"{pow2(-n)},{pow2(-(n + k))}")
-        i, j = descriptors(a, b, "paper")
+        i, j = paper_descriptors(m, n, k)
         phi, beta = d_phi(i, j), d_beta(i, j)
         over_phi[m, n, k], over_phi_squared[m, n, k] = beta / phi, beta / phi**2
     top, bottom = max(over_phi.values()), min(over_phi_squared.values())
@@ -472,6 +477,74 @@ def test_paper_convention_extremes():
     assert bottom == 2
     at_bottom = sorted(t for t, r in over_phi_squared.items() if r == bottom)
     assert len(at_bottom) == 92 and at_bottom[0] == (1, 1, 1)
+
+
+def test_paper_beta_closed_form_below_the_diagonal():
+    """README's corrected d_beta for m < n under the paper convention,
+    (4**-(n+k) + 4**-m + 4**-n) / 2, on the 1,920 triples with m < n and
+    m, n, k <= 16."""
+    triples = [(m, n, k) for m, n, k in product(range(1, 17), repeat=3) if m < n]
+    assert len(triples) == 1_920
+    for m, n, k in triples:
+        expected = (Fraction(1, 4**(n + k)) + Fraction(1, 4**m) + Fraction(1, 4**n)) / 2
+        assert d_beta(*paper_descriptors(m, n, k)) == expected, (m, n, k)
+
+
+def test_paper_phi_closed_form_on_the_diagonal():
+    """README's corrected d_phi on the m = n slice under the paper
+    convention, 2**-(n+k+1), on the 256 pairs with n, k <= 16."""
+    for n, k in product(range(1, 17), repeat=2):
+        assert d_phi(*paper_descriptors(n, n, k)) == pow2(-(n + k + 1)), (n, k)
+
+
+def test_beta_puts_the_meet_between():
+    """The ideal M of S ∪ S' is I ∩ J, the meet of the ideals I and J of S
+    and S', and d_beta(I, J) = d_beta(I, M) + d_beta(M, J) on all 15,400
+    pairs of short sets, the empty set among them (proof in the `metrics`
+    docstring).  d_phi does so on the 3,388 pairs where S ∪ S' is S or S',
+    so that M is I or J, and on none of the other 12,012."""
+    sets = short_sets()
+    ideals = {s: ideal_of_closed_set(s) for s in sets}
+    pairs = list(combinations(sets, 2))
+    assert len(pairs) == 15_400
+    nested, phi_between = set(), set()
+    for s, t in pairs:
+        u = union(s, t)
+        i, j, m = ideals[s], ideals[t], ideal_of_closed_set(u)
+        assert d_beta(i, j) == d_beta(i, m) + d_beta(m, j), (s, t)
+        if u in (s, t):
+            nested.add((s, t))
+        if d_phi(i, j) == d_phi(i, m) + d_phi(m, j):
+            phi_between.add((s, t))
+    assert len(nested) == 3_388
+    assert phi_between == nested
+
+
+def test_union_ors_the_words_and_zero_flags():
+    """bits.union, which the meet test builds S ∪ S' with, holds exactly
+    the points of either set, checked bit by bit past both heads and the
+    joint period."""
+    sets = short_sets()
+    for s, t in combinations(sets, 2):
+        u = union(s, t)
+        assert u.contains_zero == (s.contains_zero or t.contains_zero), (s, t)
+        assert all(u.word.bit(k) == s.word.bit(k) | t.word.bit(k) for k in range(1, 17)), (s, t)
+
+
+def test_equal_values_hash_equal_and_reprs():
+    """Equal descriptors and equal brackets, built apart, hash equal and
+    find each other as dict keys; the reprs of a bracket and a diagram are
+    pinned."""
+    e = EventualDescriptor(BinaryWord("10", "01"), BinaryWord("", "1"))
+    twin = EventualDescriptor(BinaryWord("1001", "01"), BinaryWord("11", "1"))
+    assert e == twin and hash(e) == hash(twin)
+    assert {e: "e", FULL: "full"}[twin] == "e"
+    v = CertifiedValue(0, Fraction(1, 2))
+    w = CertifiedValue(Fraction(0), Fraction(2, 4))
+    assert v == w and hash(v) == hash(w)
+    assert {v: "v", CertifiedValue(0, 1): "other"}[w] == "v"
+    assert repr(v) == "CertifiedValue([0, 1/2])"
+    assert repr(qi_diagram(3)) == "BratteliDiagram(depth=3)"
 
 
 def test_level_sets_match_set_builder():
