@@ -46,24 +46,13 @@ def _rotate(mask: int, length: int, e: int) -> int:
 
 
 def _primitive(period: int, length: int) -> int:
-    """Length of the primitive period of a `length`-bit period mask.
-
-    The rotations that fix the period are the multiples of its primitive
-    length, so dividing out one prime factor of `length` at a time while
-    the rotation by the quotient still fixes it ends at that length.
-    """
-    d = rest = length
-    q = 2
-    while rest > 1:
-        if q * q > rest:
-            q = rest
-        if rest % q == 0:
-            while rest % q == 0:
-                rest //= q
-            while d % q == 0 and _rotate(period, length, d // q) == period:
-                d //= q
-        q += 1
-    return d
+    """Length of the primitive period of a `length`-bit period mask: the
+    least d dividing `length` whose rotation by d fixes the mask.  The
+    rotations that fix it are the multiples of that d."""
+    for d in range(1, length):
+        if length % d == 0 and _rotate(period, length, d) == period:
+            return d
+    return length
 
 
 def _repeat(mask: int, length: int, n: int) -> int:

@@ -77,16 +77,80 @@ with heads <= 4 and periods <= 3, d_beta takes 663 values on the 15,225
 pairs, one per digit word, against 26 for d_H and 8 for d_phi
 (tests/test_metrics.py::test_how_much_each_metric_resolves).
 
-d_beta puts the meet between.  Read an ideal as the set of its summands,
-index k at level p, and let mu(X) sum 2**-(p+k) over a set X of them, so
-that d_beta(I, J) = mu(I ^ J), with ^ the symmetric difference.  The ideal
-M of the union of S and S', the functions that vanish on both sets, is the
-intersection of I and J, their meet.  M lies in both I and J, so I ^ J is
-the disjoint union of I ^ M = I - J and M ^ J = J - I, and mu(I ^ J) =
-mu(I ^ M) + mu(M ^ J): d_beta(I, J) = d_beta(I, M) + d_beta(M, J).  d_phi is an ultrametric, so d_phi(I, J) <=
-max(d_phi(I, M), d_phi(M, J)), and the sum equals d_phi(I, J) only when a
-term is 0: when M is I or J, that is, when one set holds the other
-(tests/test_metrics.py::test_beta_puts_the_meet_between).
+The ideal lattice.  Read an ideal as the set of its summands, index k at
+level p, and let mu(X) sum 2**-(p+k) over a set X of them, so that
+d_beta(I, J) = mu(I ^ J), with ^ the symmetric difference.  Let I and J be
+the ideals of S and S', and L, L' the indices of their last points, with
+L = 0 for the empty set.
+
+* (a) d_beta puts the meet between.  The ideal M of the union of S and S',
+  the functions that vanish on both sets, is the intersection of I and J,
+  their meet.  M lies in both I and J, so I ^ J is the disjoint union of
+  I ^ M = I - J and M ^ J = J - I, and mu(I ^ J) = mu(I ^ M) + mu(M ^ J):
+  d_beta(I, J) = d_beta(I, M) + d_beta(M, J)
+  (tests/test_metrics.py::test_beta_puts_the_meet_between).
+* (b) The join's defect is what saturation adds.  The join K of I and J,
+  the least ideal holding both, is the ideal of V, the intersection of S
+  and S'.  The level-wise union U of I and J is forward closed, as both
+  are, so K is U saturated.  I and J lie in U and U in K, so I ^ K = K - I
+  is the disjoint union of K - U and U - I = J - I, and K ^ J that of
+  K - U and I - J.  So d_beta(I, K) + d_beta(K, J) - d_beta(I, J) =
+  2 mu(K - U), which is 0 exactly when U is already an ideal.  Level p of
+  K and of U hold the same k < p, since x_k is outside V exactly when it
+  is outside S or S'.  They differ only in p itself, which K holds when
+  L_V < p and U when min(L, L') < p.  So K - U is the summands p at
+  level p with L_V < p <= min(L, L'), and the defect is
+  2 (4**-(L_V+1) + ... + 4**-min(L, L')).
+* (c) d_phi and d_H put neither between unless one set holds the other,
+  when the meet and the join are I or J and the sums hold trivially.
+  d_phi is an ultrametric: ideals that agree with a third one through
+  level m - 1 agree with each other there, so d_phi(I, J) <=
+  max(d_phi(I, X), d_phi(X, J)) for every ideal X, and the sum of the two
+  equals d_phi(I, J) only when a term is 0, when X is I or J.  For the
+  hulls, let h(A, B) be the largest distance from a point of A to B, so
+  that d_H(A, B) = max(h(A, B), h(B, A)).  Every point of the union not in
+  S lies in S', so d_H(S, S u S') = h(S', S) and d_H(S u S', S') =
+  h(S, S'), and their sum is the maximum of the two only when the other is
+  0, when one set holds the other.  For nonempty V, d_H(S, V) >= h(S, V)
+  >= h(S, S') and d_H(V, S') >= h(S', V) >= h(S', S), so the same holds.
+
+(tests/test_metrics.py::test_ideal_lattice_table counts each case on the
+short sets, and test_closure_of_the_union_is_the_ideal_of_the_intersection
+checks K against the Bratteli layer's saturation.)
+
+The paper's test family.  Compare A = {2**-m} with B = {2**-n, 2**-(n+k)},
+m, n, k >= 1, whose points are x_a, x_b and x_c with a = m + 1,
+b = n + 1 and c = n + k + 1, and write q, r, s for 4**-m, 4**-n and
+4**-(n+k).  Both conventions take each set's own word as E, so D is 1 at
+{a} ^ {b, c}: at a, b and c when m is neither n nor n + k, at c alone when
+m = n, at b alone when m = n + k.  Its least index k* is a for m < n, c for
+m = n and b for m > n.
+
+* Paper convention: T is the complement of E, so Delta = D.  Level k*
+  already differs in k* itself, and no level before it differs, so
+  d_phi = 2**-k*: 2**-(min(m, n)+1) for m != n and 2**-(n+k+1) for m = n.
+  d_beta = 2 W4(D), half the sum of 4**-e over e in {m} ^ {n, n+k}:
+  (q + r + s)/2 off the two slices, s/2 at m = n and r/2 at m = n + k.
+* Derived convention: T is 0 through the last point, L = a for A and c
+  for B, so Delta is 1 at the p with min(a, c) < p <= max(a, c), and
+  W4(Delta) = |q - s|/12.  The first disagreement is at min(k* + 1, t*),
+  where t* = min(a, c) + 1 is the first 1 of Delta (none when a = c):
+  both are a + 1 for m < n, t* = b + 1 < c + 1 for m = n, and
+  k* + 1 = b + 1 < t* for m > n.  So it is at min(m, n) + 2, and
+  d_phi = 2**-(min(m, n)+2) throughout, half the published form.
+  d_beta = W4(D) + W4(Delta): q/3 + r/4 + s/6 for m < n
+  and for n < m < n + k, r/12 + s/6 at m = n, r/4 at m = n + k, and
+  q/6 + r/4 + s/3 for m > n + k.
+
+So under the paper convention d_beta/d_phi is 2**-m (1 + 4**(m-n) +
+4**(m-n-k)) for m < n and 2**-n (1 + 4**(n-m) + 4**-k) for n < m != n + k,
+where m - n and k are distinct; either is at most (21/16) 2**-min(m, n),
+with equality only when the two exponents of 4 are -1 and -2.  On the
+slices it is 2**-(n+k) and 2**-n.  So its peak is 21/32, where also
+min(m, n) = 1: at (1, 2, 1), (2, 1, 2) and (3, 1, 1) only.  d_beta/d_phi**2
+is twice the bracket above off the slices, so more than 2, and exactly 2 on
+both slices (tests/test_metrics.py::test_family_closed_forms and
+test_paper_convention_extremes).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """What the pinned-output test modules share: `test_cli_golden.py` and
 `test_check_draws.py` each compare the package's output with a JSON file
-beside them.
+beside them.  `test_cli_fuzz.py` makes its calls through `capture` too.
 
 pytest checks the pins.  After a deliberate change of output, which
 CHANGES.md then records, each module run as a script regenerates its file:

@@ -18,7 +18,6 @@ reproducible from its transcript alone.
 """
 
 import itertools
-import math
 import random
 import re
 from fractions import Fraction
@@ -44,7 +43,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
-from bits import short_sets
+from bits import short_sets, union
 
 
 def reference_member_values(s, upto):
@@ -127,15 +126,6 @@ def test_brute_directed_matches_reference_on_seeded_pairs():
     for a, b in zip(nonempty, nonempty[1:] + nonempty[:1]):
         depth = checks._sup_cutoff(a, b) + 32
         assert checks._brute_directed(a, b, depth) == reference_brute_directed(a, b, depth), (a, b)
-
-
-def union(s, t):
-    """s ∪ t, from both words' bits through the longer head and the joint period."""
-    h = max(s.word.head_len, t.word.head_len)
-    length = math.lcm(s.word.period_len or 1, t.word.period_len or 1)
-    bits = s.word.prefix(h + length) | t.word.prefix(h + length)
-    word = BinaryWord.from_masks(bits & ((1 << h) - 1), h, bits >> h, length)
-    return ClosedSubsetQI(word, include_zero=s.contains_zero or t.contains_zero)
 
 
 def one_directed_hausdorff(s, t):

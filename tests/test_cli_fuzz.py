@@ -1,5 +1,6 @@
 """Seeded random command lines through `cli.main`, in-process: malformed
 input must end in exit 1 or 3 with one `error:` line, never a traceback.
+Each call goes through `pins.capture`, as the pinned outputs' calls do.
 
 Each argv mixes the closed-set grammar's atoms, every option and
 subcommand, integers past the 4,300 digits int() reads, full-width and
@@ -13,12 +14,10 @@ bound: a successful command's lines grow with depth, and a bare `diagram`,
 at the default depth 32, prints a 244-character `edges:` line.
 """
 
-import contextlib
-import io
 import random
 
-from afideals.cli import main
 from afideals.qi import MAX_LITERAL_BITS
+from pins import capture
 
 CASES = 3000
 LINE_LIMIT = 200
@@ -100,20 +99,13 @@ def random_argv(rng: random.Random) -> list:
     return argv
 
 
-def call(argv) -> tuple:
-    """(exit code, stdout, stderr) of one call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return rc, out.getvalue(), err.getvalue()
-
-
 def test_random_command_lines_never_escape():
     rng = random.Random(2049)
     codes, ran = set(), set()
     for _ in range(CASES):
         argv = random_argv(rng)
-        rc, out, err = call(argv)
+        result = capture(argv)
+        rc, out, err = result["rc"], result["stdout"], result["stderr"]
         shown = [a[:40] for a in argv]
         assert rc in (0, 1, 3), (shown, rc, err[:300])
         if rc:

@@ -1,10 +1,22 @@
+import math
+import operator
 import random
+from collections import Counter
 from itertools import combinations, product
 from fractions import Fraction
 
 import pytest
 
-from afideals.bratteli import EventualDescriptor, first_disagreement, level_set, qi_diagram
+from afideals.bratteli import (
+    EventualDescriptor,
+    FiniteDescriptor,
+    first_disagreement,
+    ideal_closure,
+    is_ideal,
+    level_set,
+    qi_diagram,
+    to_finite,
+)
 from afideals.checks import random_ideal, random_mask
 from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
@@ -28,7 +40,7 @@ from afideals.qi import (
     ideal_of_closed_set,
     parse_closed_set,
 )
-from bits import random_bits, short_sets, union
+from bits import intersection, random_bits, short_sets, union
 
 
 def truncation_oracle(i, j, depth: int) -> Fraction:
@@ -77,11 +89,28 @@ def table(m: int, k: int = 0) -> EventualDescriptor:
     return descriptor(parse_closed_set(points), "paper")
 
 
+def family_sets(m: int, n: int, k: int) -> tuple:
+    """The paper's test family: {2**-m} and {2**-n, 2**-(n+k)}."""
+    return parse_closed_set(str(pow2(-m))), parse_closed_set(f"{pow2(-n)},{pow2(-(n + k))}")
+
+
 def paper_descriptors(m: int, n: int, k: int) -> tuple:
     """The paper-convention descriptors of {2**-m} and {2**-n, 2**-(n+k)}."""
-    a = parse_closed_set(str(pow2(-m)))
-    b = parse_closed_set(f"{pow2(-n)},{pow2(-(n + k))}")
-    return descriptors(a, b, "paper")
+    return descriptors(*family_sets(m, n, k), "paper")
+
+
+def family_forms(m: int, n: int, k: int) -> dict:
+    """(d_phi, d_beta) between {2**-m} and {2**-n, 2**-(n+k)} under each
+    convention, in the five regimes the `metrics` docstring derives, with
+    q, r, s = 4**-m, 4**-n, 4**-(n+k)."""
+    q, r, s = (Fraction(1, 4**e) for e in (m, n, n + k))
+    if m == n:
+        return {"paper": (pow2(-(n + k + 1)), s / 2), "derived": (pow2(-(n + 2)), r / 12 + s / 6)}
+    if m == n + k:
+        return {"paper": (pow2(-(n + 1)), r / 2), "derived": (pow2(-(n + 2)), r / 4)}
+    phi = pow2(-(min(m, n) + 1))
+    derived_beta = q / 6 + r / 4 + s / 3 if m > n + k else q / 3 + r / 4 + s / 6
+    return {"paper": (phi, (q + r + s) / 2), "derived": (phi / 2, derived_beta)}
 
 
 FULL = ideal_of_closed_set(parse_closed_set(""))
@@ -464,8 +493,9 @@ def test_paper_convention_breaks_hausdorff_bound():
 
 def test_paper_convention_extremes():
     """Over the paper's triples (m, n, k) with m, n, k <= 8, {2^-m} against
-    {2^-n, 2^-(n+k)}: d_beta / d_phi peaks at 21/32 and d_beta / d_phi**2
-    bottoms out at 2, each at the triples named."""
+    {2^-n, 2^-(n+k)}: d_beta / d_phi peaks at 21/32 at the three triples
+    named, and d_beta / d_phi**2 bottoms out at 2 on the slices m = n and
+    m = n + k, as the `metrics` docstring derives."""
     over_phi, over_phi_squared = {}, {}
     for m, n, k in product(range(1, 9), repeat=3):
         i, j = paper_descriptors(m, n, k)
@@ -476,25 +506,25 @@ def test_paper_convention_extremes():
     assert sorted(t for t, r in over_phi.items() if r == top) == [(1, 2, 1), (2, 1, 2), (3, 1, 1)]
     assert bottom == 2
     at_bottom = sorted(t for t, r in over_phi_squared.items() if r == bottom)
-    assert len(at_bottom) == 92 and at_bottom[0] == (1, 1, 1)
+    assert at_bottom == [(m, n, k) for m, n, k in product(range(1, 9), repeat=3)
+                         if m in (n, n + k)]
+    assert len(at_bottom) == 92
 
 
-def test_paper_beta_closed_form_below_the_diagonal():
-    """README's corrected d_beta for m < n under the paper convention,
-    (4**-(n+k) + 4**-m + 4**-n) / 2, on the 1,920 triples with m < n and
-    m, n, k <= 16."""
-    triples = [(m, n, k) for m, n, k in product(range(1, 17), repeat=3) if m < n]
-    assert len(triples) == 1_920
-    for m, n, k in triples:
-        expected = (Fraction(1, 4**(n + k)) + Fraction(1, 4**m) + Fraction(1, 4**n)) / 2
-        assert d_beta(*paper_descriptors(m, n, k)) == expected, (m, n, k)
-
-
-def test_paper_phi_closed_form_on_the_diagonal():
-    """README's corrected d_phi on the m = n slice under the paper
-    convention, 2**-(n+k+1), on the 256 pairs with n, k <= 16."""
-    for n, k in product(range(1, 17), repeat=2):
-        assert d_phi(*paper_descriptors(n, n, k)) == pow2(-(n + k + 1)), (n, k)
+def test_family_closed_forms():
+    """d_phi and d_beta between {2**-m} and {2**-n, 2**-(n+k)} equal the
+    `metrics` docstring's closed forms under both conventions on all 4,096
+    triples with m, n, k <= 16, every regime among them.  These include
+    README's two corrected paper-convention forms: d_beta for m < n (1,920
+    triples) and d_phi on the m = n slice (256)."""
+    regimes = Counter()
+    for m, n, k in product(range(1, 17), repeat=3):
+        a, b = family_sets(m, n, k)
+        for convention, forms in family_forms(m, n, k).items():
+            i, j = descriptors(a, b, convention)
+            assert (d_phi(i, j), d_beta(i, j)) == forms, (m, n, k, convention)
+        regimes[(m > n) - (m < n), (m > n + k) - (m < n + k)] += 1
+    assert regimes == {(-1, -1): 1_920, (0, -1): 256, (1, -1): 1_240, (1, 0): 120, (1, 1): 560}
 
 
 def test_beta_puts_the_meet_between():
@@ -520,15 +550,102 @@ def test_beta_puts_the_meet_between():
     assert phi_between == nested
 
 
+def last_point(s: ClosedSubsetQI):
+    """The index L of the last point of s: 0 for the empty set, infinite
+    when s holds 0."""
+    return math.inf if s.contains_zero else s.word.last_one()
+
+
+def depth_12_levels(sets) -> dict:
+    """Each set's ideal at depth 12, as its tuple of level index sets."""
+    return {s: to_finite(ideal_of_closed_set(s), 12).all_sets for s in sets}
+
+
+def levelwise_union(f: tuple, g: tuple) -> FiniteDescriptor:
+    """The descriptor whose every level is the union of f's and g's."""
+    return FiniteDescriptor(map(operator.or_, f, g))
+
+
+def test_ideal_lattice_table():
+    """The join K of the ideals I and J of S and S' is the ideal of S ∩ S'.
+    On the 15,400 pairs of short sets, d_beta puts K between on 14,165.  On
+    each pair its defect d_beta(I, K) + d_beta(K, J) - d_beta(I, J) is twice
+    the sum of 4**-p over L_V < p <= min(L, L'), with L_V the last point of
+    S ∩ S', and the 1,235 pairs with a defect are exactly those whose
+    level-wise union at depth 12 is not an ideal of qi_diagram(12).  d_phi
+    puts K between only on the 3,388 nested pairs.  d_H puts the meet's
+    hull S ∪ S' between only on the 3,213 nested pairs of the 15,225
+    nonempty ones, and the join's hull S ∩ S' only on the same 3,213 of the
+    14,550 with a nonempty intersection (proofs in the `metrics`
+    docstring)."""
+    sets = short_sets()
+    ideals = {s: ideal_of_closed_set(s) for s in sets}
+    diagram, levels = qi_diagram(12), depth_12_levels(sets)
+    pairs = list(combinations(sets, 2))
+    nested, defective, not_ideal, phi_between = set(), set(), set(), set()
+    hull_pairs, join_hull_pairs, hull_meet_between, hull_join_between = [], [], set(), set()
+    for s, t in pairs:
+        u, v = union(s, t), intersection(s, t)
+        i, j, k = ideals[s], ideals[t], ideal_of_closed_set(v)
+        if u in (s, t):
+            nested.add((s, t))
+        low, high = last_point(v), min(last_point(s), last_point(t))
+        added = range(low + 1, high + 1) if low < high else ()
+        defect = d_beta(i, k) + d_beta(k, j) - d_beta(i, j)
+        assert defect == 2 * sum((Fraction(1, 4**p) for p in added), Fraction(0)), (s, t)
+        if defect:
+            defective.add((s, t))
+        if not is_ideal(diagram, levelwise_union(levels[s], levels[t])):
+            not_ideal.add((s, t))
+        if d_phi(i, j) == d_phi(i, k) + d_phi(k, j):
+            phi_between.add((s, t))
+        if s.is_empty() or t.is_empty():
+            continue
+        hull_pairs.append((s, t))
+        h = hausdorff(s, t)
+        if h == hausdorff(s, u) + hausdorff(u, t):
+            hull_meet_between.add((s, t))
+        if v.is_empty():
+            continue
+        join_hull_pairs.append((s, t))
+        if h == hausdorff(s, v) + hausdorff(v, t):
+            hull_join_between.add((s, t))
+    assert (len(pairs), len(hull_pairs), len(join_hull_pairs)) == (15_400, 15_225, 14_550)
+    assert len(pairs) - len(defective) == 14_165
+    assert defective == not_ideal
+    assert len(nested) == 3_388 and phi_between == nested
+    nonempty_nested = nested.intersection(hull_pairs)
+    assert len(nonempty_nested) == 3_213
+    assert hull_meet_between == hull_join_between == nonempty_nested
+
+
+def test_closure_of_the_union_is_the_ideal_of_the_intersection():
+    """ideal_closure of the level-wise union of the depth-12 ideals of S and
+    S' is the depth-12 ideal of S ∩ S' on all 15,400 pairs of short sets:
+    the Bratteli layer's saturation and the closed-set correspondence give
+    the same join."""
+    sets = short_sets()
+    diagram, levels = qi_diagram(12), depth_12_levels(sets)
+    pairs = list(combinations(sets, 2))
+    assert len(pairs) == 15_400
+    for s, t in pairs:
+        closure = ideal_closure(diagram, levelwise_union(levels[s], levels[t]))
+        assert closure == to_finite(ideal_of_closed_set(intersection(s, t)), 12), (s, t)
+
+
 def test_union_ors_the_words_and_zero_flags():
-    """bits.union, which the meet test builds S ∪ S' with, holds exactly
-    the points of either set, checked bit by bit past both heads and the
-    joint period."""
+    """bits.union, which the meet tests build S ∪ S' with, holds exactly the
+    points of either set, and bits.intersection, which the join tests build
+    S ∩ S' with, exactly the points of both, checked bit by bit past both
+    heads and the joint period."""
     sets = short_sets()
     for s, t in combinations(sets, 2):
-        u = union(s, t)
+        u, v = union(s, t), intersection(s, t)
         assert u.contains_zero == (s.contains_zero or t.contains_zero), (s, t)
-        assert all(u.word.bit(k) == s.word.bit(k) | t.word.bit(k) for k in range(1, 17)), (s, t)
+        assert v.contains_zero == (s.contains_zero and t.contains_zero), (s, t)
+        for k in range(1, 17):
+            assert u.word.bit(k) == s.word.bit(k) | t.word.bit(k), (s, t, k)
+            assert v.word.bit(k) == s.word.bit(k) & t.word.bit(k), (s, t, k)
 
 
 def test_equal_values_hash_equal_and_reprs():

@@ -18,7 +18,7 @@ from afideals.qi import (
     parse_closed_set,
     point_distance,
 )
-from bits import all_words
+from bits import all_words, random_bits
 
 
 def enumerate_values(s: ClosedSubsetQI, depth: int):
@@ -32,14 +32,6 @@ def enumerate_values(s: ClosedSubsetQI, depth: int):
 def value(i) -> Fraction:
     """The point x_i = 2**(1-i), or 0 when i is None."""
     return Fraction(0) if i is None else pow2(1 - i)
-
-
-def random_bits(rng, n: int, one: bool = False) -> str:
-    """n random bits; with `one`, at least one of them is 1."""
-    bits = [str(rng.randint(0, 1)) for _ in range(n)]
-    if one and "1" not in bits:
-        bits[rng.randrange(n)] = "1"
-    return "".join(bits)
 
 
 class TestPointIndex:
