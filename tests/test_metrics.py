@@ -511,12 +511,30 @@ def test_paper_convention_extremes():
     assert len(at_bottom) == 92
 
 
+def test_paper_beta_closed_form_below_the_diagonal():
+    """README's corrected d_beta for m < n under the paper convention,
+    (4**-(n+k) + 4**-m + 4**-n) / 2, on the 1,920 triples with m < n and
+    m, n, k <= 16."""
+    triples = [(m, n, k) for m, n, k in product(range(1, 17), repeat=3) if m < n]
+    assert len(triples) == 1_920
+    for m, n, k in triples:
+        expected = (Fraction(1, 4**(n + k)) + Fraction(1, 4**m) + Fraction(1, 4**n)) / 2
+        assert d_beta(*paper_descriptors(m, n, k)) == expected, (m, n, k)
+
+
+def test_paper_phi_closed_form_on_the_diagonal():
+    """README's corrected d_phi on the m = n slice under the paper
+    convention, 2**-(n+k+1), on the 256 pairs with n, k <= 16."""
+    for n, k in product(range(1, 17), repeat=2):
+        assert d_phi(*paper_descriptors(n, n, k)) == pow2(-(n + k + 1)), (n, k)
+
+
 def test_family_closed_forms():
     """d_phi and d_beta between {2**-m} and {2**-n, 2**-(n+k)} equal the
     `metrics` docstring's closed forms under both conventions on all 4,096
-    triples with m, n, k <= 16, every regime among them.  These include
-    README's two corrected paper-convention forms: d_beta for m < n (1,920
-    triples) and d_phi on the m = n slice (256)."""
+    triples with m, n, k <= 16, every regime among them.  README's two
+    corrected paper-convention forms, written out as published, are pinned
+    on their own by the two tests above."""
     regimes = Counter()
     for m, n, k in product(range(1, 17), repeat=3):
         a, b = family_sets(m, n, k)
