@@ -21,9 +21,6 @@ from .exact import (
 from .metrics import (
     CertifiedValue,
     MalformedComparisonError,
-    closed_form_dbeta,
-    closed_form_dhausdorff,
-    closed_form_dphi,
     d_beta,
     d_beta_truncated,
     d_phi,

@@ -18,9 +18,6 @@ from fractions import Fraction
 from .bratteli import qi_diagram, to_finite
 from .metrics import (
     MalformedComparisonError,
-    closed_form_dbeta,
-    closed_form_dhausdorff,
-    closed_form_dphi,
     d_beta,
     d_beta_truncated,
     d_phi,
@@ -143,27 +140,29 @@ def cmd_distance(args) -> int:
     return 0
 
 
-_PAPER_ROWS = ((1, 2, 1), (1, 2, 2))
+# The two published comparison rows as printed: m, n, k, then d_hausdorff,
+# d_phi and d_beta.
+_PAPER_ROWS = (
+    (1, 2, 1, "3/8", "1/4", "37/128"),
+    (1, 2, 2, "7/16", "1/4", "145/512"),
+)
 
 
 def cmd_paper_table(args) -> int:
-    """The two published comparison rows, from the published closed forms.
+    """The two published comparison rows, printed as the paper prints them.
 
-    Note: definition-level evaluation of d_beta over the published level
-    sets gives 21/128 and 81/512 instead; `distance --convention paper`
-    reports those.  This command reproduces the publication as printed.
+    The rows are data, not computed: d_phi and d_beta follow from the
+    published closed forms (see `metrics`), and d_hausdorff is `hausdorff`
+    of the two sets.  Definition-level evaluation of d_beta over the
+    published level sets gives 21/128 and 81/512 instead; `distance
+    --convention paper` reports those.
     """
-    rows = [{"m": m, "n": n, "k": k,
-             "d_hausdorff": str(closed_form_dhausdorff(m, n, k)),
-             "d_phi": str(closed_form_dphi(m, n, k)),
-             "d_beta": str(closed_form_dbeta(m, n, k))}
-            for m, n, k in _PAPER_ROWS]
+    names = ("m", "n", "k", "d_hausdorff", "d_phi", "d_beta")
     if args.json:
-        print(json.dumps(rows))
+        print(json.dumps([dict(zip(names, row)) for row in _PAPER_ROWS]))
     else:
-        print(*rows[0])  # the column names
-        for r in rows:
-            print(*r.values())
+        for row in (names, *_PAPER_ROWS):
+            print(*row)
     return 0
 
 

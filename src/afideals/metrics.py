@@ -77,6 +77,29 @@ with heads <= 4 and periods <= 3, d_beta takes 663 values on the 15,225
 pairs, one per digit word, against 26 for d_H and 8 for d_phi
 (tests/test_metrics.py::test_how_much_each_metric_resolves).
 
+Where d_beta(S, .) fails to separate, for the ideals of the
+support-disjointness rule.  Fix S, with word e, last point L_S and tail
+word s, s_k = 1 iff L_S < k.  Let R != R' be two sets with words r, r'
+and last points x_L, x_L', named so that L <= L'.  By the digit lemma
+d_beta(S, R) = d_beta(S, R') exactly when, for every k,
+(e_k ^ r_k) + (s_k ^ [L < k]) = (e_k ^ r'_k) + (s_k ^ [L' < k]).  For
+k <= L and for k > L' the two tail terms agree, so r_k = r'_k there; if
+L = L', R and R' then share every x_k and hold 0 alike, so R = R', and
+hence L < L'.  For L < k <= L', r_k = 0 and the tail terms are 1 - s_k and
+s_k, so e_k + 1 - s_k = (e_k ^ r'_k) + s_k.  If s_k = 1, then e_k = 0 and
+the left is 0 while the right is at least 1; so s_k = 0, and
+e_k + 1 = e_k ^ r'_k forces e_k = 0 and r'_k = 1.  So S ties R and R'
+exactly when both hold:
+
+* R' is R plus every point x_(L+1) ... x_L' (with 0 when L' is infinite);
+* S holds none of those points, but holds a point past x_L' (0 when L'
+  is infinite), since s_L' = 0 says L_S >= L' and e_L' = 0.
+
+Every tied digit is then 1, from D against R' and from Delta against R: a
+1 is the one digit that does not say which word it came from.  Summed over
+the 176 short sets S, 1,048 pairs R, R' of short sets tie from S
+(tests/test_metrics.py::test_where_beta_from_a_set_ties).
+
 The ideal lattice.  Read an ideal as the set of its summands, index k at
 level p, and let mu(X) sum 2**-(p+k) over a set X of them, so that
 d_beta(I, J) = mu(I ^ J), with ^ the symmetric difference.  Let I and J be
@@ -151,6 +174,15 @@ min(m, n) = 1: at (1, 2, 1), (2, 1, 2) and (3, 1, 1) only.  d_beta/d_phi**2
 is twice the bracket above off the slices, so more than 2, and exactly 2 on
 both slices (tests/test_metrics.py::test_family_closed_forms and
 test_paper_convention_extremes).
+
+The paper publishes d_phi = 2**-(min(m, n)+1) and, for m < n,
+d_beta = (4**-(n+k) + 2**-m + 4**-n)/2, and tabulates d_H, d_phi and
+d_beta at (1, 2, 1) as 3/8, 1/4, 37/128 and at (1, 2, 2) as 7/16, 1/4,
+145/512.  The tabulated d_phi and d_beta are these forms' values there, and
+d_H is the two sets' Hausdorff distance; `afideals paper-table` prints the
+rows as data.  The published d_beta has 2**-m where the paper convention's
+sum above has 4**-m, so it gives 37/128 and 145/512 where the sum gives
+21/128 and 81/512.
 """
 
 from __future__ import annotations
@@ -277,31 +309,6 @@ def d_beta_truncated(i: EventualDescriptor, j: EventualDescriptor, depth: int) -
         raise ValueError("depth must be positive")
     num, den = _word_sum(i, j, depth), 1 << 2 * depth
     return CertifiedValue(Fraction(num, den), Fraction(num + (1 << depth), den))
-
-
-def closed_form_dphi(m: int, n: int, k: int) -> Fraction:
-    """Published first-disagreement value 2**-(min(m,n)+1)."""
-    if min(m, n, k) < 1:
-        raise ValueError("m, n, k must be positive")
-    return pow2(-(min(m, n) + 1))
-
-
-def closed_form_dbeta(m: int, n: int, k: int) -> Fraction:
-    """Published value (1/2)(2**-2(n+k) + 2**-m + 4**-n), asserted for m < n."""
-    if min(m, n, k) < 1:
-        raise ValueError("m, n, k must be positive")
-    if m >= n:
-        raise ValueError("closed form is only asserted for m < n")
-    return (pow2(-2 * (n + k)) + pow2(-m) + Fraction(4) ** (-n)) / 2
-
-
-def closed_form_dhausdorff(m: int, n: int, k: int) -> Fraction:
-    """Hausdorff distance between {2**-m} and {2**-n, 2**-(n+k)}."""
-    if min(m, n, k) < 1:
-        raise ValueError("m, n, k must be positive")
-    if m <= n:
-        return abs(pow2(-m) - pow2(-(n + k)))
-    return abs(pow2(-m) - pow2(-n))
 
 
 # The paper's two shapes by number of points: how the shape is named, and

@@ -16,7 +16,7 @@ import afideals
 from afideals.bratteli import level_set
 from afideals.cli import MAX_DEPTH, CliUsageError, build_parser, main
 from afideals.metrics import d_beta, descriptor
-from afideals.qi import MAX_LITERAL_BITS, ideal_of_closed_set, parse_closed_set
+from afideals.qi import MAX_LITERAL_BITS, hausdorff, ideal_of_closed_set, parse_closed_set
 import pins
 from test_cli_fuzz import random_argv
 
@@ -230,12 +230,23 @@ class TestPaperTable:
             "1 2 2 7/16 1/4 145/512",
         ]
 
-    def test_json(self, capsys):
+    def test_json_rows_follow_the_published_forms(self, capsys):
+        # The rows are printed as data; each must be what the published
+        # forms give: d_phi = 2**-(min(m,n)+1) and
+        # d_beta = (4**-(n+k) + 2**-m + 4**-n) / 2, with d_hausdorff the
+        # distance between {2**-m} and {2**-n, 2**-(n+k)}.
         code, out, _ = run(capsys, "paper-table", "--json")
         assert code == 0
         rows = json.loads(out)
-        assert rows[0]["d_beta"] == "37/128"
-        assert rows[1]["d_beta"] == "145/512"
+        assert [(r["m"], r["n"], r["k"]) for r in rows] == [(1, 2, 1), (1, 2, 2)]
+        for r in rows:
+            m, n, k = r["m"], r["n"], r["k"]
+            singleton = parse_closed_set(f"1/{2 ** m}")
+            pair = parse_closed_set(f"1/{2 ** n},1/{2 ** (n + k)}")
+            assert Fraction(r["d_phi"]) == Fraction(1, 2 ** (min(m, n) + 1))
+            assert Fraction(r["d_beta"]) == (
+                Fraction(1, 4 ** (n + k)) + Fraction(1, 2 ** m) + Fraction(1, 4 ** n)) / 2
+            assert Fraction(r["d_hausdorff"]) == hausdorff(singleton, pair)
 
 
 class TestDescriptor:

@@ -22,6 +22,11 @@ The package's `__init__` imports is its one list of public names: no
 module assigns `__all__`, and `__init__` imports each name from the module
 that defines it, not through a module that imports it in turn.
 
+Every name a library module binds at its top level by assignment, its
+constants and tables, must be read somewhere in the library outside that
+assignment, by a name or an attribute.  The package's `__init__` and
+dunder names do not count.
+
 No module reads the process environment, so the CLI's settings come from
 its argv alone and each default has one home, its argparse option.
 """
@@ -132,15 +137,43 @@ def unpassed_defaults(package: Path) -> set:
     return unpassed
 
 
+def assigned_names(statement: ast.stmt) -> set:
+    """Names a top-level statement binds by assignment, tuple targets
+    included."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def unread_constants(package: Path) -> set:
+    """`module.NAME` for each name a module's top level binds by assignment
+    that no library code outside that assignment reads."""
+    bound, reads = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound += [(f"{path.stem}.{name}", name, statement) for name in assigned_names(statement)
+                      if not (name.startswith("__") and name.endswith("__"))]
+            reads += [(node.id if isinstance(node, ast.Name) else node.attr, statement)
+                      for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load)]
+    return {qualified for qualified, name, statement in bound
+            if not any(read == name and where is not statement for read, where in reads)}
+
+
 def defined_names(tree: ast.Module) -> set:
     """Names a module's top level binds by `def`, `class` or assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            names |= assigned_names(node)
     return names
 
 
@@ -219,6 +252,27 @@ def test_an_unpassed_default_is_found(tmp_path):
         "never(1)\nBox(5).grow(2)\n",
         encoding="utf-8")
     assert unpassed_defaults(tmp_path) == {"defaults.never(unused)"}
+
+
+def test_every_library_constant_is_read():
+    assert unread_constants(PACKAGE) == set()
+
+
+def test_an_unread_constant_is_found(tmp_path):
+    (tmp_path / "tables.py").write_text(
+        "import re\n\n"
+        "LIMIT = 4\nSPARE = 5\nLOOP = LOOP_BASE = LOOP_BASE\n"
+        "_ROWS, _COLUMNS = ((1, 2),), ('a', 'b')\nWIDTH: int = 8\n"
+        "_TOKEN = re.compile('x')\n__doc_limit__ = 9\n\n\n"
+        "def limit(LIMIT_BOUND=LIMIT):\n    return LIMIT_BOUND, _ROWS, SPARE_ALIAS\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "from . import tables\n\n\nWIDE = tables.WIDTH\nSPARE_ALIAS = 1\n",
+        encoding="utf-8")
+    (tmp_path / "__init__.py").write_text(
+        "from .tables import SPARE, _TOKEN\n\nUNUSED = SPARE\n", encoding="utf-8")
+    assert unread_constants(tmp_path) == {"tables.SPARE", "tables.LOOP", "tables.LOOP_BASE",
+                                          "tables._COLUMNS", "tables._TOKEN", "other.WIDE"}
 
 
 def test_one_list_of_public_names():

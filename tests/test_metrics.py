@@ -22,9 +22,6 @@ from afideals.exact import BinaryWord, pow2, word_xor
 from afideals.metrics import (
     CertifiedValue,
     MalformedComparisonError,
-    closed_form_dbeta,
-    closed_form_dhausdorff,
-    closed_form_dphi,
     d_beta,
     d_beta_truncated,
     d_phi,
@@ -303,38 +300,6 @@ class TestDHausdorffIdeal:
         # the full algebra vanishes nowhere, so d_H to it is undefined
         with pytest.raises(EmptySetError):
             d_hausdorff_of_ideals(FULL, VANISH_AT_ZERO)
-
-
-class TestClosedForms:
-    def test_dphi(self):
-        assert closed_form_dphi(1, 2, 1) == Fraction(1, 4)
-        assert closed_form_dphi(5, 3, 7) == pow2(-4)
-
-    def test_dbeta_published_values(self):
-        assert closed_form_dbeta(1, 2, 1) == Fraction(37, 128)
-        assert closed_form_dbeta(1, 2, 2) == Fraction(145, 512)
-
-    @pytest.mark.parametrize("form", [closed_form_dphi, closed_form_dbeta, closed_form_dhausdorff])
-    @pytest.mark.parametrize("args", [(0, 2, 1), (1, 0, 1), (1, 2, 0), (-1, 2, 1)])
-    def test_rejects_arguments_below_one(self, form, args):
-        with pytest.raises(ValueError, match="^m, n, k must be positive$"):
-            form(*args)
-
-    def test_dbeta_requires_m_below_n(self):
-        with pytest.raises(ValueError):
-            closed_form_dbeta(2, 2, 1)
-
-    def test_dhausdorff(self):
-        assert closed_form_dhausdorff(1, 2, 1) == Fraction(3, 8)
-        assert closed_form_dhausdorff(1, 2, 2) == Fraction(7, 16)
-        assert closed_form_dhausdorff(5, 3, 7) == Fraction(3, 32)
-        for m in range(1, 8):
-            for n in range(1, 8):
-                for k in range(1, 8):
-                    expected = max(
-                        abs(pow2(-m) - pow2(-n)), abs(pow2(-m) - pow2(-(n + k)))
-                    )
-                    assert closed_form_dhausdorff(m, n, k) == expected
 
 
 class TestComparisonScaffolding:
@@ -649,6 +614,44 @@ def test_closure_of_the_union_is_the_ideal_of_the_intersection():
     for s, t in pairs:
         closure = ideal_closure(diagram, levelwise_union(levels[s], levels[t]))
         assert closure == to_finite(ideal_of_closed_set(intersection(s, t)), 12), (s, t)
+
+
+def points_between(low: int, high) -> ClosedSubsetQI:
+    """The points x_(low+1) ... x_high, with 0 when high is infinite."""
+    if high == math.inf:
+        return ClosedSubsetQI(BinaryWord("0" * low, "1"))
+    return ClosedSubsetQI(BinaryWord("0" * low + "1" * (high - low)))
+
+
+def test_where_beta_from_a_set_ties():
+    """For each short set S, group the short sets R by d_beta(S, R): the
+    pairs R != R' that share a group, 1,048 summed over S, are exactly
+    those of the rule in the `metrics` docstring.  With L < L' the last
+    points of R and R', R' is R plus every point x_(L+1) ... x_L' (and 0
+    when L' is infinite), and S holds none of those points but holds a point
+    past x_L' (0 when L' is infinite)."""
+    sets = short_sets()
+    ideals = {s: ideal_of_closed_set(s) for s in sets}
+    ties = set()
+    for s in sets:
+        groups = {}
+        for t in sets:
+            groups.setdefault(d_beta(ideals[s], ideals[t]), []).append(t)
+        ties |= {(s, t, u) for group in groups.values() for t, u in combinations(group, 2)}
+    extensions = []
+    for t, u in combinations(sets, 2):
+        (low, shorter), (high, longer) = sorted(((last_point(t), t), (last_point(u), u)),
+                                                key=operator.itemgetter(0))
+        if low == high:
+            continue
+        added = points_between(low, high)
+        if longer == union(shorter, added):
+            extensions.append((t, u, high, added))
+    predicted = {(s, t, u) for s in sets for t, u, high, added in extensions
+                 if intersection(s, added).word == BinaryWord()
+                 and (s.contains_zero if high == math.inf else last_point(s) > high)}
+    assert len(ties) == 1_048
+    assert ties == predicted
 
 
 def test_union_ors_the_words_and_zero_flags():
