@@ -210,72 +210,62 @@ def cmd_check(args) -> int:
     return 0 if ok else 2
 
 
-# Each subcommand and its line in the top-level --help.
+# Options that several subcommands take, each as a name and its add_argument
+# keywords.
+_CONVENTION = ("--convention", {"choices": ("paper", "derived"), "default": "derived"})
+_DEPTH = ("--depth", {"type": _int, "default": 32})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of text"})
+
+# Each subcommand: its line in the top-level --help, its handler, and its
+# arguments in --help order.
 _COMMANDS = {
-    "distance": "metric distances between two closed sets' ideals",
-    "paper-table": "reproduce the two published comparison rows",
-    "descriptor": "print level index sets of a closed set's ideal",
-    "diagram": "emit the quantized-interval diagram",
-    "check": "run the seeded randomized invariant suites",
+    "distance": ("metric distances between two closed sets' ideals", cmd_distance, (
+        _CONVENTION,
+        ("--depth", {**_DEPTH[1], "help": "levels summed when beta is printed as an interval "
+                                          "[S_N, S_N + 2^-N], because the excluded words "
+                                          "never agree"}),
+        _JSON,
+        ("--metric", {"choices": ("phi", "beta", "hausdorff", "all"), "default": "all"}),
+        ("--decimal", {"type": _int, "metavar": "N",
+                       "help": "add an approximate decimal column with N digits"}),
+        ("set_a", {}),
+        ("set_b", {}),
+    )),
+    "paper-table": ("reproduce the two published comparison rows", cmd_paper_table, (_JSON,)),
+    "descriptor": ("print level index sets of a closed set's ideal", cmd_descriptor,
+                   (_CONVENTION, _DEPTH, _JSON, ("set", {}))),
+    "diagram": ("emit the quantized-interval diagram", cmd_diagram,
+                (_DEPTH, ("--dot", {"action": "store_true",
+                                    "help": "emit DOT for external rendering"}))),
+    "check": ("run the seeded randomized invariant suites", cmd_check,
+              (("--seed", {"type": _int, "default": 0}),)),
 }
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser, listing every subcommand but giving options only to
-    `command`'s.
+    """The CLI's parser, built from `_COMMANDS`: every subcommand is listed,
+    but only `command`'s gets -h and its arguments.
 
     argparse hands the whole line after a subcommand's name to that
     subcommand's parser, so a line whose first token names one reaches no
     other.  When `command` names one, the other four are bare entries, built
-    without -h or options: the invalid-choice message reads their names and
-    the top-level --help their help lines, both from the subparsers action,
-    never from the entries themselves.  When `command` names none (None, an
-    option, a typo), argparse may hand the rest of the line to any
-    subcommand, so all of them get -h and their options.
+    without -h or arguments: the invalid-choice message reads their names
+    and the top-level --help their help lines, both from the subparsers
+    action, never from the entries themselves.  When `command` names none
+    (None, an option, a typo), argparse may hand the rest of the line to any
+    subcommand, so all of them get -h and their arguments.
     """
     parser = _Parser(prog="afideals", description=__doc__)
     # argparse would format the top-level usage without positionals to get
     # this prefix of the subcommands' progs.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    named = command in _COMMANDS
-    parsers = {name: sub.add_parser(name, help=text, add_help=not named or name == command)
-               for name, text in _COMMANDS.items()}
-    if named:
-        parsers = {command: parsers[command]}
-
-    def add_common(p, depth_help=None):
-        p.add_argument("--convention", choices=("paper", "derived"), default="derived")
-        p.add_argument("--depth", type=_int, default=32, help=depth_help)
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    if p := parsers.get("distance"):
-        add_common(p, depth_help="levels summed when beta is printed as an interval "
-                                 "[S_N, S_N + 2^-N], because the excluded words never agree")
-        p.add_argument("--metric", choices=("phi", "beta", "hausdorff", "all"), default="all")
-        p.add_argument("--decimal", type=_int, metavar="N",
-                       help="add an approximate decimal column with N digits")
-        p.add_argument("set_a")
-        p.add_argument("set_b")
-        p.set_defaults(func=cmd_distance)
-
-    if p := parsers.get("paper-table"):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.set_defaults(func=cmd_paper_table)
-
-    if p := parsers.get("descriptor"):
-        add_common(p)
-        p.add_argument("set")
-        p.set_defaults(func=cmd_descriptor)
-
-    if p := parsers.get("diagram"):
-        p.add_argument("--depth", type=_int, default=32)
-        p.add_argument("--dot", action="store_true", help="emit DOT for external rendering")
-        p.set_defaults(func=cmd_diagram)
-
-    if p := parsers.get("check"):
-        p.add_argument("--seed", type=_int, default=0)
-        p.set_defaults(func=cmd_check)
-
+    every = command not in _COMMANDS
+    for name, (text, _, arguments) in _COMMANDS.items():
+        full = every or name == command
+        p = sub.add_parser(name, help=text, add_help=full)
+        if full:
+            for argument, keywords in arguments:
+                p.add_argument(argument, **keywords)
     return parser
 
 
@@ -304,7 +294,7 @@ def _run(argv: list) -> int:
         if decimal is not None and not 0 <= decimal <= MAX_DECIMAL:
             bound = "at least 0" if decimal < 0 else f"at most {MAX_DECIMAL}"
             raise CliUsageError(f"--decimal must be {bound}, got {clip(str(decimal), str)}")
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except SystemExit as shown:
         # argparse ends with SystemExit after printing --help; main returns
         # its code instead.  Only --help gets here: _Parser.error raises

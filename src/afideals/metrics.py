@@ -183,6 +183,36 @@ d_H is the two sets' Hausdorff distance; `afideals paper-table` prints the
 rows as data.  The published d_beta has 2**-m where the paper convention's
 sum above has 4**-m, so it gives 37/128 and 145/512 where the sum gives
 21/128 and 81/512.
+
+The published level sets are not ideals.  For a paper shape S, write I for
+its ideal under the support-disjointness rule and L for the index of its
+last point (a for A, c for B above).
+
+* (a) The published level sets are I plus, for each p < L with x_p outside
+  S, the tail summand p at level p, and the union is disjoint.  Both take
+  S's word as E, so level p of each holds the same k < p.  The published
+  level p holds p itself when x_p is outside S, and I's when L < p.  Past
+  L both hold it, and at L neither does, since x_L is in S.  Below L only
+  the published sets hold it, when x_p is outside S.
+* (b) They are not an ideal, and their closure is the whole algebra.  On
+  the quantized-interval diagram the tail summand q of level q splits into
+  q and q + 1, the tail of level q + 1, while each k < q passes to k.  So
+  forward closure from the tail summand p of level p alone gives every
+  index from p through q at each level q >= p.  x_1 = 1 is never in a
+  paper shape, so L >= 2 and level 1 holds its only summand, the tail 1,
+  whose closure is the whole algebra.  The published sets leave index L
+  out of level L + 1, since x_L is in S, so they are not that closure, and
+  is_ideal fails on them.
+* (c) I is the largest ideal inside them.  By (a), an ideal inside them
+  but not inside I holds one of the added tails p < L at level p, and by
+  (b) then index L at level L + 1, which they leave out.  So the closure
+  of I plus any one added tail leaves the published level sets, and every
+  ideal inside them lies in I.
+
+(tests/test_metrics.py::test_published_level_sets_are_not_ideals checks
+them at depth 16 with is_ideal and ideal_closure as the oracle: (a) and
+(b) on the 78 shapes with m <= 12 and n + k <= 12, and (c) on each of
+their 584 added tails.)
 """
 
 from __future__ import annotations
@@ -283,6 +313,17 @@ def d_beta(i: EventualDescriptor, j: EventualDescriptor) -> Fraction:
     has a 1, and in p itself where the tail words differ.  Summing over p
     first, a D-bit at k weighs 4**-k and a tail difference at p weighs 4**-p.
     Both sums come from the words' masks, and are added as one fraction.
+
+    When D settles, the denominator divides 3 times a power of 4; for sets
+    within qi.MAX_LITERAL_BITS it has at most about 1,234 digits.  When D
+    never settles, its period is the lcm of the two periods, and the
+    denominator grows with it: 36,419 digits at periods 251 and 241.
+    Reducing that fraction is then nearly all the cost, quadratic in the
+    lcm.  Random words with coprime periods took 0.018-0.030 s at 251/241,
+    0.31-0.33 s at 509/503 and 5.2-6.4 s at 1021/1019, where xor_weight took
+    0.022 s of it (in-process, best of 3 in each of three runs, Python
+    3.11.7 on 2 shared x86_64 vCPUs; the ranges are the host's drift).  The
+    CLI prints the certified interval for such pairs instead.
     """
     num, den = xor_weight(i.excluded, j.excluded)
     tail_num, tail_den = xor_weight(i.tail, j.tail)

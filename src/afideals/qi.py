@@ -19,8 +19,10 @@ from .exact import BinaryWord, first_outside, pow2
 
 # Largest closed-set literal parse_closed_set accepts, in bits: head plus
 # period of a word, or the largest point index of a point list.  At this
-# size an exact d_beta's denominator has at most about 1,234 digits, under
-# the 4300 digits str() converts from an int.
+# size an exact d_beta whose excluded words settle, the only kind the CLI
+# computes, has a denominator of at most about 1,234 digits, under the 4300
+# digits str() converts from an int.  When they never settle, the
+# denominator grows with the lcm of the two periods (see metrics.d_beta).
 MAX_LITERAL_BITS = 2048
 
 # Longest rendering of a user's value that an error message echoes whole.

@@ -616,6 +616,42 @@ def test_closure_of_the_union_is_the_ideal_of_the_intersection():
         assert closure == to_finite(ideal_of_closed_set(intersection(s, t)), 12), (s, t)
 
 
+def test_published_level_sets_are_not_ideals():
+    """On the 78 paper shapes with m <= 12 and n + k <= 12, at depth 16, as
+    the `metrics` docstring proves: (a) the published level sets are the
+    support-rule ideal I plus, for each p < L with x_p outside S, the tail
+    summand p at level p, which I lacks; (b) they fail is_ideal, and
+    ideal_closure gives the whole algebra; (c) I is an ideal, and the
+    closure of I plus any one added tail holds index L at level L + 1, which
+    the published level sets leave out."""
+    depth = 16
+    diagram = qi_diagram(depth)
+    whole = FiniteDescriptor(range(1, p + 1) for p in range(1, depth + 1))
+    shapes = ([(m + 1,) for m in range(1, 13)]
+              + [(n + 1, n + k + 1) for n in range(1, 12) for k in range(1, 13 - n)])
+    assert len(shapes) == 78
+    added = 0
+    for points in shapes:
+        s = parse_closed_set(",".join(str(pow2(1 - k)) for k in points))
+        last = points[-1]
+        ideal = to_finite(ideal_of_closed_set(s), depth).all_sets
+        published = to_finite(descriptor(s, "paper"), depth).all_sets
+        tails = [p for p in range(1, last) if p not in points]
+        assert not any(p in ideal[p - 1] for p in tails), s
+        assert published == tuple(level | {p} if p in tails else level
+                                  for p, level in enumerate(ideal, 1)), s
+        assert published[0] == {1} and last not in published[last], s
+        assert not is_ideal(diagram, FiniteDescriptor(published)), s
+        assert ideal_closure(diagram, FiniteDescriptor(published)) == whole, s
+        assert is_ideal(diagram, FiniteDescriptor(ideal)), s
+        for p in tails:
+            closure = ideal_closure(diagram, FiniteDescriptor(
+                level | {p} if n == p else level for n, level in enumerate(ideal, 1)))
+            assert last in closure.sets(last + 1), (s, p)
+        added += len(tails)
+    assert added == 584
+
+
 def points_between(low: int, high) -> ClosedSubsetQI:
     """The points x_(low+1) ... x_high, with 0 when high is infinite."""
     if high == math.inf:
