@@ -278,8 +278,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The SIGPIPE recipe of the `signal` docs: send what is left of stdout
         # to devnull, so the flush at exit cannot fail again, and exit 1 as
-        # Python does on EPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Python does on EPIPE.  The devnull file is closed once copied,
+        # since main returns to its caller rather than exiting.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     return code
 

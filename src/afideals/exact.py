@@ -56,8 +56,9 @@ def _primitive(period: int, length: int) -> int:
 
 
 def _repeat(mask: int, length: int, n: int) -> int:
-    """A `length`-bit mask repeated by doubling until it covers n bits."""
-    while length < n:
+    """A `length`-bit mask repeated by doubling until it covers n bits; the
+    zero mask, which every eventually-zero word's period is, at once."""
+    while mask and length < n:
         mask |= mask << length
         length *= 2
     return mask
@@ -68,11 +69,13 @@ class BinaryWord:
 
     Stored as a head of `head_len` bits followed by a repeating period of
     `period_len` bits, each as an int mask with position k of the part as
-    bit k-1; an empty period means every later bit is zero.  Construction
-    canonicalizes (primitive period, shortest possible head), so two words
-    denote the same bit stream if and only if they compare equal
-    structurally.  The parts are read and shown as '0'/'1' text, position 1
-    first: `BinaryWord("1011", "01")` is 1011 followed by 01 repeated.
+    bit k-1.  Construction canonicalizes (primitive period, shortest
+    possible head), so two words denote the same bit stream if and only if
+    they compare equal structurally.  The parts are read and shown as
+    '0'/'1' text, position 1 first: `BinaryWord("1011", "01")` is 1011
+    followed by 01 repeated.  Every period of zeros, the empty one included,
+    is stored as the period 0; `period` shows it as the empty text and
+    `period_len` as 0, as the `head=...;period=` literal writes it.
     """
 
     __slots__ = ("_head_mask", "_head_len", "_period_mask", "_period_len")
@@ -93,23 +96,20 @@ class BinaryWord:
         return w
 
     def _canonicalize(self, head: int, h: int, period: int, length: int):
-        if not period:
-            # Eventually zero: the head ends with its last 1.
-            h, length = head.bit_length(), 0
-        else:
-            if length > 1:
-                length = _primitive(period, length)
-                period &= (1 << length) - 1
-            if h:
-                # Head bits that continue the period backwards are absorbed
-                # into it; each one absorbed rotates the period by one place.
-                width = h + -h % length
-                behind = _repeat(period, length, width) >> (width - h) & ((1 << h) - 1)
-                kept = (head ^ behind).bit_length()
-                shift = (h - kept) % length
-                period = _rotate(period, length, length - shift)
-                head &= (1 << kept) - 1
-                h = kept
+        # The primitive period of any run of zeros, the empty one included, is 0.
+        length = _primitive(period, length) if period else 1
+        period &= (1 << length) - 1
+        if h:
+            # Head bits that continue the period backwards are absorbed into
+            # it; each one absorbed rotates the period by one place.  Under
+            # the period 0 the head ends with its last 1.
+            width = h + -h % length
+            behind = _repeat(period, length, width) >> (width - h) & ((1 << h) - 1)
+            kept = (head ^ behind).bit_length()
+            shift = (h - kept) % length
+            period = _rotate(period, length, length - shift)
+            head &= (1 << kept) - 1
+            h = kept
         self._head_mask, self._head_len = head, h
         self._period_mask, self._period_len = period, length
 
@@ -119,7 +119,7 @@ class BinaryWord:
 
     @property
     def period(self) -> str:
-        return bit_text(self._period_mask, self._period_len)
+        return bit_text(self._period_mask, self._period_len) if self._period_mask else ""
 
     @property
     def head_mask(self) -> int:
@@ -135,7 +135,7 @@ class BinaryWord:
 
     @property
     def period_len(self) -> int:
-        return self._period_len
+        return self._period_len if self._period_mask else 0
 
     def bit(self, k: int) -> int:
         """Bit at position k >= 1."""
@@ -143,33 +143,29 @@ class BinaryWord:
             raise ValueError(f"positions start at 1, got {k}")
         if k <= self._head_len:
             return self._head_mask >> (k - 1) & 1
-        if not self._period_len:
-            return 0
         return self._period_mask >> (k - self._head_len - 1) % self._period_len & 1
 
     def prefix(self, n: int) -> int:
         """Bits 1..n as a mask, position k as bit k-1: the head, then the
-        period repeated (zeros when empty)."""
+        period repeated."""
         if n < 0:
             raise ValueError(f"prefix length must be at least 0, got {n}")
         h = self._head_len
         if n <= h:
             return self._head_mask & ((1 << n) - 1)
-        if not self._period_len:
-            return self._head_mask
         rest = _repeat(self._period_mask, self._period_len, n - h) & ((1 << (n - h)) - 1)
         return self._head_mask | rest << h
 
     def is_eventually_zero(self) -> bool:
-        return not self._period_len
+        return not self._period_mask
 
     def last_one(self):
         """Largest position carrying a 1, for eventually-zero words.
 
         Returns 0 for the all-zero word and None when ones recur forever.
         """
-        # A canonical eventually-zero word's head ends with its last 1.
-        return None if self._period_len else self._head_len
+        # A canonical word with the period 0 has its last 1 at the end of its head.
+        return None if self._period_mask else self._head_len
 
     def next_one(self, i: int):
         """Least position > i carrying a 1, or None; past the head the word
@@ -179,9 +175,9 @@ class BinaryWord:
         rest = self._head_mask >> i
         if rest:
             return i + (rest & -rest).bit_length()
-        length = self._period_len
-        if not length:
+        if not self._period_mask:
             return None
+        length = self._period_len
         # Bit j of `ahead` is the period bit at position start + 1 + j.
         start = max(i, self._head_len)
         r = (start - self._head_len) % length
@@ -208,10 +204,10 @@ class BinaryWord:
 
 def _joint(u: BinaryWord, v: BinaryWord) -> tuple:
     """(h, L, a, b): the longer head h, the joint period L = lcm of both
-    periods (1 for an empty one) and both words' bits 1..h+L as masks.
+    stored periods (1 for the period 0) and both words' bits 1..h+L as masks.
     Past h both words repeat with period L, so these bits decide them."""
     h = max(u._head_len, v._head_len)
-    length = math.lcm(u._period_len or 1, v._period_len or 1)
+    length = math.lcm(u._period_len, v._period_len)
     return h, length, u.prefix(h + length), v.prefix(h + length)
 
 
@@ -230,10 +226,10 @@ def first_diff_index(u: BinaryWord, v: BinaryWord):
     period can be their product.  The joint period is read only when it is
     longer than the longer period."""
     h = max(u._head_len, v._head_len)
-    n = h + max(u._period_len, v._period_len, 1)
+    n = h + max(u._period_len, v._period_len)
     x = u.prefix(n) ^ v.prefix(n)
     if not x:
-        length = math.lcm(u._period_len or 1, v._period_len or 1)
+        length = math.lcm(u._period_len, v._period_len)
         if h + length > n:
             x = u.prefix(h + length) ^ v.prefix(h + length)
     return (x & -x).bit_length() or None
@@ -247,11 +243,11 @@ def first_outside(u: BinaryWord, v: BinaryWord) -> tuple:
     period; the joint period is read once, and only when it is longer and a
     direction found nothing in that window."""
     h = max(u._head_len, v._head_len)
-    n = h + max(u._period_len, v._period_len, 1)
+    n = h + max(u._period_len, v._period_len)
     a, b = u.prefix(n), v.prefix(n)
     x, y = a & ~b, b & ~a
     if not (x and y):
-        length = math.lcm(u._period_len or 1, v._period_len or 1)
+        length = math.lcm(u._period_len, v._period_len)
         if h + length > n:
             a, b = u.prefix(h + length), v.prefix(h + length)
             x, y = x or a & ~b, y or b & ~a
@@ -286,6 +282,5 @@ def word_weight(w: BinaryWord, from_index: int = 1, base: int = 2) -> Fraction:
     # The word from from_index on has head h and the same period length.
     skip = from_index - 1
     h = max(w._head_len - skip, 0)
-    length = w._period_len or 1
-    num, den = _weight(w.prefix(skip + h + length) >> skip, h, length, base)
+    num, den = _weight(w.prefix(skip + h + w._period_len) >> skip, h, w._period_len, base)
     return Fraction(num, den * base**skip)

@@ -421,6 +421,32 @@ class TestClosedPipe:
             _, err = proc.communicate(timeout=120)
         assert (line, proc.returncode, err) == (first, 1, b"")
 
+    def test_in_process_calls_keep_no_descriptor(self):
+        # main returns after a closed pipe, so whatever it opens to quiet
+        # stdout must be closed again: three calls, each into a fresh pipe
+        # whose reader is gone, leave the lowest free descriptor where it was.
+        def lowest_free():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        saved = os.dup(1)
+        try:
+            before = lowest_free()
+            codes = []
+            for _ in range(3):
+                read, write = os.pipe()
+                os.close(read)
+                os.dup2(write, 1)
+                os.close(write)
+                with open(1, "w", closefd=False) as out, contextlib.redirect_stdout(out):
+                    codes.append(main(["diagram", "--depth", "200", "--dot"]))
+            after = lowest_free()
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        assert (codes, after) == ([1, 1, 1], before)
+
 
 class TestUsage:
     def test_missing_command(self, capsys):

@@ -46,6 +46,18 @@ class TestBinaryWord:
     def test_canonical_period_is_primitive(self):
         assert BinaryWord("", "1010") == BinaryWord("", "10")
         assert BinaryWord("", "00") == BinaryWord()
+        # Every spelling of the zero tail, by either constructor, is one word
+        # shown with the empty period, its head ending at its last 1.
+        for head in ["", "1", "0110"]:
+            mask, shown = int(head[::-1] or "0", 2), head[:head.rfind("1") + 1]
+            spellings = [w for length in range(5)
+                         for w in (BinaryWord(head, "0" * length),
+                                   BinaryWord.from_masks(mask, len(head), 0, length))]
+            for w in spellings:
+                assert (w, hash(w)) == (spellings[0], hash(spellings[0]))
+                assert (w.period, w.period_len, w.is_eventually_zero()) == ("", 0, True)
+                assert w.last_one() == len(shown)
+                assert repr(w) == f"BinaryWord(head={shown!r}, period='')"
 
     def test_canonical_head_is_shortest(self):
         assert BinaryWord("1", "01") == BinaryWord("", "10")
