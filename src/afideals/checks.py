@@ -8,7 +8,9 @@ many of its properties break.  `run_check` reads that pair,
 `benchmarks/tracer.py` times the suites through `SUITES`, and the mutant
 tests in `tests/test_check_oracles.py` read the FAIL lines built from it.
 A suite with one case per loop iteration numbers its cases with the loop
-variable and returns SCALE.
+variable and returns SCALE.  The two diagrams the suites read,
+`CLOSURE_DIAGRAM` and `CORRESPONDENCE_DIAGRAM`, are built once per import,
+so their offsets are derived once per process rather than once per call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .qi import (
 
 # Cases per suite: each suite's loop count derives from it.
 SCALE = 60
+
+# The diagrams of the closure-fixpoint and correspondence suites.
+CLOSURE_DIAGRAM = qi_diagram(8)
+CORRESPONDENCE_DIAGRAM = qi_diagram(32)
 
 
 def _below(getrandbits, n: int) -> int:
@@ -154,14 +160,13 @@ def _closure_seeds(draw):
 
 def _suite_closure(rng: random.Random):
     failures = []
-    diagram = qi_diagram(8)
     for case in range(1, SCALE + 1):
         small, big = _closure_seeds(rng.random)
-        c_small = ideal_closure(diagram, FiniteDescriptor._of_masks(small))
-        c_big = ideal_closure(diagram, FiniteDescriptor._of_masks(big))
-        if not is_ideal(diagram, c_small):
+        c_small = ideal_closure(CLOSURE_DIAGRAM, FiniteDescriptor._of_masks(small))
+        c_big = ideal_closure(CLOSURE_DIAGRAM, FiniteDescriptor._of_masks(big))
+        if not is_ideal(CLOSURE_DIAGRAM, c_small):
             failures.append((case, f"closure of {_level_sets(small)} is not an ideal"))
-        if ideal_closure(diagram, c_small) != c_small:
+        if ideal_closure(CLOSURE_DIAGRAM, c_small) != c_small:
             failures.append((case, f"closure not idempotent on {_level_sets(small)}"))
         if not c_small <= c_big:
             failures.append((case, f"closure not monotone on {_level_sets(small)} "
@@ -244,7 +249,6 @@ def _suite_ideal_metrics(rng: random.Random):
 
 def _suite_correspondence(rng: random.Random):
     failures = []
-    diagram = qi_diagram(32)
     for case in range(1, SCALE + 1):
         s = random_closed_set(rng, nonempty=False)
         e = ideal_of_closed_set(s)
@@ -262,7 +266,7 @@ def _suite_correspondence(rng: random.Random):
             failures.append((case, f"support-disjointness oracle disagrees for {s!r}"))
         if closed_set_of_ideal(e) != s:
             failures.append((case, f"round trip fails for {s!r}"))
-        if not is_ideal(diagram, finite):
+        if not is_ideal(CORRESPONDENCE_DIAGRAM, finite):
             failures.append((case, f"derived descriptor not an ideal for {s!r}"))
         # t holds s: s's first h bits with random ones added, then s's period.
         h, length = s.word.head_len + 2, s.word.period_len

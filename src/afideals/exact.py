@@ -99,10 +99,15 @@ class BinaryWord:
         # The primitive period of any run of zeros, the empty one included, is 0.
         length = _primitive(period, length) if period else 1
         period &= (1 << length) - 1
-        if h:
+        if length == 1:
+            # A one-bit period b absorbs every trailing head bit equal to b,
+            # and rotating it changes nothing: the head ends at its last bit
+            # other than b, so under the period 0 at its last 1.
+            h = (head ^ -period & ((1 << h) - 1)).bit_length()
+            head &= (1 << h) - 1
+        elif h:
             # Head bits that continue the period backwards are absorbed into
-            # it; each one absorbed rotates the period by one place.  Under
-            # the period 0 the head ends with its last 1.
+            # it; each one absorbed rotates the period by one place.
             width = h + -h % length
             behind = _repeat(period, length, width) >> (width - h) & ((1 << h) - 1)
             kept = (head ^ behind).bit_length()
@@ -147,11 +152,12 @@ class BinaryWord:
 
     def prefix(self, n: int) -> int:
         """Bits 1..n as a mask, position k as bit k-1: the head, then the
-        period repeated."""
+        period repeated.  A word with the period 0 is its head alone, which
+        already fits below 2**head_len, so only its head is read."""
         if n < 0:
             raise ValueError(f"prefix length must be at least 0, got {n}")
         h = self._head_len
-        if n <= h:
+        if n <= h or not self._period_mask:
             return self._head_mask & ((1 << n) - 1)
         rest = _repeat(self._period_mask, self._period_len, n - h) & ((1 << (n - h)) - 1)
         return self._head_mask | rest << h

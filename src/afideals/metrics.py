@@ -208,11 +208,23 @@ last point (a for A, c for B above).
   (b) then index L at level L + 1, which they leave out.  So the closure
   of I plus any one added tail leaves the published level sets, and every
   ideal inside them lies in I.
+* (d) The added tails double d_phi off the m = n slice.  By (a), the
+  published level p holds the tail p exactly when x_p is outside S: the
+  added tails hold it for p < L, I for p > L, and neither at L.  So the
+  added tails turn the tail word into the complement of E, Delta = D, and
+  the first disagreement moves from min(k* + 1, t*) to k*, whose level
+  differs in k* itself: the paper d_phi is 2**(min(k* + 1, t*) - k*) times
+  the derived one.  Off the slice t* > k* (t* = a + 1 = k* + 1 for m < n,
+  t* = min(a, c) + 1 > b + 1 = k* + 1 for m > n, and none at m = n + k),
+  so the factor is 2.  On the slice, k* = c = n + k + 1 and
+  t* = b + 1 = n + 2, so it is 2**(1-k): the added tails move the first
+  disagreement k - 1 levels later.
 
 (tests/test_metrics.py::test_published_level_sets_are_not_ideals checks
-them at depth 16 with is_ideal and ideal_closure as the oracle: (a) and
+(a)-(c) at depth 16 with is_ideal and ideal_closure as the oracle: (a) and
 (b) on the 78 shapes with m <= 12 and n + k <= 12, and (c) on each of
-their 584 added tails.)
+their 584 added tails.  test_added_tails_scale_d_phi checks (d) on the 792
+pairs of those shapes, {2**-m} against {2**-n, 2**-(n+k)}.)
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from afideals.bratteli import (
     FiniteDescriptor,
     ideal_closure,
     is_ideal,
-    qi_diagram,
     to_finite,
 )
 from afideals.exact import BinaryWord, pow2, word_weight, word_xor, xor_weight
@@ -185,14 +184,14 @@ def finite(s, depth):
 
 
 def closure(sets):
-    """The closure `check` sees of the levels `sets` on qi_diagram(8)."""
-    return checks.ideal_closure(checks.qi_diagram(8), FiniteDescriptor(sets))
+    """The closure `check` sees of the levels `sets` on its qi_diagram(8)."""
+    return checks.ideal_closure(checks.CLOSURE_DIAGRAM, FiniteDescriptor(sets))
 
 
 def closes_again(sets):
     """Whether closing the closure of the levels `sets` changes it."""
     closed = closure(sets)
-    return checks.ideal_closure(checks.qi_diagram(8), closed) != closed
+    return checks.ideal_closure(checks.CLOSURE_DIAGRAM, closed) != closed
 
 
 def seed_as_closure(d, seed):
@@ -271,7 +270,7 @@ MISMATCHES = {
             checks.word_weight(w, i) != w.bit(i) * pow2(-i) + checks.word_weight(w, i + 1)),
     },
     "closure-fixpoint": {
-        "closure of": lambda small: not checks.is_ideal(checks.qi_diagram(8), closure(small)),
+        "closure of": lambda small: not checks.is_ideal(checks.CLOSURE_DIAGRAM, closure(small)),
         "closure not idempotent on": closes_again,
         "closure not monotone on": lambda small, big: not closure(small) <= closure(big),
     },
@@ -303,7 +302,7 @@ MISMATCHES = {
             finite(s, 12) != oracle_descriptor(s)),
         "round trip fails for": lambda s: checks.closed_set_of_ideal(ideal_of_closed_set(s)) != s,
         "derived descriptor not an ideal for": lambda s: (
-            not is_ideal(qi_diagram(32), finite(s, 32))),
+            not is_ideal(checks.CORRESPONDENCE_DIAGRAM, finite(s, 32))),
         "antitone correspondence fails for": lambda s, t: not finite(t, 32) <= finite(s, 32),
     },
     "truncation": {
@@ -396,3 +395,15 @@ def test_broken_kernel_fails_its_suite(name, mutant, suite, message, monkeypatch
         assert shows_mismatch(suite, line), line
     monkeypatch.undo()
     assert not any(shows_mismatch(suite, line) for line in lines)
+
+
+def test_run_check_builds_no_diagram(monkeypatch):
+    """The suites read the two diagrams built when `checks` is imported, so
+    a `qi_diagram` that raises leaves every transcript as it was."""
+    expected = [checks.run_check(seed) for seed in (1, 2, 3)]
+
+    def no_diagram(depth):
+        raise AssertionError(f"qi_diagram({depth}) called during check")
+
+    monkeypatch.setattr(checks, "qi_diagram", no_diagram)
+    assert [checks.run_check(seed) for seed in (1, 2, 3)] == expected

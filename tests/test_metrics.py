@@ -652,6 +652,23 @@ def test_published_level_sets_are_not_ideals():
     assert added == 584
 
 
+def test_added_tails_scale_d_phi():
+    """On the 792 pairs {2**-m} against {2**-n, 2**-(n+k)} with m <= 12 and
+    n + k <= 12, the paper d_phi is exactly twice the derived one off the
+    m = n slice and 2**(1-k) times it on the slice, as (d) in the `metrics`
+    docstring derives from the added tails."""
+    factors = Counter()
+    for m, n in product(range(1, 13), range(1, 12)):
+        for k in range(1, 13 - n):
+            a, b = family_sets(m, n, k)
+            paper, derived = (d_phi(*descriptors(a, b, convention))
+                              for convention in ("paper", "derived"))
+            factor = pow2(1 - k) if m == n else 2
+            assert paper == factor * derived, (m, n, k)
+            factors[m == n] += 1
+    assert factors == {False: 726, True: 66}
+
+
 def points_between(low: int, high) -> ClosedSubsetQI:
     """The points x_(low+1) ... x_high, with 0 when high is infinite."""
     if high == math.inf:

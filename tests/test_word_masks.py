@@ -217,6 +217,20 @@ def test_absorbed_head_is_canonicalized_whole():
     w = BinaryWord("10" * 1024, "10")
     assert w == BinaryWord("", "10")
     assert BinaryWord("0" + "110" * 300, "110") == BinaryWord("0", "110")
+    # A one-bit period takes in the whole run of its bit that ends the head,
+    # through the text constructor and through the masks alike.
+    for head, period, canonical in [("1" * 2048, "1", ("", "1")),
+                                    ("0" + "1" * 2047, "1", ("0", "1")),
+                                    ("1" + "0" * 2047, "", ("1", "")),
+                                    ("1" + "0" * 2047, "00", ("1", ""))]:
+        expected = BinaryWord(*canonical)
+        masks = (int(head[::-1], 2), len(head), int(period[::-1] or "0", 2), len(period))
+        for w in (BinaryWord(head, period), BinaryWord.from_masks(*masks)):
+            assert w == expected and hash(w) == hash(expected), (head, period)
+            assert (w.head, w.period) == canonical
+            scan = sum(w.bit(k) << k - 1 for k in range(1, 4097))
+            assert w.prefix(4096) == scan
+            assert [w.prefix(n) for n in range(4)] == [scan & (1 << n) - 1 for n in range(4)]
 
 
 class TestBitValidation:
