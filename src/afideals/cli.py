@@ -244,26 +244,25 @@ _COMMANDS = {
 
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's parser, built from `_COMMANDS`: every subcommand is listed,
-    but only `command`'s gets -h and its arguments.
+    but only `command`'s gets -h and its arguments; the others are bare
+    entries, built without either.
 
-    argparse hands the whole line after a subcommand's name to that
-    subcommand's parser, so a line whose first token names one reaches no
-    other.  When `command` names one, the other four are bare entries, built
-    without -h or arguments: the invalid-choice message reads their names
-    and the top-level --help their help lines, both from the subparsers
-    action, never from the entries themselves.  When `command` names none
-    (None, an option, a typo), argparse may hand the rest of the line to any
-    subcommand, so all of them get -h and their arguments.
+    `_run` passes the line's first token that names a subcommand, or None,
+    and no other entry can be reached.  argparse hands the rest of the line
+    to the entry its first positional token names, and refuses the line when
+    that token names none.  Every token before it starts with "-" (the top
+    level has no option that takes a value), as no subcommand name does, so
+    that entry is the first one the line names.  The invalid-choice message
+    reads the names, and the top-level --help the help lines, from the
+    subparsers action, never from the entries themselves.
     """
     parser = _Parser(prog="afideals", description=__doc__)
     # argparse would format the top-level usage without positionals to get
     # this prefix of the subcommands' progs.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    every = command not in _COMMANDS
     for name, (text, _, arguments) in _COMMANDS.items():
-        full = every or name == command
-        p = sub.add_parser(name, help=text, add_help=full)
-        if full:
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
             for argument, keywords in arguments:
                 p.add_argument(argument, **keywords)
     return parser
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
 
 def _run(argv: list) -> int:
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser(next((t for t in argv if t in _COMMANDS), None)).parse_args(argv)
         if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
             raise CliUsageError(
                 f"depth must be between 1 and {MAX_DEPTH}, got {clip(str(args.depth), str)}")

@@ -28,7 +28,7 @@ MAX_LITERAL_BITS = 2048
 # Longest rendering of a user's value that an error message echoes whole.
 CLIP_LIMIT = 64
 
-_POINT_TOKEN = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
+_POINT_TOKEN = re.compile(r"(\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
 
 
 class EmptySetError(ValueError):
@@ -209,7 +209,7 @@ def parse_closed_set(text: str) -> ClosedSubsetQI:
         if n == 0:
             zero = True
         # n/d is x_m = 2**(1-m) exactly when d/n is a power of two 2**(m-1).
-        elif n < 0 or d % n or (d // n) & (d // n - 1):
+        elif d % n or (d // n) & (d // n - 1):
             raise ValueError(f"bad point token: {clip(token)}")
         else:
             mask |= 1 << (d // n).bit_length() - 1

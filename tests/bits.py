@@ -31,12 +31,12 @@ def all_words(max_head: int, max_period: int) -> set:
             for head in bit_strings(max_head) for period in bit_strings(max_period)}
 
 
-def short_sets() -> list:
-    """Every closed set whose word has a head of at most 4 bits and a period
-    of at most 3, with and without 0, sorted by repr: 176 sets, the empty
-    set among them."""
-    return sorted({ClosedSubsetQI(w, zero) for w in all_words(4, 3) for zero in (False, True)},
-                  key=repr)
+def short_sets(max_head: int = 4, max_period: int = 3) -> list:
+    """Every closed set whose word has a head of at most `max_head` bits and a
+    period of at most `max_period`, with and without 0, sorted by repr; by
+    default 176 sets, the empty set among them."""
+    return sorted({ClosedSubsetQI(w, zero) for w in all_words(max_head, max_period)
+                   for zero in (False, True)}, key=repr)
 
 
 def _bitwise(s: ClosedSubsetQI, t: ClosedSubsetQI, op) -> BinaryWord:

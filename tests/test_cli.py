@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import afideals
+from afideals import cli
 from afideals.bratteli import level_set
 from afideals.cli import MAX_DEPTH, CliUsageError, build_parser, main
 from afideals.metrics import d_beta, descriptor
@@ -475,7 +476,8 @@ class TestUsage:
                     for sub in action.choices.values():
                         yield from parsers(sub)
 
-        hidden = [(p.prog, a.option_strings or a.dest) for p in parsers(build_parser())
+        hidden = [(p.prog, a.option_strings or a.dest)
+                  for command in [*cli._COMMANDS, None] for p in parsers(build_parser(command))
                   for a in p._actions if a.help == argparse.SUPPRESS]
         assert hidden == []
 
@@ -515,6 +517,24 @@ def options(parser) -> tuple:
     return actions, defaults
 
 
+def full_parser() -> argparse.ArgumentParser:
+    """The reference parser: build_parser's top level with all five
+    subcommands given -h and their arguments from `cli._COMMANDS`."""
+    parser = cli._Parser(prog="afideals", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (text, _, arguments) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+    return parser
+
+
+def first_command(argv):
+    """The first token of argv that names a subcommand, or None: the
+    subcommand `cli.main` gives -h and its arguments."""
+    return next((token for token in argv if token in cli._COMMANDS), None)
+
+
 def outcome(parser, argv) -> tuple:
     """The parsed namespace (`func` by name), the usage error, or --help's
     exit code and text."""
@@ -531,11 +551,11 @@ def outcome(parser, argv) -> tuple:
 
 class TestNamedParser:
     """build_parser(command) gives -h and options only to `command`'s
-    subcommand; these compare it with build_parser(), which gives them to all."""
+    subcommand; these compare it with full_parser(), which gives them to all."""
 
     @pytest.mark.parametrize("name", list(subcommands(build_parser())))
     def test_named_subcommand_keeps_every_option(self, name):
-        full, named = build_parser(), build_parser(name)
+        full, named = full_parser(), build_parser(name)
         assert options(subcommands(named)[name]) == options(subcommands(full)[name])
         assert list(subcommands(named)) == list(subcommands(full))
         assert ({n: p.prog for n, p in subcommands(named).items()}
@@ -543,12 +563,12 @@ class TestNamedParser:
         assert named.format_help() == full.format_help()
 
     def test_unnamed_subcommands_get_no_options(self):
-        # Each entry the first token does not name is bare: no action, not
-        # even -h, and no defaults.
-        names = list(subcommands(build_parser()))
-        for name in names:
+        # Each entry the line does not name is bare: no action, not even -h,
+        # and no defaults.  A line that names none gets five bare entries.
+        names = list(subcommands(full_parser()))
+        for name in [*names, None]:
             others = [p for n, p in subcommands(build_parser(name)).items() if n != name]
-            assert len(others) == len(names) - 1
+            assert len(others) == len(names) - (name is not None)
             assert all(p._actions == [] and p._defaults == {} for p in others), name
 
     def test_first_token_parser_parses_like_the_full_one(self):
@@ -562,14 +582,31 @@ class TestNamedParser:
             ["distance", "1/2", "descriptor", "--help"], ["diagram", "-h", "distance"],
             ["check", "--seed", "1", "paper-table", "-h"], ["paper-table", "--", "check", "-h"],
             ["descriptor", "--", "distance", "--help"], ["distance", "paper-table", "check"],
+            # Something before the first subcommand name: an option, `--`,
+            # a typo, -h or a negative number.
+            ["-x", "distance", "1/2", "1/4"], ["--json", "paper-table"],
+            ["--", "distance", "1/2", "1/4"], ["typo", "distance", "1/2", "1/4"],
+            ["-h", "distance"], ["-x", "check", "--seed", "3"], ["-1", "distance"],
         ]
         lines = ([case["argv"] for case in golden] + explicit
                  + [random_argv(rng) for _ in range(500)])
         # the fuzzer's edits put an option, a set or a typo first in some lines
-        assert any(a and a[0] not in subcommands(build_parser()) for a in lines)
+        assert any(a and a[0] not in cli._COMMANDS for a in lines)
         for argv in lines:
-            named = build_parser(argv[0] if argv else None)
-            assert outcome(named, argv) == outcome(build_parser(), argv), [a[:40] for a in argv]
+            named = build_parser(first_command(argv))
+            assert outcome(named, argv) == outcome(full_parser(), argv), [a[:40] for a in argv]
+
+    @pytest.mark.parametrize("argv, command", [
+        ([], None), (["distance", "1/2", "1/4"], "distance"), (["-h"], None),
+        (["-x", "distance", "1/2", "1/4"], "distance"), (["--", "check"], "check"),
+        (["typo", "diagram", "check"], "diagram"), (["--json", "paper-table", "check"], "paper-table"),
+    ])
+    def test_main_names_the_first_subcommand_token(self, capsys, monkeypatch, argv, command):
+        named = []
+        monkeypatch.setattr(cli, "build_parser", lambda name: named.append(name)
+                            or build_parser(name))
+        main(argv)
+        assert named == [command]
 
 
 # Runs each argv of argv[1] as pins.capture does, after dropping every
@@ -586,8 +623,8 @@ print(json.dumps(records))
 """
 
 # A success, a usage error, --help, a domain error, the other four
-# subcommands, the top-level -h, a first-token typo, then the first success
-# again.
+# subcommands, the top-level -h, a first-token typo, an unknown option before
+# the subcommand, then the first success again.
 SEQUENCE = (
     (["distance", "1/2", "1/4,1/8"], 0),
     (["distance", "1/3", "1/2"], 1),
@@ -599,6 +636,7 @@ SEQUENCE = (
     (["check", "--seed", "1"], 0),
     (["-h"], 0),
     (["distnace", "1/2", "1/4,1/8"], 1),
+    (["-x", "check", "--seed", "1"], 1),
     (["distance", "1/2", "1/4,1/8"], 0),
 )
 

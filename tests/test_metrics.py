@@ -161,6 +161,22 @@ class TestCertifiedValue:
             CertifiedValue(lo, hi)
 
 
+@pytest.mark.parametrize("value", [
+    BinaryWord("10", "01"),
+    FiniteDescriptor([{1}, {1, 3}]),
+    EventualDescriptor(BinaryWord("1"), BinaryWord("", "1")),
+    CertifiedValue(0, Fraction(1, 2)),
+    ClosedSubsetQI(BinaryWord("1", "10"), include_zero=True),
+], ids=lambda value: type(value).__name__)
+def test_equality_with_other_types_is_false(value):
+    """Each value type's == is False, and != True, against an object and a
+    tuple of the value's own fields."""
+    fields = tuple(getattr(value, slot) for slot in type(value).__slots__)
+    for other in (object(), fields):
+        assert not value == other and value != other, other
+        assert not other == value and other != value, other
+
+
 class TestFirstDisagreement:
     def test_equal(self):
         e = table(3)
@@ -422,6 +438,27 @@ def test_how_much_each_metric_resolves():
     assert len(words) == len(digits_of) == 663
     assert all(len(c) == 1 for c in words.values())
     assert all(len(beta) == 1 for beta in digits_of.values())
+
+
+@pytest.mark.parametrize("max_head, max_period, sets, pairs, distinct", [
+    (2, 2, 19, 171, (4, 8, 37)),
+    (3, 2, 39, 741, (5, 12, 95)),
+    (3, 3, 87, 3_741, (7, 20, 287)),
+])
+def test_distinct_values_on_smaller_grids(max_head, max_period, sets, pairs, distinct):
+    """How many distinct values d_phi, d_H and d_beta take over the unordered
+    pairs of nonempty sets with head <= max_head and period <= max_period.
+    test_how_much_each_metric_resolves pins the grid (4, 3): 8, 26 and 663."""
+    grid = [s for s in short_sets(max_head, max_period) if not s.is_empty()]
+    ideals = [ideal_of_closed_set(s) for s in grid]
+    values = (set(), set(), set())
+    count = 0
+    for (s, i), (t, j) in combinations(zip(grid, ideals), 2):
+        count += 1
+        for seen, value in zip(values, (d_phi(i, j), hausdorff(s, t), d_beta(i, j))):
+            seen.add(value)
+    assert (len(grid), count) == (sets, pairs)
+    assert tuple(map(len, values)) == distinct
 
 
 def test_whole_algebra_is_isolated():

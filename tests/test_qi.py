@@ -304,7 +304,7 @@ class TestSerialization:
 
     # Both parts take ASCII digits only, though int() reads any Unicode digit.
     @pytest.mark.parametrize("token", ["1/3", "2", "5/8", "-1/2", "1/0", "0/0", "0.5", "+1/2", "",
-                                       "١/2", "１/4"])
+                                       "١/2", "１/4", "-0", "-0/3"])
     def test_bad_point_token_message(self, token):
         with pytest.raises(ValueError) as info:
             parse_closed_set("1/2," + token)
